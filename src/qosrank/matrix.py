@@ -33,6 +33,11 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("user_id", "service_id", "qos_value")
 
+# Largest users x services grid `load_matrix` will allocate densely (400 MB of
+# float64); the ids size the matrix, so one stray huge id must not reach it.
+# WS-DREAM's 339 x 5825 response-time matrix is about 2M cells.
+MAX_CELLS = 50_000_000
+
 
 class MetricOrientation(Enum):
     """Whether larger raw metric values are better (throughput) or worse
@@ -65,6 +70,9 @@ class QoSMatrix:
             raise BadValueError("infinite QoS value in matrix")
         values.setflags(write=False)
         self._values = values
+        mask = ~np.isnan(values)
+        mask.setflags(write=False)
+        self._mask = mask
 
     @classmethod
     def from_entries(
@@ -104,7 +112,8 @@ class QoSMatrix:
 
     @property
     def observed_mask(self) -> np.ndarray:
-        return ~np.isnan(self._values)
+        """Read-only boolean array, True where a value is observed."""
+        return self._mask
 
     @property
     def num_entries(self) -> int:
@@ -188,7 +197,8 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     negated here so the returned matrix is canonical.
 
     Raises ParseError (naming the line), DuplicateKeyError or BadValueError
-    on malformed input, DataError if the file is unreadable.
+    on malformed input, DataError if the file is unreadable or its largest ids
+    imply a grid of more than MAX_CELLS cells.
     """
     path = Path(path)
     try:
@@ -197,6 +207,8 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
     entries: list[tuple[int, int, float]] = []
+    # (largest id, its first line) per axis, to name the id that oversizes the grid
+    max_user = max_service = (-1, 0)
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -226,11 +238,23 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
         if orientation is MetricOrientation.SMALLER_IS_BETTER:
             value = -value
         entries.append((user, service, value))
+        if user > max_user[0]:
+            max_user = (user, lineno)
+        if service > max_service[0]:
+            max_service = (service, lineno)
 
     if not header_seen:
         raise ParseError("empty dataset: no header line found")
-    num_users = max((u for u, _, _ in entries), default=-1) + 1
-    num_services = max((s for _, s, _ in entries), default=-1) + 1
+    num_users = max_user[0] + 1
+    num_services = max_service[0] + 1
+    if num_users * num_services > MAX_CELLS:
+        axis, (big, lineno) = (
+            ("user", max_user) if max_user[0] > max_service[0] else ("service", max_service)
+        )
+        raise DataError(
+            f"line {lineno}: {axis} id {big} implies a {num_users} x {num_services} "
+            f"matrix, over the {MAX_CELLS}-cell limit"
+        )
     return QoSMatrix.from_entries(num_users, num_services, entries)
 
 

@@ -70,12 +70,11 @@ def kendall_tau_score(
     if p < 2:
         return None
     vals = np.array([truth_row[s] for s in evaluable], dtype=float)
-    diffs = vals[:, None] - vals[None, :]
-    upper = np.triu_indices(p, k=1)
-    concordant = int(np.count_nonzero(diffs[upper] > 0))
-    discordant = int(np.count_nonzero(diffs[upper] < 0))
+    signs = np.sign(vals[:, None] - vals[None, :])
+    # +1 per concordant and -1 per discordant pair (i ranked above j, i < j)
+    concordant_minus_discordant = int(signs[~np.tri(p, dtype=bool)].sum())
     pairs = p * (p - 1) // 2
-    tau = (concordant - discordant) / pairs
+    tau = concordant_minus_discordant / pairs
     return RankScore(tau=tau, accuracy=(tau + 1) / 2, evaluated_pairs=pairs)
 
 

@@ -79,23 +79,25 @@ def greedy_rank(
     if tie_break_seed is not None:
         priority = derive_rng(tie_break_seed).permutation(n)
 
+    # ranked candidates sit at -inf, so one max over all totals sees only the rest
     remaining = np.ones(n, dtype=bool)
     order: list[int] = []
     for _ in range(n):
-        live = np.flatnonzero(remaining)
-        best_total = totals[live].max()
+        best_total = totals.max()
         tol = TIE_TOLERANCE * max(1.0, abs(best_total))
-        tied = live[totals[live] >= best_total - tol]
+        tied = totals >= best_total - tol
         if priority is None:
-            pick = int(tied[0])  # candidates ascend by id, so first = smallest
+            pick = int(tied.argmax())  # candidates ascend by id, so first = smallest
         else:
-            pick = int(tied[np.argmax(priority[tied])])
+            pick = int(np.where(tied, priority, -1).argmax())
         order.append(table.candidates[pick])
         remaining[pick] = False
         if update == "incremental":
             totals -= effective[:, pick]
+            totals[pick] = -np.inf
         else:
             totals = effective[:, remaining].sum(axis=1)
+            totals[~remaining] = -np.inf
     return Ranking(active=table.active, order=tuple(order))
 
 

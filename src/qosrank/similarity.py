@@ -4,6 +4,12 @@ Similarity is the Kendall rank correlation over the services both users
 observed: (concordant - discordant) / (N(N-1)/2), with ties counting toward
 neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
+
+A service pair can only count toward krcc(u, v) if the active user u observed
+both services, so `similarity_row` enumerates just u's own pairs: its cost is
+O(U * n_u^2) in u's observed count n_u rather than O(U * S^2) in the number of
+services. It holds u's n_u(n_u-1)/2 pair indices and builds the other users'
+pair signs at most CHUNK_ELEMS elements at a time, never a (U, S, S) tensor.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ import numpy as np
 
 from .errors import DomainError
 from .matrix import QoSMatrix
+
+# Upper bound on the other-user x pair elements `similarity_row` builds at once.
+CHUNK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,25 +83,26 @@ def krcc(matrix: QoSMatrix, u: int, v: int) -> float:
 def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
     """krcc(u, v) for every user v != u, vectorized over v."""
     matrix._check_user(u)
-    others = np.array([v for v in range(matrix.num_users) if v != u], dtype=int)
-    sign_u = _masked_pair_signs(matrix, np.array([u]))[0]
-    sign_v = _masked_pair_signs(matrix, others)
-    # sum of sign products counts each unordered pair twice
-    cd = np.einsum("vij,ij->v", sign_v, sign_u) / 2.0
-    common = matrix.observed_mask[others].astype(float) @ matrix.observed_mask[u].astype(float)
+    others = np.delete(np.arange(matrix.num_users), u)
+    mask = matrix.observed_mask
+    own = np.flatnonzero(mask[u])
+    first, second = np.triu_indices(own.size, k=1)
+    values = matrix.values
+    sign_u = np.sign(values[u, own[first]] - values[u, own[second]])
+    theirs = values[np.ix_(others, own)]
+    # Concordant - discordant is a dot product of +-1/0 signs: an exact
+    # integer in float64, which keeps the result bit-identical to krcc.
+    cd = np.zeros(others.size)
+    step = max(1, CHUNK_ELEMS // max(1, others.size))
+    for lo in range(0, first.size, step):
+        hi = lo + step
+        diff = theirs[:, first[lo:hi]] - theirs[:, second[lo:hi]]
+        # NaN compares false both ways, so pairs v did not observe sign to 0
+        cd += np.subtract(diff > 0, diff < 0, dtype=float) @ sign_u[lo:hi]
+    common = mask[others].astype(float) @ mask[u].astype(float)
     pairs = common * (common - 1) / 2.0
     sims = np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
     return SimilarityRow(active=u, users=others, sims=sims)
-
-
-def _masked_pair_signs(matrix: QoSMatrix, users: np.ndarray) -> np.ndarray:
-    """(len(users), S, S) tensor of sign(q_i - q_j), zero wherever either
-    service is unobserved by that user."""
-    mask = matrix.observed_mask[users]
-    vals = np.where(mask, matrix.values[users], 0.0)
-    signs = np.sign(vals[:, :, None] - vals[:, None, :])
-    both = mask[:, :, None] & mask[:, None, :]
-    return signs * both
 
 
 def select_neighbors(row: SimilarityRow, k: int) -> Neighborhood:

@@ -70,14 +70,22 @@ def test_rank_smaller_is_better_orientation(tmp_path, capsys):
 
 
 def test_module_entry_point(workspace):
+    import os
     import subprocess
     import sys
 
+    import qosrank
+
+    # the child imports the package under test, installed or not
+    src = str(Path(qosrank.__file__).resolve().parents[1])
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     result = subprocess.run(
         [sys.executable, "-m", "qosrank", "rank", "--config",
          str(workspace / "experiment.json"), "--user", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip()

@@ -7,6 +7,7 @@ import pytest
 from qosrank.errors import (
     BadValueError,
     ConfigError,
+    DataError,
     DomainError,
     DuplicateKeyError,
     ParseError,
@@ -78,6 +79,13 @@ def test_load_bad_header(tmp_path):
         load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
 
 
+def test_load_huge_id_names_id_and_line(tmp_path):
+    # dense, this id would need a 2 x 10**12 grid: about 16 TB of float64
+    path = write_csv(tmp_path, ["0,0,0.5", f"1,{10**12},0.7"])
+    with pytest.raises(DataError, match=f"line 3: service id {10**12}"):
+        load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
+
+
 def test_load_skips_comments_and_blanks(tmp_path):
     path = write_csv(tmp_path, ["# a comment", "", "0,0,1.5"])
     m = load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
@@ -96,6 +104,14 @@ def test_values_are_read_only():
     m = QoSMatrix.from_entries(1, 1, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         m.values[0, 0] = 2.0
+
+
+def test_observed_mask_is_cached_and_read_only(rng):
+    m = random_sparse_matrix(rng, 5, 6, 0.5)
+    assert np.array_equal(m.observed_mask, ~np.isnan(m.values))
+    assert m.observed_mask is m.observed_mask
+    with pytest.raises(ValueError):
+        m.observed_mask[0, 0] = not m.observed_mask[0, 0]
 
 
 def test_observed_set():

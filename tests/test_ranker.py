@@ -7,6 +7,7 @@ from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.preference import build_preference_table
 from qosrank.ranker import RankerKind, Ranking, correct_observed_order, greedy_rank, rank
+from qosrank.seeding import derive_rng
 from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
@@ -36,9 +37,10 @@ def pipeline_table(rng, num_services=4):
     return build_preference_table(m, u, nbrs, range(num_services))
 
 
-def recompute_greedy(table, weighted=False):
+def recompute_greedy(table, weighted=False, priority=None):
     """Oracle: recompute every preference sum from scratch each round,
-    applying the documented tie rule (within tolerance -> smaller id)."""
+    applying the documented tie rule (within tolerance -> smaller id, or the
+    highest seeded priority when one is given)."""
     effective = table.values if not weighted else table.confidences * table.values
     remaining = list(range(len(table.candidates)))
     order = []
@@ -46,7 +48,8 @@ def recompute_greedy(table, weighted=False):
         sums = {i: sum(effective[i, j] for j in remaining if j != i) for i in remaining}
         top = max(sums.values())
         tol = 1e-9 * max(1.0, abs(top))
-        best = min(i for i in remaining if sums[i] >= top - tol)
+        tied = [i for i in remaining if sums[i] >= top - tol]
+        best = min(tied) if priority is None else max(tied, key=lambda i: priority[i])
         order.append(table.candidates[best])
         remaining.remove(best)
     return tuple(order)
@@ -106,6 +109,17 @@ def test_incremental_equals_recompute(rng):
             incremental = greedy_rank(table, weighted=weighted)
             fresh = greedy_rank(table, weighted=weighted, update="recompute")
             assert incremental.order == fresh.order == recompute_greedy(table, weighted)
+
+
+def test_seeded_tie_break_matches_oracle(rng):
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        table = pipeline_table(rng, n)
+        priority = derive_rng(7).permutation(n)
+        for update in ("incremental", "recompute"):
+            for weighted in (False, True):
+                got = greedy_rank(table, weighted=weighted, tie_break_seed=7, update=update)
+                assert got.order == recompute_greedy(table, weighted, priority)
 
 
 def test_unknown_update_strategy_rejected(rng):

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qosrank import similarity
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.similarity import SimilarityRow, krcc, select_neighbors, similarity_row
@@ -105,6 +107,39 @@ def test_row_matches_pairwise_calls(rng):
         assert list(row.users) == [v for v in range(8) if v != u]
         for v, s in zip(row.users, row.sims):
             assert s == krcc(m, u, int(v))
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 14, 40])
+def test_row_matches_krcc_bit_for_bit_across_chunks(rng, monkeypatch, chunk_elems):
+    # 7 other users: chunks of 1, 2 and 5 pairs, the last chunk often ragged
+    monkeypatch.setattr(similarity, "CHUNK_ELEMS", chunk_elems)
+    for _ in range(20):
+        values = rng.integers(0, 3, (8, 10)).astype(float)  # 3 levels: many ties
+        values[rng.uniform(size=values.shape) < 0.3] = np.nan
+        values[1] = np.nan
+        values[1, 4] = 1.0  # a single observation
+        values[2, :5] = np.nan  # users 2 and 3 share no service
+        values[3, 5:] = np.nan
+        m = QoSMatrix(values)
+        for u in range(8):
+            row = similarity_row(m, u)
+            for v, s in zip(row.users, row.sims):
+                assert s == krcc(m, u, int(v))
+        assert (similarity_row(m, 1).sims == 0.0).all()
+        assert krcc(m, 2, 3) == 0.0
+
+
+def test_row_memory_bounded_for_fully_observed_user(rng):
+    values = rng.uniform(0.0, 1.0, (40, 1000))
+    values[1:][rng.uniform(size=(39, 1000)) < 0.7] = np.nan
+    m = QoSMatrix(values)
+    tracemalloc.start()
+    try:
+        similarity_row(m, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
 
 
 def test_row_three_users():
