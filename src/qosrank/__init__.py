@@ -53,16 +53,9 @@ from .metrics import (
     kendall_tau_score,
 )
 from .preference import (
-    PairNeighborhood,
     PreferenceTable,
-    PreferenceValue,
     Provenance,
     build_preference_table,
-    pair_confidence,
-    pair_neighborhood,
-    pair_weights,
-    preference_sum,
-    preference_value,
 )
 from .ranker import (
     RankerKind,
@@ -70,11 +63,11 @@ from .ranker import (
     correct_observed_order,
     greedy_rank,
     rank,
+    rank_kinds,
 )
 from .similarity import (
     Neighborhood,
     SimilarityRow,
-    krcc,
     select_neighbors,
     similarity_row,
 )

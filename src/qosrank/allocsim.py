@@ -18,6 +18,7 @@ conditions between users and the same services.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -382,7 +383,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             num_users=int(raw["num_users"]),
             seed=int(raw["seed"]),
             noise_amplitude=float(raw.get("noise_amplitude", 0.02)),
-            user_factor_range=tuple(raw.get("user_factor_range", (0.8, 1.2))),
+            user_factor_range=tuple(
+                float(x) for x in raw.get("user_factor_range", (0.8, 1.2))
+            ),
             contention=bool(raw.get("contention", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -393,6 +396,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError("need one cloudlet length per VM")
     if not 0.0 <= scenario.noise_amplitude:
         raise ConfigError("noise amplitude must be >= 0")
+    factors = scenario.user_factor_range
+    if not (
+        len(factors) == 2
+        and all(math.isfinite(x) for x in factors)
+        and factors[0] <= factors[1]
+    ):
+        raise ConfigError(
+            f"user_factor_range must be two finite numbers [lo, hi] with lo <= hi, "
+            f"got {list(factors)}"
+        )
     return scenario
 
 

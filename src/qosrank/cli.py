@@ -12,10 +12,10 @@ from pathlib import Path
 
 from .allocsim import AllocPolicy, load_scenario, write_plan_csv
 from .errors import AllocationError, ConfigError, DataError, DomainError, QosRankError
-from .experiment import load_config, rank_single, run_experiment, write_qos_performance_csv
+from .experiment import build_matrix, load_config, run_experiment, write_qos_performance_csv
 from .matrix import save_matrix
 from .metrics import write_rows_csv, write_summary_csv
-from .ranker import RankerKind
+from .ranker import RankerKind, rank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_rank(args) -> int:
     config = load_config(args.config)
     kind = RankerKind.parse(args.kind)
-    ranking = rank_single(config, args.user, kind)
+    matrix = build_matrix(config)
+    ranking = rank(
+        kind,
+        matrix,
+        args.user,
+        config.k_neighbors,
+        matrix.observed_services(),
+        seed=config.seed,
+        correct=config.correct_observed,
+    )
     print(" ".join(str(s) for s in ranking.order))
     return EXIT_OK
 

@@ -19,18 +19,23 @@ from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
 from .matrix import MetricOrientation, QoSMatrix, SplitSpec, load_matrix, split_train_test
 from .metrics import ExperimentReport, ScoreRow, aggregate, kendall_tau_score
-from .preference import build_preference_table
-from .ranker import RankerKind, Ranking, correct_observed_order, greedy_rank, rank
+from .ranker import RankerKind, rank_kinds
 from .seeding import derive_rng
-from .similarity import select_neighbors, similarity_row
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
 
 
+def _density_key(density: float) -> int:
+    """Seed key of a density: the density in thousandths, rounded."""
+    return int(round(density * 1000))
+
+
 @dataclass(frozen=True)
 class QoSPerformanceRow:
-    """Mean withheld QoS of each user's top-ranked service."""
+    """Mean withheld QoS of each user's top-ranked service, in the matrix's
+    canonical larger-is-better orientation (negated for smaller-is-better
+    datasets)."""
 
     density: float
     kind: str
@@ -58,6 +63,12 @@ class ExperimentConfig:
         for d in self.densities:
             if not 0.0 < d <= 1.0:
                 raise ConfigError(f"density {d} outside (0, 1]")
+        keys = [_density_key(d) for d in self.densities]
+        if len(set(keys)) != len(keys):
+            raise ConfigError(
+                f"densities {list(self.densities)} include two that round to the "
+                "same thousandth, which seeds their splits alike"
+            )
         if not self.kinds:
             raise ConfigError("at least one ranker kind is required")
         if self.k_neighbors < 0:
@@ -123,33 +134,13 @@ def build_matrix(config: ExperimentConfig) -> QoSMatrix:
     return matrix
 
 
-def rank_single(config: ExperimentConfig, user: int, kind: RankerKind) -> Ranking:
-    """Rank all observed services for one user on the full (unsplit) matrix."""
-    matrix = build_matrix(config)
-    candidates = matrix.observed_services()
-    return rank(
-        kind,
-        matrix,
-        user,
-        config.k_neighbors,
-        candidates,
-        seed=config.seed,
-        correct=config.correct_observed,
-    )
-
-
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[ExperimentReport, list[QoSPerformanceRow]]:
-    """Score every (density, kind, user, trial) cell of the config.
-
-    The similarity row and preference table of a user are computed once per
-    split and shared by both CloudRank variants.
-    """
+    """Score every (density, kind, user, trial) cell of the config."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
-    cloudrank_kinds = [k for k in config.kinds if k is not RankerKind.RANDOM_BASELINE]
 
     rows: list[ScoreRow] = []
     top1: dict[tuple[float, str], list[float]] = {
@@ -157,38 +148,27 @@ def run_experiment(
     }
 
     for density in config.densities:
-        dkey = int(round(density * 1000))
+        dkey = _density_key(density)
         for trial_seed in config.trial_seeds:
             split_seed = int(
                 derive_rng(config.seed, _SPLIT_STREAM, trial_seed, dkey).integers(2**63)
+            )
+            random_seed = int(
+                derive_rng(config.seed, _RANDOM_STREAM, trial_seed, dkey).integers(2**63)
             )
             spec = SplitSpec(density=density, seed=split_seed, active_users=active)
             train, truth = split_train_test(matrix, spec)
             for user in active:
                 truth_row = truth.row(user)
-                rankings: dict[RankerKind, Ranking] = {}
-                if cloudrank_kinds:
-                    row = similarity_row(train, user)
-                    nbrs = select_neighbors(row, config.k_neighbors)
-                    table = build_preference_table(train, user, nbrs, candidates)
-                    for kind in cloudrank_kinds:
-                        r = greedy_rank(table, weighted=kind is RankerKind.CLOUDRANK2)
-                        if config.correct_observed:
-                            r = correct_observed_order(r, train, user)
-                        rankings[kind] = r
-                if RankerKind.RANDOM_BASELINE in config.kinds:
-                    rankings[RankerKind.RANDOM_BASELINE] = rank(
-                        RankerKind.RANDOM_BASELINE,
-                        train,
-                        user,
-                        config.k_neighbors,
-                        candidates,
-                        seed=int(
-                            derive_rng(
-                                config.seed, _RANDOM_STREAM, trial_seed, dkey
-                            ).integers(2**63)
-                        ),
-                    )
+                rankings = rank_kinds(
+                    config.kinds,
+                    train,
+                    user,
+                    config.k_neighbors,
+                    candidates,
+                    seed=random_seed,
+                    correct=config.correct_observed,
+                )
                 for kind in config.kinds:
                     r = rankings[kind]
                     score = kendall_tau_score(r, truth_row)

@@ -27,87 +27,14 @@ class Provenance(Enum):
 
 
 _PROV_CODES = {Provenance.UNKNOWN: 0, Provenance.IMPLICIT: 1, Provenance.EXPLICIT: 2}
-_CODE_PROV = {code: prov for prov, code in _PROV_CODES.items()}
-
-
-@dataclass(frozen=True)
-class PreferenceValue:
-    value: float
-    confidence: float
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class PairNeighborhood:
-    """Neighbors of the active user who observed both services of a pair."""
-
-    pair: tuple[int, int]
-    members: tuple[tuple[int, float], ...]
-
-
-def pair_neighborhood(
-    matrix: QoSMatrix, nbrs: Neighborhood, i: int, j: int
-) -> PairNeighborhood:
-    """Restrict a neighborhood to members observing both i and j."""
-    mask = matrix.observed_mask
-    members = tuple(
-        (v, s) for v, s in nbrs.members if mask[v, i] and mask[v, j]
-    )
-    return PairNeighborhood(pair=(i, j), members=members)
-
-
-def pair_weights(pair_nbrs: PairNeighborhood) -> list[tuple[int, float]]:
-    """Similarity-proportional weights over the pair's members; sums to 1."""
-    if not pair_nbrs.members:
-        raise DomainError(f"empty pair neighborhood for {pair_nbrs.pair}")
-    total = sum(s for _, s in pair_nbrs.members)
-    return [(v, s / total) for v, s in pair_nbrs.members]
-
-
-def pair_confidence(pair_nbrs: PairNeighborhood) -> float:
-    """Weighted mean of member similarities: sum_v w_v * sim_v."""
-    weights = pair_weights(pair_nbrs)
-    sims = dict(pair_nbrs.members)
-    return sum(w * sims[v] for v, w in weights)
-
-
-def preference_value(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, i: int, j: int
-) -> PreferenceValue:
-    """Preference of service i over j for user u.
-
-    Explicit when u observed both; otherwise inferred from the neighbors
-    observing both, with weights renormalized over that subset; unknown when
-    no neighbor covers the pair.
-    """
-    if i == j:
-        raise DomainError("preference requires two distinct services")
-    matrix._check_user(u)
-    mask = matrix.observed_mask
-    values = matrix.values
-    if mask[u, i] and mask[u, j]:
-        return PreferenceValue(
-            value=float(values[u, i] - values[u, j]),
-            confidence=1.0,
-            provenance=Provenance.EXPLICIT,
-        )
-    pn = pair_neighborhood(matrix, nbrs, i, j)
-    if not pn.members:
-        return PreferenceValue(0.0, 0.0, Provenance.UNKNOWN)
-    weights = pair_weights(pn)
-    value = sum(w * (values[v, i] - values[v, j]) for v, w in weights)
-    return PreferenceValue(
-        value=float(value),
-        confidence=pair_confidence(pn),
-        provenance=Provenance.IMPLICIT,
-    )
 
 
 @dataclass(frozen=True)
 class PreferenceTable:
     """All pairwise preferences of one active user over a candidate set.
 
-    `values` is antisymmetric, `confidences` symmetric; diagonal entries are
+    `values` is antisymmetric, `confidences` symmetric; `provenance_codes`
+    holds 0 (unknown), 1 (implicit) or 2 (explicit). Diagonal entries are
     placeholders and never read.
     """
 
@@ -121,30 +48,14 @@ class PreferenceTable:
         for arr in (self.values, self.confidences, self.provenance_codes):
             arr.setflags(write=False)
 
-    def index_of(self, service: int) -> int:
-        try:
-            return self.candidates.index(service)
-        except ValueError:
-            raise DomainError(f"service {service} not in candidate set") from None
-
-    def value(self, i: int, j: int) -> PreferenceValue:
-        if i == j:
-            raise DomainError("preference requires two distinct services")
-        a, b = self.index_of(i), self.index_of(j)
-        return PreferenceValue(
-            value=float(self.values[a, b]),
-            confidence=float(self.confidences[a, b]),
-            provenance=_CODE_PROV[int(self.provenance_codes[a, b])],
-        )
-
 
 def build_preference_table(
     matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
 ) -> PreferenceTable:
     """Vectorized construction of the full pairwise table.
 
-    Agrees with per-pair `preference_value` calls up to floating-point
-    summation order.
+    Agrees with the per-pair reference in tests/oracles.py up to
+    floating-point summation order.
     """
     matrix._check_user(u)
     cands = tuple(sorted(set(int(c) for c in candidates)))
@@ -192,28 +103,3 @@ def build_preference_table(
         confidences=confidences,
         provenance_codes=provenance,
     )
-
-
-def preference_sum(
-    table: PreferenceTable, i: int, remaining, weighted: bool = False
-) -> float:
-    """Sum of preferences of service i over the remaining candidates.
-
-    With `weighted` on, each term is scaled by its confidence (the
-    aggregation the confidence-weighted ranker maximizes). Unknown pairs
-    contribute 0 either way.
-    """
-    remaining = sorted(set(int(s) for s in remaining))
-    if i not in remaining:
-        raise DomainError(f"service {i} not in remaining set")
-    a = table.index_of(i)
-    total = 0.0
-    for j in remaining:
-        if j == i:
-            continue
-        b = table.index_of(j)
-        term = table.values[a, b]
-        if weighted:
-            term = table.confidences[a, b] * term
-        total += term
-    return float(total)

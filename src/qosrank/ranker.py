@@ -4,13 +4,15 @@ Both CloudRank variants repeatedly pick the candidate whose preference sum
 over the still-unranked candidates is largest, then remove it and update the
 sums incrementally; CloudRank2 weights each preference by its confidence. A
 correction pass afterwards restores the user's own observed ordering within
-the positions those services occupy.
+the positions those services occupy. `rank_kinds` is the one place that
+chains the stages; `rank` and `run_experiment` both go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -52,7 +54,7 @@ class Ranking:
 # Preference sums within this tolerance of the round's maximum count as tied.
 # Incremental updates leave ~1e-16 cancellation residue on sums that are
 # structurally equal (for example two all-unknown candidates), so exact float
-# comparison would make the tie-break depend on the update strategy.
+# comparison would make the tie-break differ from sums recomputed each round.
 TIE_TOLERANCE = 1e-9
 
 
@@ -60,18 +62,14 @@ def greedy_rank(
     table: PreferenceTable,
     weighted: bool = False,
     tie_break_seed: int | None = None,
-    update: str = "incremental",
 ) -> Ranking:
     """Rank by iterated argmax of preference sums over the remaining set.
 
-    With update="incremental" the sums are maintained by subtracting the
-    removed pair's contribution after each pick; update="recompute" rebuilds
-    them from the remaining set every round. The two are equivalent by
+    The sums are maintained by subtracting the picked candidate's column after
+    each pick, which equals recomputing them over the remaining set by
     linearity. Ties (within TIE_TOLERANCE) go to the smaller service id, or
     to a seeded random priority when tie_break_seed is given.
     """
-    if update not in ("incremental", "recompute"):
-        raise DomainError(f"unknown update strategy {update!r}")
     effective = table.values if not weighted else table.confidences * table.values
     n = len(table.candidates)
     totals = effective.sum(axis=1)
@@ -80,7 +78,6 @@ def greedy_rank(
         priority = derive_rng(tie_break_seed).permutation(n)
 
     # ranked candidates sit at -inf, so one max over all totals sees only the rest
-    remaining = np.ones(n, dtype=bool)
     order: list[int] = []
     for _ in range(n):
         best_total = totals.max()
@@ -91,13 +88,8 @@ def greedy_rank(
         else:
             pick = int(np.where(tied, priority, -1).argmax())
         order.append(table.candidates[pick])
-        remaining[pick] = False
-        if update == "incremental":
-            totals -= effective[:, pick]
-            totals[pick] = -np.inf
-        else:
-            totals = effective[:, remaining].sum(axis=1)
-            totals[~remaining] = -np.inf
+        totals -= effective[:, pick]
+        totals[pick] = -np.inf
     return Ranking(active=table.active, order=tuple(order))
 
 
@@ -122,6 +114,43 @@ def correct_observed_order(ranking: Ranking, matrix: QoSMatrix, u: int) -> Ranki
     return Ranking(active=ranking.active, order=tuple(order))
 
 
+def rank_kinds(
+    kinds: Iterable[RankerKind],
+    matrix: QoSMatrix,
+    u: int,
+    k: int,
+    candidates,
+    seed: int = 0,
+    correct: bool = True,
+) -> dict[RankerKind, Ranking]:
+    """Rank the candidates for user u with each of the given kinds.
+
+    The CloudRank kinds share one pipeline run up to the preference table:
+    similarities -> neighborhood -> preferences, then greedy aggregation per
+    kind and, unless disabled, the observed-order correction. The random
+    baseline is a uniform shuffle of the candidates seeded by (seed, u).
+    """
+    matrix._check_user(u)
+    cands = tuple(sorted(set(int(c) for c in candidates)))
+    if not cands:
+        raise DomainError("candidate set must be non-empty")
+    rankings: dict[RankerKind, Ranking] = {}
+    table = None
+    for kind in kinds:
+        if kind is RankerKind.RANDOM_BASELINE:
+            order = np.array(cands)[derive_rng(seed, u).permutation(len(cands))]
+            rankings[kind] = Ranking(active=u, order=tuple(order.tolist()))
+            continue
+        if table is None:
+            nbrs = select_neighbors(similarity_row(matrix, u), k)
+            table = build_preference_table(matrix, u, nbrs, cands)
+        ranking = greedy_rank(table, weighted=kind is RankerKind.CLOUDRANK2)
+        if correct:
+            ranking = correct_observed_order(ranking, matrix, u)
+        rankings[kind] = ranking
+    return rankings
+
+
 def rank(
     kind: RankerKind,
     matrix: QoSMatrix,
@@ -130,28 +159,6 @@ def rank(
     candidates,
     seed: int = 0,
     correct: bool = True,
-    tie_break_seed: int | None = None,
 ) -> Ranking:
-    """Full pipeline: similarities -> neighborhood -> preferences -> greedy.
-
-    The random baseline is a seeded uniform shuffle of the candidates. The
-    correction pass applies to both CloudRank variants unless disabled.
-    """
-    matrix._check_user(u)
-    cands = tuple(sorted(set(int(c) for c in candidates)))
-    if not cands:
-        raise DomainError("candidate set must be non-empty")
-    if kind is RankerKind.RANDOM_BASELINE:
-        rng = derive_rng(seed, u)
-        order = tuple(np.array(cands)[rng.permutation(len(cands))].tolist())
-        return Ranking(active=u, order=order)
-
-    row = similarity_row(matrix, u)
-    nbrs = select_neighbors(row, k)
-    table = build_preference_table(matrix, u, nbrs, cands)
-    ranking = greedy_rank(
-        table, weighted=kind is RankerKind.CLOUDRANK2, tie_break_seed=tie_break_seed
-    )
-    if correct:
-        ranking = correct_observed_order(ranking, matrix, u)
-    return ranking
+    """Rank the candidates for user u with one kind; see `rank_kinds`."""
+    return rank_kinds((kind,), matrix, u, k, candidates, seed=seed, correct=correct)[kind]

@@ -5,11 +5,12 @@ observed: (concordant - discordant) / (N(N-1)/2), with ties counting toward
 neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
 
-A service pair can only count toward krcc(u, v) if the active user u observed
-both services, so `similarity_row` enumerates just u's own pairs: its cost is
-O(U * n_u^2) in u's observed count n_u rather than O(U * S^2) in the number of
-services. It holds u's n_u(n_u-1)/2 pair indices and builds the other users'
-pair signs at most CHUNK_ELEMS elements at a time, never a (U, S, S) tensor.
+A service pair can only count toward the similarity of u and v if the active
+user u observed both services, so `similarity_row` enumerates just u's own
+pairs: its cost is O(U * n_u^2) in u's observed count n_u rather than
+O(U * S^2) in the number of services. It holds u's n_u(n_u-1)/2 pair indices
+and builds the other users' pair signs at most CHUNK_ELEMS elements at a time,
+never a (U, S, S) tensor.
 """
 
 from __future__ import annotations
@@ -51,37 +52,8 @@ class Neighborhood:
         return len(self.members)
 
 
-def krcc(matrix: QoSMatrix, u: int, v: int) -> float:
-    """Rank correlation between users u and v over their common services.
-
-    Reference pairwise implementation; `similarity_row` is the batched
-    equivalent and must agree with it bit for bit.
-    """
-    if u == v:
-        raise DomainError("self-similarity is handled by exclusion, not computed")
-    matrix._check_user(u)
-    matrix._check_user(v)
-    mask = matrix.observed_mask
-    common = np.flatnonzero(mask[u] & mask[v])
-    n = common.size
-    if n < 2:
-        return 0.0
-    values = matrix.values
-    concordant = discordant = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            du = values[u, common[a]] - values[u, common[b]]
-            dv = values[v, common[a]] - values[v, common[b]]
-            prod = du * dv
-            if prod > 0:
-                concordant += 1
-            elif prod < 0:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
-
-
 def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
-    """krcc(u, v) for every user v != u, vectorized over v."""
+    """Similarity of u to every user v != u, vectorized over v."""
     matrix._check_user(u)
     others = np.delete(np.arange(matrix.num_users), u)
     mask = matrix.observed_mask
@@ -91,7 +63,8 @@ def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
     sign_u = np.sign(values[u, own[first]] - values[u, own[second]])
     theirs = values[np.ix_(others, own)]
     # Concordant - discordant is a dot product of +-1/0 signs: an exact
-    # integer in float64, which keeps the result bit-identical to krcc.
+    # integer in float64, which keeps the result bit-identical to counting
+    # the pairs one by one.
     cd = np.zeros(others.size)
     step = max(1, CHUNK_ELEMS // max(1, others.size))
     for lo in range(0, first.size, step):

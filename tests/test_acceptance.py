@@ -16,18 +16,19 @@ from qosrank.errors import AllocationError
 from qosrank.experiment import ExperimentConfig, run_experiment
 from qosrank.matrix import QoSMatrix
 from qosrank.metrics import kendall_tau_score
-from qosrank.preference import (
-    PairNeighborhood,
-    build_preference_table,
-    pair_confidence,
-    pair_weights,
-    preference_value,
-)
+from qosrank.preference import build_preference_table
 from qosrank.ranker import RankerKind, Ranking, greedy_rank, rank
 from qosrank.seeding import derive_rng
-from qosrank.similarity import Neighborhood, krcc, select_neighbors, similarity_row
+from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
+from oracles import (
+    PairNeighborhood,
+    checked_preference,
+    pair_confidence,
+    pair_matrix,
+    pair_weights,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ALL_KINDS = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
@@ -41,7 +42,7 @@ def _report(num, name, ok, detail=""):
 
 
 def oracle_krcc(matrix, u, v):
-    """Exhaustive pair-counting oracle, written independently of krcc."""
+    """Exhaustive pair-counting oracle, written independently of similarity_row."""
     common = sorted(matrix.observed_set(u) & matrix.observed_set(v))
     if len(common) < 2:
         return 0.0
@@ -68,29 +69,36 @@ def test_c01_krcc_oracle_equivalence():
         services = int(rng.integers(2, 11))
         density = float(rng.uniform(0.5, 1.0))
         m = random_sparse_matrix(rng, users, services, density)
+        sims = {}
+        for u in range(users):
+            row = similarity_row(m, u)
+            sims.update(((u, int(v)), float(s)) for v, s in zip(row.users, row.sims))
         for u, v in itertools.combinations(range(users), 2):
-            got = krcc(m, u, v)
+            got = sims[(u, v)]
             assert got == oracle_krcc(m, u, v)
             assert -1.0 <= got <= 1.0
-            assert got == krcc(m, v, u)
+            assert got == sims[(v, u)]
             checked += 1
     elapsed = time.perf_counter() - start
     _report(
         1,
-        "krcc oracle equivalence",
+        "similarity oracle equivalence",
         elapsed < 5.0,
         f"{checked} pairs, {elapsed:.2f}s < 5s",
     )
 
 
 def test_c02_confidence_worked_example():
-    high = pair_confidence(
-        PairNeighborhood(pair=(1, 2), members=((4, 0.7), (5, 0.8), (6, 0.9)))
-    )
-    low = pair_confidence(
-        PairNeighborhood(pair=(0, 2), members=((1, 0.1), (2, 0.2), (3, 0.3)))
-    )
+    high_pn = PairNeighborhood(pair=(1, 2), members=((4, 0.7), (5, 0.8), (6, 0.9)))
+    low_pn = PairNeighborhood(pair=(0, 2), members=((1, 0.1), (2, 0.2), (3, 0.3)))
+    high = pair_confidence(high_pn)
+    low = pair_confidence(low_pn)
     ok = abs(high - 0.8083333333333333) < 1e-9 and abs(low - 0.23333333333333334) < 1e-9
+    # the shipped table gives the same confidences on matrices realizing them
+    for pn, conf in ((high_pn, high), (low_pn, low)):
+        pair_m, pair_nbrs = pair_matrix(pn)
+        pv = checked_preference(pair_m, 0, pair_nbrs, *pn.pair)
+        ok = ok and abs(pv.confidence - conf) < 1e-12
 
     # full three-service construction: a,b observed by the user, c known
     # through two neighbor groups of different strength
@@ -105,9 +113,9 @@ def test_c02_confidence_worked_example():
         active=0,
         members=((1, 0.1), (2, 0.2), (3, 0.3), (4, 0.7), (5, 0.8), (6, 0.9)),
     )
-    c_ab = preference_value(m, 0, nbrs, 0, 1).confidence
-    c_ac = preference_value(m, 0, nbrs, 0, 2).confidence
-    c_bc = preference_value(m, 0, nbrs, 1, 2).confidence
+    c_ab = checked_preference(m, 0, nbrs, 0, 1).confidence
+    c_ac = checked_preference(m, 0, nbrs, 0, 2).confidence
+    c_bc = checked_preference(m, 0, nbrs, 1, 2).confidence
     ok = ok and c_ab == 1.0 and c_ab > c_bc > c_ac
     _report(2, "confidence worked example", ok, f"C(a,b)=1 > C(b,c)={c_bc:.5f} > C(a,c)={c_ac:.5f}")
 
@@ -116,6 +124,7 @@ def test_c03_antisymmetry_and_weight_normalization():
     rng = derive_rng(103)
     worst_sym = 0.0
     worst_weight = 0.0
+    worst_value = 0.0
     for _ in range(1000):
         users = int(rng.integers(3, 9))
         services = int(rng.integers(2, 8))
@@ -135,12 +144,16 @@ def test_c03_antisymmetry_and_weight_normalization():
                     worst_weight = max(
                         worst_weight, abs(sum(w for _, w in weights) - 1.0)
                     )
-    ok = worst_sym <= 1e-12 and worst_weight <= 1e-12
+                    if not (mask[u, i] and mask[u, j]):  # implicit pair
+                        gap = sum(w * (m.values[v, i] - m.values[v, j]) for v, w in weights)
+                        worst_value = max(worst_value, abs(table.values[i, j] - gap))
+    ok = worst_sym <= 1e-12 and worst_weight <= 1e-12 and worst_value <= 1e-12
     _report(
         3,
         "antisymmetry and weight normalization",
         ok,
-        f"max |psi(i,j)+psi(j,i)|={worst_sym:.2e}, max |sum(w)-1|={worst_weight:.2e}",
+        f"max |psi(i,j)+psi(j,i)|={worst_sym:.2e}, max |sum(w)-1|={worst_weight:.2e}, "
+        f"max |table - weighted gaps|={worst_value:.2e}",
     )
 
 
@@ -182,9 +195,7 @@ def test_c05_incremental_greedy_equals_recompute():
                 best = min(i for i in remaining if sums[i] >= top - tol)
                 expected.append(table.candidates[best])
                 remaining.remove(best)
-            incremental = greedy_rank(table, weighted=weighted).order
-            fresh = greedy_rank(table, weighted=weighted, update="recompute").order
-            assert incremental == fresh == tuple(expected)
+            assert greedy_rank(table, weighted=weighted).order == tuple(expected)
     _report(5, "incremental greedy equals full recompute", True, "300 instances, <=8 services")
 
 

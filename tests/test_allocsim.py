@@ -19,7 +19,7 @@ from qosrank.allocsim import (
 from qosrank.errors import AllocationError, ConfigError, DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.seeding import derive_rng
-from qosrank.similarity import krcc
+from qosrank.similarity import similarity_row
 
 
 def host(i, mips, ram=10000.0, bw=10000.0):
@@ -254,7 +254,8 @@ def test_synth_user_rankings_track_base_ranking():
     matrix, plan = synth_default(noise_amplitude=0.05)
     base_row = np.array([plan.throughput[s] for s in range(matrix.num_services)])
     stacked = QoSMatrix(np.vstack([base_row, matrix.values]))
-    taus = [krcc(stacked, 0, 1 + u) for u in range(matrix.num_users)]
+    taus = similarity_row(stacked, 0).sims  # users 1.. of the stack, in order
+    assert len(taus) == matrix.num_users
     assert min(taus) >= 0.8
 
 

@@ -262,6 +262,22 @@ def test_simulate_deterministic(workspace, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "factor_range", [[0.8, 1.0, 1.2], [1.2, 0.8], ["a", "b"], [0.8, "Infinity"], 1.0]
+)
+def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_range):
+    scenario = json.loads((workspace / "scenario.json").read_text())
+    scenario["user_factor_range"] = factor_range
+    (workspace / "bad.json").write_text(json.dumps(scenario))
+    code, _, err = run(
+        ["simulate", "--scenario", workspace / "bad.json", "--out", workspace / "sim"], capsys
+    )
+    assert code == 1
+    assert "user_factor_range" in err or "bad scenario config" in err
+    assert "Traceback" not in err
+    assert not (workspace / "sim").exists()
+
+
 def test_simulate_allocation_failure_exits_three(tmp_path, capsys):
     scenario = {
         "hosts": {"count": 1, "mips": 100.0, "ram": 1024.0, "bw": 100.0},

@@ -110,6 +110,17 @@ def test_config_validation():
         config_from_dict({"densities": [0.1], "kinds": ["nope"], "scenario": {}})
 
 
+@pytest.mark.parametrize("densities", [(0.1, 0.1004), (0.3, 0.3), (0.2, 0.1, 0.2)])
+def test_densities_sharing_a_split_seed_rejected(densities):
+    # splits are seeded by round(density * 1000), so these would share splits
+    with pytest.raises(ConfigError):
+        small_config(densities=densities)
+
+
+def test_densities_with_distinct_seed_keys_accepted():
+    assert small_config(densities=(0.1, 0.1006)).densities == (0.1, 0.1006)
+
+
 def test_explicit_trial_seeds_override_count():
     config = config_from_dict(
         {

@@ -3,23 +3,36 @@ import pytest
 
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.preference import (
+from qosrank.preference import Provenance, build_preference_table
+from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
+
+from conftest import random_sparse_matrix
+from oracles import (
     PairNeighborhood,
-    Provenance,
-    build_preference_table,
+    checked_preference,
     pair_confidence,
+    pair_matrix,
     pair_neighborhood,
     pair_weights,
     preference_sum,
     preference_value,
+    table_value,
 )
-from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
-
-from conftest import random_sparse_matrix
 
 
 def nb(*members):
     return Neighborhood(active=0, members=tuple(members))
+
+
+def assert_table_uses(pn):
+    """The table's entry for the pair is the pair_weights-weighted mean gap
+    of the members, with confidence pair_confidence(pn)."""
+    m, nbrs = pair_matrix(pn)
+    i, j = pn.pair
+    pv = checked_preference(m, 0, nbrs, i, j)
+    gaps = {v: m.values[v, i] - m.values[v, j] for v, _ in pn.members}
+    assert pv.value == pytest.approx(sum(w * gaps[v] for v, w in pair_weights(pn)), abs=1e-12)
+    assert pv.confidence == pytest.approx(pair_confidence(pn), abs=1e-12)
 
 
 def test_pair_weights_normalizes():
@@ -27,31 +40,39 @@ def test_pair_weights_normalizes():
     weights = dict(pair_weights(pn))
     assert weights == pytest.approx({1: 0.7 / 2.4, 2: 0.8 / 2.4, 3: 0.9 / 2.4})
     assert abs(sum(weights.values()) - 1.0) < 1e-12
+    assert_table_uses(pn)
 
 
 def test_pair_weights_single_member():
     pn = PairNeighborhood(pair=(0, 1), members=((4, 0.5),))
     assert pair_weights(pn) == [(4, 1.0)]
+    assert_table_uses(pn)
 
 
 def test_pair_weights_equal_sims():
     pn = PairNeighborhood(pair=(0, 1), members=((1, 0.4), (2, 0.4)))
     assert dict(pair_weights(pn)) == {1: 0.5, 2: 0.5}
+    assert_table_uses(pn)
 
 
 def test_pair_weights_empty_rejected():
     with pytest.raises(DomainError):
         pair_weights(PairNeighborhood(pair=(0, 1), members=()))
+    # the table marks a pair no neighbor covers as unknown instead
+    m = QoSMatrix(np.full((2, 2), np.nan))
+    assert checked_preference(m, 0, nb(), 0, 1).provenance is Provenance.UNKNOWN
 
 
 def test_confidence_high_sims():
     pn = PairNeighborhood(pair=(1, 2), members=((1, 0.7), (2, 0.8), (3, 0.9)))
     assert pair_confidence(pn) == pytest.approx(0.8083333333333333, abs=1e-9)
+    assert_table_uses(pn)
 
 
 def test_confidence_low_sims():
     pn = PairNeighborhood(pair=(0, 2), members=((1, 0.1), (2, 0.2), (3, 0.3)))
     assert pair_confidence(pn) == pytest.approx(0.23333333333333334, abs=1e-9)
+    assert_table_uses(pn)
 
 
 def test_confidence_ordering_explicit_beats_implicit():
@@ -64,9 +85,9 @@ def test_confidence_ordering_explicit_beats_implicit():
         values[v] = [np.nan, 0.6 + 0.1 * idx, 0.2 + 0.1 * idx]
     m = QoSMatrix(values)
     nbrs = nb((1, 0.1), (2, 0.2), (3, 0.3), (4, 0.7), (5, 0.8), (6, 0.9))
-    c_ab = preference_value(m, 0, nbrs, 0, 1)
-    c_ac = preference_value(m, 0, nbrs, 0, 2)
-    c_bc = preference_value(m, 0, nbrs, 1, 2)
+    c_ab = checked_preference(m, 0, nbrs, 0, 1)
+    c_ac = checked_preference(m, 0, nbrs, 0, 2)
+    c_bc = checked_preference(m, 0, nbrs, 1, 2)
     assert c_ab.confidence == 1.0 and c_ab.provenance is Provenance.EXPLICIT
     assert c_ab.confidence > c_bc.confidence > c_ac.confidence
     assert c_bc.confidence == pytest.approx(0.8083333333333333, abs=1e-9)
@@ -75,7 +96,7 @@ def test_confidence_ordering_explicit_beats_implicit():
 
 def test_explicit_preference():
     m = QoSMatrix(np.array([[0.9, 0.4]]))
-    pv = preference_value(m, 0, nb(), 0, 1)
+    pv = checked_preference(m, 0, nb(), 0, 1)
     assert pv.value == pytest.approx(0.5)
     assert pv.confidence == 1.0
     assert pv.provenance is Provenance.EXPLICIT
@@ -86,14 +107,14 @@ def test_implicit_preference_weighted_gaps():
     values[1] = [1.0, 0.7]  # gap 0.3
     values[2] = [0.5, 0.6]  # gap -0.1
     m = QoSMatrix(values)
-    pv = preference_value(m, 0, nb((1, 0.6), (2, 0.4)), 0, 1)
+    pv = checked_preference(m, 0, nb((1, 0.6), (2, 0.4)), 0, 1)
     assert pv.value == pytest.approx(0.6 * 0.3 + 0.4 * (-0.1))
     assert pv.provenance is Provenance.IMPLICIT
 
 
 def test_unknown_pair():
     m = QoSMatrix(np.full((2, 2), np.nan))
-    pv = preference_value(m, 0, nb(), 0, 1)
+    pv = checked_preference(m, 0, nb(), 0, 1)
     assert pv.value == 0.0 and pv.confidence == 0.0
     assert pv.provenance is Provenance.UNKNOWN
 
@@ -102,7 +123,7 @@ def test_hybrid_pair_is_implicit():
     # user observed exactly one of the two services: inferred from neighbors
     values = np.array([[0.9, np.nan], [0.4, 0.6]])
     m = QoSMatrix(values)
-    pv = preference_value(m, 0, nb((1, 0.5)), 0, 1)
+    pv = checked_preference(m, 0, nb((1, 0.5)), 0, 1)
     assert pv.provenance is Provenance.IMPLICIT
     assert pv.value == pytest.approx(0.4 - 0.6)
 
@@ -111,6 +132,10 @@ def test_same_service_rejected():
     m = QoSMatrix(np.array([[0.5]]))
     with pytest.raises(DomainError):
         preference_value(m, 0, nb(), 0, 0)
+    table = build_preference_table(m, 0, nb(), [0])
+    assert table.values[0, 0] == 0.0 and table.provenance_codes[0, 0] == 0
+    with pytest.raises(DomainError):
+        table_value(table, 0, 0)
 
 
 def test_pair_neighborhood_restricts_to_pair_observers():
@@ -122,12 +147,15 @@ def test_pair_neighborhood_restricts_to_pair_observers():
     nbrs = nb((1, 0.9), (2, 0.8), (3, 0.7))
     pn = pair_neighborhood(m, nbrs, 0, 1)
     assert [v for v, _ in pn.members] == [1, 3]
+    pv = checked_preference(m, 0, nbrs, 0, 1)
+    assert pv.value == pytest.approx((0.9 * (0.1 - 0.2) + 0.7 * (0.3 - 0.9)) / 1.6, abs=1e-12)
 
 
 def test_preference_sum_single_remaining():
     m = QoSMatrix(np.array([[0.9, 0.4, 0.6]]))
     table = build_preference_table(m, 0, nb(), [0, 1, 2])
     assert preference_sum(table, 0, {0}) == 0.0
+    assert table.values[0, 0] == 0.0
 
 
 def test_preference_sum_unweighted():
@@ -135,6 +163,7 @@ def test_preference_sum_unweighted():
     table = build_preference_table(m, 0, nb(), [0, 1, 2])
     # psi(0,1)=0.5, psi(0,2)=-0.2
     assert preference_sum(table, 0, {0, 1, 2}) == pytest.approx(0.3)
+    assert table.values[0].sum() == pytest.approx(0.3)
 
 
 def test_preference_sum_weighted():
@@ -146,12 +175,13 @@ def test_preference_sum_weighted():
     m = QoSMatrix(values)
     nbrs = nb((1, 1.0), (2, 0.5))
     table = build_preference_table(m, 0, nbrs, [0, 1, 2])
-    psi_01 = table.value(0, 1)
-    psi_02 = table.value(0, 2)
+    psi_01 = checked_preference(m, 0, nbrs, 0, 1)
+    psi_02 = checked_preference(m, 0, nbrs, 0, 2)
     assert psi_01.value == pytest.approx(0.5) and psi_01.confidence == pytest.approx(1.0)
     assert psi_02.value == pytest.approx(-0.2) and psi_02.confidence == pytest.approx(0.5)
     # 0.5 * 1.0 + (-0.2) * 0.5
     assert preference_sum(table, 0, {0, 1, 2}, weighted=True) == pytest.approx(0.4)
+    assert (table.confidences * table.values)[0].sum() == pytest.approx(0.4)
 
 
 def test_preference_sum_requires_membership():
@@ -172,7 +202,7 @@ def test_table_matches_scalar_path(rng):
                 if i == j:
                     continue
                 ref = preference_value(m, u, nbrs, i, j)
-                got = table.value(i, j)
+                got = table_value(table, i, j)
                 assert got.value == pytest.approx(ref.value, abs=1e-12)
                 assert got.confidence == pytest.approx(ref.confidence, abs=1e-12)
                 assert got.provenance is ref.provenance
@@ -217,12 +247,15 @@ def test_fully_observed_user_everything_explicit(rng):
     # preference-sum ordering equals raw value ordering
     sums = [preference_sum(table, i, range(5)) for i in range(5)]
     assert np.argsort(sums)[::-1].tolist() == np.argsort(m.values[0])[::-1].tolist()
+    assert table.values.sum(axis=1) == pytest.approx(sums, abs=1e-12)
 
 
 def test_confidence_scales_with_similarity():
     # scaling every member similarity up scales confidence up
     members = ((1, 0.2), (2, 0.35), (3, 0.5))
     base = pair_confidence(PairNeighborhood((0, 1), members))
+    assert_table_uses(PairNeighborhood((0, 1), members))
     for c in (1.2, 1.5, 2.0):
-        scaled = tuple((v, min(1.0, c * s)) for v, s in members)
-        assert pair_confidence(PairNeighborhood((0, 1), scaled)) >= base
+        scaled = PairNeighborhood((0, 1), tuple((v, min(1.0, c * s)) for v, s in members))
+        assert pair_confidence(scaled) >= base
+        assert_table_uses(scaled)

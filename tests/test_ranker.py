@@ -6,7 +6,14 @@ import pytest
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.preference import build_preference_table
-from qosrank.ranker import RankerKind, Ranking, correct_observed_order, greedy_rank, rank
+from qosrank.ranker import (
+    RankerKind,
+    Ranking,
+    correct_observed_order,
+    greedy_rank,
+    rank,
+    rank_kinds,
+)
 from qosrank.seeding import derive_rng
 from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
@@ -98,7 +105,7 @@ def test_greedy_final_pair_is_locally_optimal(rng):
             order = greedy_rank(table, weighted=weighted).order
             a, b = order[-2], order[-1]
             effective = table.values if not weighted else table.confidences * table.values
-            assert effective[table.index_of(a), table.index_of(b)] >= -1e-9
+            assert effective[table.candidates.index(a), table.candidates.index(b)] >= -1e-9
 
 
 def test_incremental_equals_recompute(rng):
@@ -107,8 +114,7 @@ def test_incremental_equals_recompute(rng):
         table = pipeline_table(rng, n)
         for weighted in (False, True):
             incremental = greedy_rank(table, weighted=weighted)
-            fresh = greedy_rank(table, weighted=weighted, update="recompute")
-            assert incremental.order == fresh.order == recompute_greedy(table, weighted)
+            assert incremental.order == recompute_greedy(table, weighted)
 
 
 def test_seeded_tie_break_matches_oracle(rng):
@@ -116,16 +122,9 @@ def test_seeded_tie_break_matches_oracle(rng):
         n = int(rng.integers(2, 9))
         table = pipeline_table(rng, n)
         priority = derive_rng(7).permutation(n)
-        for update in ("incremental", "recompute"):
-            for weighted in (False, True):
-                got = greedy_rank(table, weighted=weighted, tie_break_seed=7, update=update)
-                assert got.order == recompute_greedy(table, weighted, priority)
-
-
-def test_unknown_update_strategy_rejected(rng):
-    table = pipeline_table(rng, 3)
-    with pytest.raises(DomainError):
-        greedy_rank(table, update="lazy")
+        for weighted in (False, True):
+            got = greedy_rank(table, weighted=weighted, tie_break_seed=7)
+            assert got.order == recompute_greedy(table, weighted, priority)
 
 
 def test_greedy_permutation_safety(rng):
@@ -219,6 +218,20 @@ def test_empty_candidates_rejected(rng):
     m = random_sparse_matrix(rng, 2, 3, 1.0)
     with pytest.raises(DomainError):
         rank(RankerKind.CLOUDRANK1, m, 0, 2, [])
+
+
+def test_rank_kinds_matches_rank_per_kind(rng):
+    # one shared similarity row and table must give what separate runs give
+    for _ in range(30):
+        users, services = int(rng.integers(2, 9)), int(rng.integers(1, 10))
+        m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
+        u = int(rng.integers(users))
+        cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
+        for correct in (True, False):
+            got = rank_kinds(tuple(RankerKind), m, u, 3, cands, seed=9, correct=correct)
+            assert set(got) == set(RankerKind)
+            for kind in RankerKind:
+                assert got[kind] == rank(kind, m, u, 3, cands, seed=9, correct=correct)
 
 
 def test_rank_determinism(rng):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from qosrank import similarity
-from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.similarity import SimilarityRow, krcc, select_neighbors, similarity_row
+from qosrank.similarity import SimilarityRow, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
 
@@ -33,52 +32,55 @@ def matrix_of(*rows):
     return QoSMatrix(np.array(rows, dtype=float))
 
 
+def sim(matrix, u, v):
+    """Similarity of u and v as read from u's similarity_row."""
+    row = similarity_row(matrix, u)
+    return float(row.sims[np.searchsorted(row.users, v)])
+
+
 def test_identical_ordering_gives_one():
     m = matrix_of([0.1, 0.5, 0.9], [0.2, 0.4, 0.7])
-    assert krcc(m, 0, 1) == 1.0
+    assert sim(m, 0, 1) == 1.0
 
 
 def test_full_reversal_gives_minus_one():
     m = matrix_of([0.1, 0.5, 0.9], [0.9, 0.5, 0.1])
-    assert krcc(m, 0, 1) == -1.0
+    assert sim(m, 0, 1) == -1.0
 
 
 def test_four_service_example():
     m = matrix_of([0.2, 0.5, 0.9, 0.4], [0.3, 0.4, 0.8, 0.6])
     # oracle over all 6 pairs: 5 concordant, 1 discordant
     assert brute_force_krcc(m, 0, 1) == (5 - 1) / 6
-    assert krcc(m, 0, 1) == (5 - 1) / 6
+    assert sim(m, 0, 1) == (5 - 1) / 6
 
 
 def test_single_common_service_is_zero():
     m = QoSMatrix(np.array([[0.5, np.nan], [0.7, 0.2]]))
-    assert krcc(m, 0, 1) == 0.0
+    assert sim(m, 0, 1) == 0.0
 
 
 def test_no_common_services_is_zero():
     m = QoSMatrix(np.array([[0.5, np.nan], [np.nan, 0.2]]))
-    assert krcc(m, 0, 1) == 0.0
-
-
-def test_self_similarity_rejected():
-    m = matrix_of([0.1, 0.2])
-    with pytest.raises(DomainError):
-        krcc(m, 0, 0)
+    assert sim(m, 0, 1) == 0.0
 
 
 def test_symmetry_exact(rng):
     for _ in range(50):
         m = random_sparse_matrix(rng, 6, 7, 0.6)
+        rows = [similarity_row(m, u).sims for u in range(6)]
         for u in range(6):
             for v in range(u + 1, 6):
-                assert krcc(m, u, v) == krcc(m, v, u)
+                # u's row skips u, so v sits at v - 1; v's row holds u at u
+                assert rows[u][v - 1] == rows[v][u]
 
 
 def test_range(rng):
     for _ in range(50):
         m = random_sparse_matrix(rng, 5, 6, 0.8)
-        for u, v in itertools.combinations(range(5), 2):
-            assert -1.0 <= krcc(m, u, v) <= 1.0
+        for u in range(5):
+            sims = similarity_row(m, u).sims
+            assert ((-1.0 <= sims) & (sims <= 1.0)).all()
 
 
 def test_monotone_transform_invariance(rng):
@@ -86,8 +88,7 @@ def test_monotone_transform_invariance(rng):
     values = np.array(m.values)
     values[0] = np.exp(3.0 * values[0]) + 1.0  # strictly increasing transform
     transformed = QoSMatrix(values)
-    for v in range(1, 4):
-        assert krcc(m, 0, v) == krcc(transformed, 0, v)
+    assert (similarity_row(m, 0).sims == similarity_row(transformed, 0).sims).all()
 
 
 def test_oracle_equivalence_small_random(rng):
@@ -97,7 +98,7 @@ def test_oracle_equivalence_small_random(rng):
         density = float(rng.uniform(0.5, 1.0))
         m = random_sparse_matrix(rng, users, services, density)
         u, v = rng.choice(users, size=2, replace=False)
-        assert krcc(m, int(u), int(v)) == brute_force_krcc(m, int(u), int(v))
+        assert sim(m, int(u), int(v)) == brute_force_krcc(m, int(u), int(v))
 
 
 def test_row_matches_pairwise_calls(rng):
@@ -106,7 +107,7 @@ def test_row_matches_pairwise_calls(rng):
         row = similarity_row(m, u)
         assert list(row.users) == [v for v in range(8) if v != u]
         for v, s in zip(row.users, row.sims):
-            assert s == krcc(m, u, int(v))
+            assert s == brute_force_krcc(m, u, int(v))
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 14, 40])
@@ -124,9 +125,9 @@ def test_row_matches_krcc_bit_for_bit_across_chunks(rng, monkeypatch, chunk_elem
         for u in range(8):
             row = similarity_row(m, u)
             for v, s in zip(row.users, row.sims):
-                assert s == krcc(m, u, int(v))
+                assert s == brute_force_krcc(m, u, int(v))
         assert (similarity_row(m, 1).sims == 0.0).all()
-        assert krcc(m, 2, 3) == 0.0
+        assert sim(m, 2, 3) == 0.0
 
 
 def test_row_memory_bounded_for_fully_observed_user(rng):
