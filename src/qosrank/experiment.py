@@ -71,6 +71,13 @@ class ExperimentConfig:
             )
         if not self.kinds:
             raise ConfigError("at least one ranker kind is required")
+        repeated = [k.value for i, k in enumerate(self.kinds) if k in self.kinds[:i]]
+        if repeated:
+            # a repeated kind would be scored twice, doubling its trial counts
+            raise ConfigError(
+                f"ranker kind {repeated[0]!r} is listed more than once "
+                "(\"random\" is an alias of \"random-baseline\")"
+            )
         if self.k_neighbors < 0:
             raise ConfigError("k_neighbors must be >= 0")
         if self.active_users <= 0:

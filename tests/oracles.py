@@ -1,19 +1,30 @@
-"""Per-pair reference implementations of the preference stage.
+"""Reference implementations that check the shipped vectorised paths.
 
 `build_preference_table` computes every pair at once with matrix products.
 The functions here compute one pair at a time straight from the definitions,
 and `checked_preference` asserts that the two agree on the same inputs.
+
+`load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
+parses it line by line and fills the grid one entry at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qosrank.errors import DomainError
-from qosrank.matrix import QoSMatrix
+from qosrank.errors import (
+    BadValueError,
+    DataError,
+    DomainError,
+    DuplicateKeyError,
+    ParseError,
+)
+from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix
 from qosrank.preference import PreferenceTable, Provenance, build_preference_table
 from qosrank.similarity import Neighborhood
 
@@ -164,3 +175,83 @@ def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, Neighborhood]:
         values[v, i] = 1.0 + 0.1 * idx
         values[v, j] = 0.5 - 0.07 * idx
     return QoSMatrix(values), Neighborhood(active=0, members=pair_nbrs.members)
+
+
+def oracle_from_entries(
+    num_users: int, num_services: int, entries
+) -> QoSMatrix:
+    """`QoSMatrix.from_entries`, one entry at a time."""
+    values = np.full((num_users, num_services), np.nan)
+    for user, service, value in entries:
+        if not (0 <= user < num_users and 0 <= service < num_services):
+            raise DomainError(f"entry ({user}, {service}) outside matrix bounds")
+        if not math.isfinite(value):
+            raise BadValueError(f"non-finite QoS value for ({user}, {service})")
+        if not math.isnan(values[user, service]):
+            raise DuplicateKeyError(f"duplicate entry for ({user}, {service})")
+        values[user, service] = value
+    return QoSMatrix(values)
+
+
+def oracle_load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
+    """`load_matrix`, one line at a time.
+
+    The first line that breaks a line rule raises; the grid size and
+    duplicate checks follow the whole file, in that order.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+
+    entries: list[tuple[int, int, float]] = []
+    # (largest id, its first line) per axis, to name the id that oversizes the grid
+    max_user = max_service = (-1, 0)
+    header_seen = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = [f.strip() for f in stripped.split(",")]
+        if not header_seen:
+            if tuple(fields) != CSV_HEADER:
+                raise ParseError(
+                    f"line {lineno}: expected header {','.join(CSV_HEADER)!r}, "
+                    f"got {stripped!r}"
+                )
+            header_seen = True
+            continue
+        if len(fields) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+        try:
+            user = int(fields[0])
+            service = int(fields[1])
+            value = float(fields[2])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if user < 0 or service < 0:
+            raise ParseError(f"line {lineno}: negative id")
+        if not math.isfinite(value):
+            raise BadValueError(f"line {lineno}: non-finite QoS value {fields[2]!r}")
+        if orientation is MetricOrientation.SMALLER_IS_BETTER:
+            value = -value
+        entries.append((user, service, value))
+        if user > max_user[0]:
+            max_user = (user, lineno)
+        if service > max_service[0]:
+            max_service = (service, lineno)
+
+    if not header_seen:
+        raise ParseError("empty dataset: no header line found")
+    num_users = max_user[0] + 1
+    num_services = max_service[0] + 1
+    if num_users * num_services > MAX_CELLS:
+        axis, (big, lineno) = (
+            ("user", max_user) if max_user[0] > max_service[0] else ("service", max_service)
+        )
+        raise DataError(
+            f"line {lineno}: {axis} id {big} implies a {num_users} x {num_services} "
+            f"matrix, over the {MAX_CELLS}-cell limit"
+        )
+    return oracle_from_entries(num_users, num_services, entries)

@@ -203,6 +203,44 @@ def test_evaluate_missing_dataset_exits_two(tmp_path, capsys):
     assert "data error" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2", "line 4: expected 3 fields, got 2"),
+        ("1,-2,0.5", "line 4: negative id"),
+        ("1,2,nan", "line 4: non-finite QoS value 'nan'"),
+        (f"{10**30},2,0.5", f"line 4: user id {10**30}"),
+        ("0,0,0.7", "line 4: duplicate entry for (0, 0)"),
+    ],
+)
+def test_evaluate_malformed_dataset_exits_two(tmp_path, capsys, row, message):
+    lines = ["user_id,service_id,qos_value", "0,0,0.5", "0,1,0.6", row, "1,1,0.8"]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"dataset": "data.csv", "densities": [0.5], "kinds": ["cloudrank1"]})
+    )
+    code, out, err = run(
+        ["evaluate", "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"], capsys
+    )
+    assert code == 2
+    assert f"data error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_repeated_kind_exits_one(workspace, capsys):
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["kinds"] = ["cloudrank2", "random", "random-baseline"]
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    code, _, err = run(
+        ["evaluate", "--config", workspace / "experiment.json", "--out", workspace / "out"],
+        capsys,
+    )
+    assert code == 1
+    assert "'random-baseline' is listed more than once" in err
+    assert not (workspace / "out").exists()
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text("{not json")
     code, _, err = run(

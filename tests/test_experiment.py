@@ -121,6 +121,20 @@ def test_densities_with_distinct_seed_keys_accepted():
     assert small_config(densities=(0.1, 0.1006)).densities == (0.1, 0.1006)
 
 
+@pytest.mark.parametrize(
+    "kinds, repeated",
+    [
+        (["cloudrank1", "cloudrank1"], "cloudrank1"),
+        (["random", "cloudrank2", "random-baseline"], "random-baseline"),
+    ],
+)
+def test_repeated_ranker_kind_rejected(kinds, repeated):
+    # run_experiment would score the kind twice and double its trial counts
+    raw = {"scenario": "default_scenario.json", "densities": [0.5], "kinds": kinds}
+    with pytest.raises(ConfigError, match=f"ranker kind '{repeated}' is listed more than once"):
+        config_from_dict(raw, base_dir=CONFIG_DIR)
+
+
 def test_explicit_trial_seeds_override_count():
     config = config_from_dict(
         {

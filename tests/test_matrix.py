@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qosrank.errors import (
     DuplicateKeyError,
     ParseError,
 )
+from qosrank import matrix as matrix_module
 from qosrank.matrix import (
     MetricOrientation,
     QoSMatrix,
@@ -22,6 +25,7 @@ from qosrank.matrix import (
 )
 
 from conftest import random_sparse_matrix
+from oracles import oracle_from_entries, oracle_load_matrix
 
 
 def write_csv(tmp_path, rows, header="user_id,service_id,qos_value"):
@@ -205,3 +209,267 @@ def test_split_spec_rejects_bad_density():
 def test_matrix_rejects_infinite_values():
     with pytest.raises(BadValueError):
         QoSMatrix(np.array([[1.0, math.inf]]))
+
+
+
+# --- block-wise loader: error paths and parity with the line-by-line oracle ---
+
+HEADER = "user_id,service_id,qos_value"
+LARGER = MetricOrientation.LARGER_IS_BETTER
+
+
+def line_number(message: str) -> int | None:
+    found = re.match(r"line (\d+):", message)
+    return int(found.group(1)) if found else None
+
+
+def assert_same_matrix(got, want):
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()  # NaN-aware, bit for bit
+
+
+@pytest.mark.parametrize("row, count", [("1,2", 2), ("1,2,0.5,3", 4), ("7", 1)])
+def test_load_wrong_field_count_names_line(tmp_path, row, count):
+    path = write_csv(tmp_path, ["0,0,0.5", "0,1,0.6", row])
+    with pytest.raises(ParseError, match=f"line 4: expected 3 fields, got {count}"):
+        load_matrix(path, LARGER)
+
+
+@pytest.mark.parametrize("block", [2, None])
+def test_load_field_counts_that_balance_out(tmp_path, monkeypatch, block):
+    # 2 + 4 fields make 6, as two good rows do; each row is counted alone
+    if block is not None:
+        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+    path = write_csv(tmp_path, ["0,0,0.5", "1,2", "1,2,0.5,0.7", "1,1,0.5"])
+    with pytest.raises(ParseError, match="line 3: expected 3 fields, got 2"):
+        load_matrix(path, LARGER)
+
+
+@pytest.mark.parametrize("row", ["-1,0,0.5", "0,-3,0.5", f"{-10**30},0,0.5"])
+def test_load_negative_id_names_line(tmp_path, row):
+    path = write_csv(tmp_path, ["0,0,0.5", row])
+    with pytest.raises(ParseError, match="line 3: negative id"):
+        load_matrix(path, LARGER)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_non_finite_value_names_line(tmp_path, value):
+    path = write_csv(tmp_path, ["0,0,0.5", "0,1,0.6", f"1,0, {value} "])
+    with pytest.raises(BadValueError, match=f"line 4: non-finite QoS value '{value}'"):
+        load_matrix(path, LARGER)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n\n"])
+def test_load_empty_or_comment_only_file(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="no header line found"):
+        load_matrix(path, LARGER)
+
+
+def test_load_id_beyond_int64_names_id_and_line(tmp_path):
+    path = write_csv(tmp_path, ["0,0,0.5", f"{10**30},1,0.7", "1,1,0.2"])
+    with pytest.raises(DataError, match=f"line 3: user id {10**30} implies"):
+        load_matrix(path, LARGER)
+
+
+def test_load_duplicate_names_second_line_and_cell(tmp_path):
+    path = write_csv(tmp_path, ["# c", "0,0,0.5", "1,2,0.6", "", "0,1,0.4", "1,2,0.9", "1,2,1.0"])
+    with pytest.raises(DuplicateKeyError, match=r"^line 7: duplicate entry for \(1, 2\)$"):
+        load_matrix(path, LARGER)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_duplicate_names_earliest_repeat(tmp_path, seed):
+    # cells drawn with replacement from a small grid repeat many times; the
+    # error names the first row whose cell an earlier row already holds
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 12, (300, 2)).tolist()
+    seen = set()
+    for n, cell in enumerate(cells):
+        if tuple(cell) in seen:
+            break
+        seen.add(tuple(cell))
+    path = write_csv(tmp_path, [f"{u},{s},0.5" for u, s in cells])
+    with pytest.raises(DuplicateKeyError) as got:
+        load_matrix(path, LARGER)
+    assert str(got.value) == f"line {n + 2}: duplicate entry for ({cells[n][0]}, {cells[n][1]})"
+
+
+def test_load_undecodable_file_is_data_error(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(HEADER.encode() + b"\n0,0,\xff\n")
+    with pytest.raises(DataError, match="cannot read dataset"):
+        load_matrix(path, LARGER)
+
+
+def test_load_peak_memory_bounded(tmp_path):
+    # 300 x 400 at 30% density: 36k rows. Parsed in blocks the load peaks at
+    # 5.7 MB (the line-by-line loader: 7.5 MB); parsing the whole file as one
+    # block takes 12 MB.
+    rng = np.random.default_rng(5)
+    mask = rng.random((300, 400)) < 0.3
+    users, services = np.nonzero(mask)
+    values = rng.uniform(0.1, 5.0, users.size)
+    rows = [f"{u},{s},{v!r}" for u, s, v in zip(users.tolist(), services.tolist(), values.tolist())]
+    path = write_csv(tmp_path, rows)
+    tracemalloc.start()
+    try:
+        m = load_matrix(path, MetricOrientation.SMALLER_IS_BETTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.num_entries == users.size
+    assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def id_text(rng, i):
+    return str(rng.choice([f"{i}", f" {i} ", f"+{i}", f"0{i}", f"\t{i}"]))
+
+
+def value_text(rng, v):
+    return str(rng.choice([repr(v), f"{v:.3e}", f"{v:E}", f"  {v!r}", f"{-v}", f"{v:.0f}."]))
+
+
+def random_csv(rng, num_users, num_services, density):
+    """CSV text of a random matrix, rows shuffled, with comments, blank and
+    whitespace-only lines, padded fields, `+`/zero-padded ids, exponent
+    values and mixed line endings."""
+    mask = rng.random((num_users, num_services)) < density
+    cells = np.argwhere(mask)
+    rng.shuffle(cells)
+    lines = ["# qos", " user_id , service_id,qos_value "]
+    for u, s in cells.tolist():
+        v = float(rng.uniform(-5.0, 5.0))
+        lines.append(f"{id_text(rng, u)},{id_text(rng, s)},{value_text(rng, v)}")
+        extra = rng.random()
+        if extra < 0.05:
+            lines.append("")
+        elif extra < 0.1:
+            lines.append("   \t")
+        elif extra < 0.15:
+            lines.append("  # note, with, commas")
+    ending = "\r\n" if rng.random() < 0.3 else "\n"
+    return ending.join(lines) + ending
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("seed", range(6))
+def test_load_matches_oracle_on_random_csvs(tmp_path, monkeypatch, block, seed):
+    if block is not None:
+        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "data.csv"
+    for _ in range(4):
+        shape = rng.integers(1, 12, 2)
+        path.write_text(random_csv(rng, *shape, density=rng.uniform(0.0, 1.0)))
+        for orientation in MetricOrientation:
+            assert_same_matrix(load_matrix(path, orientation), oracle_load_matrix(path, orientation))
+
+
+def test_load_matches_oracle_across_default_blocks(tmp_path):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "data.csv"
+    path.write_text(random_csv(rng, 60, 50, density=0.9))  # ~2700 rows, 3 blocks
+    for orientation in MetricOrientation:
+        assert_same_matrix(load_matrix(path, orientation), oracle_load_matrix(path, orientation))
+
+
+# One bad row of each kind; the duplicate repeats the first data row's cell.
+BAD_ROWS = {
+    "two fields": ("1,2", ParseError),
+    "four fields": ("1,2,0.5,9", ParseError),
+    "bad user id": ("x,2,0.5", ParseError),
+    "bad service id": ("1,2.5,0.5", ParseError),
+    "bad value": ("1,2,fast", ParseError),
+    "empty value": ("1,2,", ParseError),
+    "negative id": ("1,-2,0.5", ParseError),
+    "negative id beyond int64": (f"{-10**30},2,0.5", ParseError),
+    "nan": ("1,2,nan", BadValueError),
+    "infinite": ("1,2,-inf", BadValueError),
+    "duplicate": ("0,0,0.25", DuplicateKeyError),
+    "grid over MAX_CELLS": (f"1,{10**12},0.5", DataError),
+    "id beyond int64": (f"{10**30},2,0.5", DataError),
+}
+
+
+@pytest.mark.parametrize("where", ["first block", "later block"])
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("kind", list(BAD_ROWS))
+def test_load_error_matches_oracle(tmp_path, monkeypatch, kind, block, where):
+    if block is not None:
+        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+    # a full 40 x 30 grid: 1200 rows, two blocks at the shipped size; comment
+    # and blank lines before and inside the data shift the line numbers
+    rows = [f"{u},{s},{0.01 * (u + s)!r}" for u in range(40) for s in range(30)]
+    rows[5:5] = ["", "# mid-file comment"]
+    bad, error = BAD_ROWS[kind]
+    at = 1 if where == "first block" else len(rows)
+    rows.insert(at, bad)
+    lines = ["# dataset", "", HEADER] + rows
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    bad_line = 3 + at + 1
+
+    with pytest.raises(error) as want:
+        oracle_load_matrix(path, LARGER)
+    with pytest.raises(error) as got:
+        load_matrix(path, LARGER)
+    assert type(got.value) is type(want.value)
+    if kind == "duplicate":  # the oracle's duplicate error names no line
+        assert str(got.value) == f"line {bad_line}: {want.value}"
+    elif kind == "id beyond int64":  # met before the grid size is known
+        assert line_number(str(want.value)) == bad_line
+        assert str(got.value).startswith(f"line {bad_line}: user id {10**30} implies a matrix")
+    else:
+        assert line_number(str(want.value)) == bad_line
+        assert str(got.value) == str(want.value)
+
+
+LINE_FAULTS = ["1,2", "1,2,3,4", "z,1,0.5", "1,1,x", "-1,1,0.5", "1,1,nan", "1,1,inf"]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("seed", range(8))
+def test_first_bad_line_wins_like_oracle(tmp_path, monkeypatch, block, seed):
+    # several line faults in one file: the earliest line is reported, as
+    # the line-by-line oracle does, whatever block and column they fall in
+    if block is not None:
+        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    rows = [f"{u},{s},{float(rng.uniform(1, 2))!r}" for u in range(4) for s in range(5)]
+    for fault in rng.choice(LINE_FAULTS, size=3):
+        rows.insert(int(rng.integers(len(rows) + 1)), str(fault))
+    path = write_csv(tmp_path, rows)
+    with pytest.raises(DataError) as want:
+        oracle_load_matrix(path, LARGER)
+    with pytest.raises(DataError) as got:
+        load_matrix(path, LARGER)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_entries_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    num_users, num_services = (int(n) for n in rng.integers(1, 6, 2))
+    entries = []
+    for _ in range(int(rng.integers(0, 25))):
+        user = int(rng.integers(-1, num_users + 1))
+        service = int(rng.integers(-1, num_services + 1))
+        value = float(rng.choice([rng.uniform(-1, 1), np.nan, np.inf]))
+        entries.append((user, service, value))
+    try:
+        want = oracle_from_entries(num_users, num_services, entries)
+    except (DomainError, BadValueError, DuplicateKeyError) as exc:
+        with pytest.raises(type(exc)) as got:
+            QoSMatrix.from_entries(num_users, num_services, entries)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_matrix(QoSMatrix.from_entries(num_users, num_services, entries), want)
+
+
+def test_from_entries_empty_and_huge_id():
+    assert QoSMatrix.from_entries(2, 3, []).num_entries == 0
+    with pytest.raises(DomainError, match=f"entry \\({10**30}, 0\\) outside"):
+        QoSMatrix.from_entries(2, 3, [(1, 1, 0.5), (10**30, 0, 0.5)])
