@@ -64,6 +64,7 @@ from .ranker import (
     greedy_rank,
     rank,
     rank_kinds,
+    rank_users,
 )
 from .similarity import (
     Neighborhood,

@@ -269,7 +269,7 @@ def synth_matrix(
     noise = rng.normal(0.0, noise_amplitude * spread, size=(num_users, num_services))
 
     values = np.where(covered, base * factors[:, None] + noise, np.nan)
-    return QoSMatrix(values), plan
+    return QoSMatrix._own(values), plan
 
 
 def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:

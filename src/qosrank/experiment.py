@@ -1,5 +1,10 @@
 """Experiment driver: split, rank, score across users, densities and kinds.
 
+Each (density, trial) split ranks all active users with one `rank_users`
+call, which runs them through the pipeline as batches (one similarity pass,
+stacked preference tables, one greedy loop) and returns every user's
+rankings, equal to ranking that user alone, for scoring.
+
 All randomness is derived from the config seed plus trial/user indices, so
 reports are reproducible byte for byte; evaluating users in parallel would
 produce identical output since every cell owns its seed stream.
@@ -19,7 +24,7 @@ from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
 from .matrix import MetricOrientation, QoSMatrix, SplitSpec, load_matrix, split_train_test
 from .metrics import ExperimentReport, ScoreRow, aggregate, kendall_tau_score
-from .ranker import RankerKind, rank_kinds
+from .ranker import RankerKind, rank_users
 from .seeding import derive_rng
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
@@ -165,17 +170,17 @@ def run_experiment(
             )
             spec = SplitSpec(density=density, seed=split_seed, active_users=active)
             train, truth = split_train_test(matrix, spec)
-            for user in active:
+            batch = rank_users(
+                config.kinds,
+                train,
+                active,
+                config.k_neighbors,
+                candidates,
+                seed=random_seed,
+                correct=config.correct_observed,
+            )
+            for user, rankings in zip(active, batch):
                 truth_row = truth.row(user)
-                rankings = rank_kinds(
-                    config.kinds,
-                    train,
-                    user,
-                    config.k_neighbors,
-                    candidates,
-                    seed=random_seed,
-                    correct=config.correct_observed,
-                )
                 for kind in config.kinds:
                     r = rankings[kind]
                     score = kendall_tau_score(r, truth_row)

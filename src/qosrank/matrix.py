@@ -70,7 +70,18 @@ class QoSMatrix:
     """
 
     def __init__(self, values: np.ndarray):
-        values = np.array(values, dtype=float)
+        """A matrix over a copy of `values`, so the caller's array stays its own."""
+        self._adopt(np.array(values, dtype=float))
+
+    @classmethod
+    def _own(cls, values: np.ndarray) -> "QoSMatrix":
+        """A matrix over a float64 array the package has just built and hands
+        over, without copying it; the array becomes read-only."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(values)
+        return matrix
+
+    def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise ValueError("QoSMatrix expects a 2-d array")
         if np.isinf(values).any():
@@ -97,7 +108,7 @@ class QoSMatrix:
         columns = list(zip(*entries)) or [(), (), ()]
         users, services = np.array(columns[0]), np.array(columns[1])
         values = np.array(columns[2], dtype=float)
-        return cls(_fill_grid(num_users, num_services, users, services, values))
+        return cls._own(_fill_grid(num_users, num_services, users, services, values))
 
     @property
     def values(self) -> np.ndarray:
@@ -371,7 +382,7 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     grid = _fill_grid(
         num_users, num_services, users, services, values, lambda i: f"line {line_of(i)}: "
     )
-    return QoSMatrix(grid)
+    return QoSMatrix._own(grid)
 
 
 def save_matrix(matrix: QoSMatrix, path: str | Path) -> None:
@@ -407,4 +418,4 @@ def split_train_test(matrix: QoSMatrix, spec: SplitSpec) -> tuple[QoSMatrix, QoS
         removed = observed[perm[keep:]]
         truth[user, removed] = train[user, removed]
         train[user, removed] = np.nan
-    return QoSMatrix(train), QoSMatrix(truth)
+    return QoSMatrix._own(train), QoSMatrix._own(truth)

@@ -49,57 +49,87 @@ class PreferenceTable:
             arr.setflags(write=False)
 
 
-def build_preference_table(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
-) -> PreferenceTable:
-    """Vectorized construction of the full pairwise table.
+def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
+    """The distinct candidate service ids, ascending.
 
-    Agrees with the per-pair reference in tests/oracles.py up to
-    floating-point summation order.
+    Raises DomainError for an empty set or an id outside [0, num_services).
     """
-    matrix._check_user(u)
     cands = tuple(sorted(set(int(c) for c in candidates)))
     if not cands:
         raise DomainError("candidate set must be non-empty")
+    if cands[0] < 0 or cands[-1] >= matrix.num_services:
+        bad = cands[0] if cands[0] < 0 else cands[-1]
+        raise DomainError(f"candidate service {bad} outside [0, {matrix.num_services})")
+    return cands
+
+
+def preference_stack(
+    matrix: QoSMatrix, users, neighborhoods, cands: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (len(users), n, n) values, confidences and provenance codes of
+    each user's table over the same n candidates `cands`, as `candidate_ids`
+    returns them; read-only.
+
+    Slice b equals the table of users[b] built on its own, bit for bit: each
+    user keeps its own neighbour products, and only the elementwise steps run
+    once over the stack. Agrees with the per-pair reference in
+    tests/oracles.py up to floating-point summation order.
+    """
+    users = [int(u) for u in users]
+    for u in users:
+        matrix._check_user(u)
     cols = np.array(cands, dtype=int)
     mask = matrix.observed_mask[:, cols]
     vals = np.where(mask, matrix.values[:, cols], 0.0)
 
-    ids = np.array(nbrs.user_ids(), dtype=int)
-    sims = np.array(nbrs.similarities(), dtype=float)
-    covered = mask[ids].astype(float) if ids.size else np.zeros((0, len(cands)))
-    nvals = vals[ids] if ids.size else np.zeros((0, len(cands)))
-
     # For each pair (i, j): value = sum_v s_v (q_vi - q_vj) / sum_v s_v and
     # confidence = sum_v s_v^2 / sum_v s_v, restricted to neighbors covering
     # both services. All three reduce to (S x K) @ (K x S) products.
-    weighted_cover = sims[:, None] * covered
-    weighted_vals = sims[:, None] * nvals
-    denom = weighted_cover.T @ covered
-    cross = weighted_vals.T @ covered
-    sq = (sims**2)[:, None] * covered
-    conf_num = sq.T @ covered
+    shape = (len(users), cols.size, cols.size)
+    denom, cross, confidences = np.empty(shape), np.empty(shape), np.empty(shape)
+    for b, nbrs in enumerate(neighborhoods):
+        ids = np.array(nbrs.user_ids(), dtype=int)
+        sims = np.array(nbrs.similarities(), dtype=float)
+        covered = mask[ids].astype(float)
+        np.matmul((sims[:, None] * covered).T, covered, out=denom[b])
+        np.matmul((sims[:, None] * vals[ids]).T, covered, out=cross[b])
+        np.matmul(((sims**2)[:, None] * covered).T, covered, out=confidences[b])
 
     implicit = denom > 0
-    values = np.divide(cross - cross.T, denom, out=np.zeros_like(denom), where=implicit)
-    confidences = np.divide(conf_num, denom, out=np.zeros_like(denom), where=implicit)
+    numerator = cross - cross.transpose(0, 2, 1)
+    del cross
+    values = np.divide(numerator, denom, out=np.zeros(shape), where=implicit)
+    del numerator
+    confidences = np.divide(confidences, denom, out=np.zeros(shape), where=implicit)
+    del denom
     provenance = np.where(implicit, _PROV_CODES[Provenance.IMPLICIT], 0).astype(np.int8)
 
-    own = matrix.observed_mask[u, cols]
-    explicit = own[:, None] & own[None, :]
-    own_vals = np.where(own, matrix.values[u, cols], 0.0)
-    gaps = own_vals[:, None] - own_vals[None, :]
-    values = np.where(explicit, gaps, values)
-    confidences = np.where(explicit, 1.0, confidences)
-    provenance = np.where(explicit, _PROV_CODES[Provenance.EXPLICIT], provenance).astype(np.int8)
+    # The explicit pairs are the users' own observed x observed blocks.
+    rows = np.array(users, dtype=int)[:, None]
+    own = matrix.observed_mask[rows, cols]
+    b, i, j = np.nonzero(own[:, :, None] & own[:, None, :])
+    own_vals = matrix.values[rows, cols]
+    values[b, i, j] = own_vals[b, i] - own_vals[b, j]
+    confidences[b, i, j] = 1.0
+    provenance[b, i, j] = _PROV_CODES[Provenance.EXPLICIT]
 
-    np.fill_diagonal(values, 0.0)
-    np.fill_diagonal(confidences, 0.0)
-    np.fill_diagonal(provenance, 0)
+    diagonal = np.arange(cols.size)
+    for arr in (values, confidences, provenance):
+        arr[:, diagonal, diagonal] = 0
+        arr.setflags(write=False)
+    return values, confidences, provenance
+
+
+def build_preference_table(
+    matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
+) -> PreferenceTable:
+    """The full pairwise table of one user; `preference_stack` for one user."""
+    cands = candidate_ids(matrix, candidates)
+    values, confidences, provenance = preference_stack(matrix, (u,), (nbrs,), cands)
     return PreferenceTable(
         active=u,
         candidates=cands,
-        values=values,
-        confidences=confidences,
-        provenance_codes=provenance,
+        values=values[0],
+        confidences=confidences[0],
+        provenance_codes=provenance[0],
     )

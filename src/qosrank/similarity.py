@@ -6,11 +6,13 @@ neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
 
 A service pair can only count toward the similarity of u and v if the active
-user u observed both services, so `similarity_row` enumerates just u's own
-pairs: its cost is O(U * n_u^2) in u's observed count n_u rather than
-O(U * S^2) in the number of services. It holds u's n_u(n_u-1)/2 pair indices
-and builds the other users' pair signs at most CHUNK_ELEMS elements at a time,
-never a (U, S, S) tensor.
+user u observed both services, so `similarity_rows` enumerates just each
+active user's own pairs: its cost is O(U * sum of n_u^2) in the active users'
+observed counts n_u rather than O(U * S^2) per user in the number of
+services. It concatenates the active users' n_u(n_u-1)/2 pair indices and
+builds every user's signs on them at most CHUNK_ELEMS elements at a time,
+never a (U, S, S) tensor; one product with a (pairs x active) matrix of the
+active users' own signs then sums each active user's segment.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .matrix import QoSMatrix
 
-# Upper bound on the other-user x pair elements `similarity_row` builds at once.
+# Upper bound on the user x pair elements `similarity_rows` builds at once.
 CHUNK_ELEMS = 1 << 20
 
 
@@ -52,30 +54,60 @@ class Neighborhood:
         return len(self.members)
 
 
-def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
-    """Similarity of u to every user v != u, vectorized over v."""
-    matrix._check_user(u)
-    others = np.delete(np.arange(matrix.num_users), u)
+def similarity_rows(matrix: QoSMatrix, users) -> list[SimilarityRow]:
+    """Similarity of each u in `users` to every user v != u.
+
+    Row b is bit-identical to computing users[b]'s row on its own: every sum
+    below adds exact integers, so the batch changes no bit of the result.
+    """
+    users = [int(u) for u in users]
+    if not users:
+        return []
+    for u in users:
+        matrix._check_user(u)
     mask = matrix.observed_mask
-    own = np.flatnonzero(mask[u])
-    first, second = np.triu_indices(own.size, k=1)
     values = matrix.values
-    sign_u = np.sign(values[u, own[first]] - values[u, own[second]])
-    theirs = values[np.ix_(others, own)]
-    # Concordant - discordant is a dot product of +-1/0 signs: an exact
-    # integer in float64, which keeps the result bit-identical to counting
-    # the pairs one by one.
-    cd = np.zeros(others.size)
-    step = max(1, CHUNK_ELEMS // max(1, others.size))
+    # The active users' own upper-triangle service pairs, one segment each.
+    first, second, owner = [], [], []
+    for b, u in enumerate(users):
+        own = np.flatnonzero(mask[u])
+        i, j = np.triu_indices(own.size, k=1)
+        first.append(own[i])
+        second.append(own[j])
+        owner.append(np.full(i.size, b))
+    first, second, owner = (np.concatenate(a) for a in (first, second, owner))
+    batch = np.array(users, dtype=int)
+    active = batch[owner]
+    sign_own = np.sign(values[active, first] - values[active, second])
+    # Concordant - discordant is a dot product of +-1/0 signs. A chunk holds
+    # at most CHUNK_ELEMS < 2^24 pairs, so each of its products is an exact
+    # integer even in float32, and so is the float64 total: the result is
+    # bit-identical to counting the pairs one by one.
+    cd = np.zeros((matrix.num_users, len(users)))
+    step = max(1, CHUNK_ELEMS // max(matrix.num_users, len(users)))
     for lo in range(0, first.size, step):
-        hi = lo + step
-        diff = theirs[:, first[lo:hi]] - theirs[:, second[lo:hi]]
+        hi = min(lo + step, first.size)
+        diff = values[:, first[lo:hi]]
+        diff -= values[:, second[lo:hi]]
         # NaN compares false both ways, so pairs v did not observe sign to 0
-        cd += np.subtract(diff > 0, diff < 0, dtype=float) @ sign_u[lo:hi]
-    common = mask[others].astype(float) @ mask[u].astype(float)
+        signs = np.subtract(diff > 0, diff < 0, dtype=np.float32)
+        weights = np.zeros((hi - lo, len(users)), dtype=np.float32)
+        weights[np.arange(hi - lo), owner[lo:hi]] = sign_own[lo:hi]
+        cd += signs @ weights
+    maskf = mask.astype(float)
+    common = maskf @ maskf[batch].T
     pairs = common * (common - 1) / 2.0
     sims = np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
-    return SimilarityRow(active=u, users=others, sims=sims)
+    others = np.arange(matrix.num_users)
+    return [
+        SimilarityRow(active=u, users=np.delete(others, u), sims=np.delete(sims[:, b], u))
+        for b, u in enumerate(users)
+    ]
+
+
+def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
+    """Similarity of u to every user v != u; `similarity_rows` for one user."""
+    return similarity_rows(matrix, (u,))[0]
 
 
 def select_neighbors(row: SimilarityRow, k: int) -> Neighborhood:

@@ -3,6 +3,8 @@
 `build_preference_table` computes every pair at once with matrix products.
 The functions here compute one pair at a time straight from the definitions,
 and `checked_preference` asserts that the two agree on the same inputs.
+`oracle_preference_table` builds one user's table with the same products on
+2-d arrays, so a stacked table can be checked against it bit for bit.
 
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
@@ -159,6 +161,35 @@ def checked_preference(
     assert got.confidence == pytest.approx(ref.confidence, abs=1e-12)
     assert got.provenance is ref.provenance
     return ref
+
+
+def oracle_preference_table(
+    matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, confidences, provenance codes) of u's table, built alone on
+    2-d arrays with the same float operations as `preference_stack`."""
+    cols = np.array(sorted(set(int(c) for c in candidates)), dtype=int)
+    mask = matrix.observed_mask[:, cols]
+    vals = np.where(mask, matrix.values[:, cols], 0.0)
+    ids = np.array(nbrs.user_ids(), dtype=int)
+    sims = np.array(nbrs.similarities(), dtype=float)
+    covered = mask[ids].astype(float)
+    denom = (sims[:, None] * covered).T @ covered
+    cross = (sims[:, None] * vals[ids]).T @ covered
+    conf_num = ((sims**2)[:, None] * covered).T @ covered
+    implicit = denom > 0
+    values = np.divide(cross - cross.T, denom, out=np.zeros_like(denom), where=implicit)
+    confidences = np.divide(conf_num, denom, out=np.zeros_like(denom), where=implicit)
+    provenance = np.where(implicit, 1, 0).astype(np.int8)
+    own = matrix.observed_mask[u, cols]
+    explicit = own[:, None] & own[None, :]
+    own_vals = np.where(own, matrix.values[u, cols], 0.0)
+    values = np.where(explicit, own_vals[:, None] - own_vals[None, :], values)
+    confidences = np.where(explicit, 1.0, confidences)
+    provenance = np.where(explicit, 2, provenance).astype(np.int8)
+    for arr in (values, confidences, provenance):
+        np.fill_diagonal(arr, 0)
+    return values, confidences, provenance
 
 
 def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, Neighborhood]:

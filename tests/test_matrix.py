@@ -110,6 +110,29 @@ def test_values_are_read_only():
         m.values[0, 0] = 2.0
 
 
+def test_matrix_copies_caller_array():
+    values = np.array([[0.1, np.nan], [0.3, 0.4]])
+    m = QoSMatrix(values)
+    values[0, 0] = 9.0
+    values[0, 1] = 1.0
+    assert values.flags.writeable
+    assert m.row(0) == {0: 0.1}
+    assert m.observed_mask.tolist() == [[True, False], [True, True]]
+
+
+def test_built_matrices_are_read_only(tmp_path, rng):
+    # the grids load_matrix, from_entries and split_train_test build are
+    # adopted without a copy, and still cannot be written through the matrix
+    path = tmp_path / "m.csv"
+    save_matrix(random_sparse_matrix(rng, 4, 5, 0.6), path)
+    built = [load_matrix(path, MetricOrientation.LARGER_IS_BETTER)]
+    built.append(QoSMatrix.from_entries(2, 2, [(0, 1, 0.5)]))
+    built += split_train_test(built[0], SplitSpec(density=0.5, seed=3, active_users=(0, 1)))
+    for m in built:
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 2.0
+
+
 def test_observed_mask_is_cached_and_read_only(rng):
     m = random_sparse_matrix(rng, 5, 6, 0.5)
     assert np.array_equal(m.observed_mask, ~np.isnan(m.values))

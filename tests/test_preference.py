@@ -3,13 +3,19 @@ import pytest
 
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.preference import Provenance, build_preference_table
+from qosrank.preference import (
+    Provenance,
+    build_preference_table,
+    candidate_ids,
+    preference_stack,
+)
 from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
 from oracles import (
     PairNeighborhood,
     checked_preference,
+    oracle_preference_table,
     pair_confidence,
     pair_matrix,
     pair_neighborhood,
@@ -259,3 +265,30 @@ def test_confidence_scales_with_similarity():
         scaled = PairNeighborhood((0, 1), tuple((v, min(1.0, c * s)) for v, s in members))
         assert pair_confidence(scaled) >= base
         assert_table_uses(scaled)
+
+
+def test_stacked_tables_match_one_user_tables_bit_for_bit(rng):
+    # every slice of a batch's stack is the table its user gets alone
+    for trial in range(40):
+        users, services = int(rng.integers(2, 10)), int(rng.integers(1, 12))
+        m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
+        batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
+        cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
+        k = trial % 5
+        nbrs = [select_neighbors(similarity_row(m, u), k) for u in batch]
+        stack = preference_stack(m, batch, nbrs, candidate_ids(m, cands))
+        assert all(arr.shape == (len(batch),) + (len(set(cands.tolist())),) * 2 for arr in stack)
+        assert not any(arr.flags.writeable for arr in stack)
+        for b, (u, nb) in enumerate(zip(batch, nbrs)):
+            table = build_preference_table(m, u, nb, cands)
+            alone = (table.values, table.confidences, table.provenance_codes)
+            for got, one, ref in zip(stack, alone, oracle_preference_table(m, u, nb, cands)):
+                assert got[b].dtype == ref.dtype
+                assert got[b].tobytes() == one.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_table_rejects_candidate_outside_matrix(bad):
+    m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8]]))
+    with pytest.raises(DomainError, match="outside"):
+        build_preference_table(m, 0, Neighborhood(active=0, members=()), [0, bad])

@@ -1,20 +1,23 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qosrank import ranker
 from qosrank.errors import DomainError
-from qosrank.matrix import QoSMatrix
+from qosrank.matrix import QoSMatrix, SplitSpec, split_train_test
 from qosrank.preference import build_preference_table
 from qosrank.ranker import (
     RankerKind,
     Ranking,
     correct_observed_order,
+    greedy_orders,
     greedy_rank,
     rank,
     rank_kinds,
+    rank_users,
 )
-from qosrank.seeding import derive_rng
 from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
@@ -44,22 +47,25 @@ def pipeline_table(rng, num_services=4):
     return build_preference_table(m, u, nbrs, range(num_services))
 
 
-def recompute_greedy(table, weighted=False, priority=None):
+def recompute_positions(effective):
     """Oracle: recompute every preference sum from scratch each round,
-    applying the documented tie rule (within tolerance -> smaller id, or the
-    highest seeded priority when one is given)."""
-    effective = table.values if not weighted else table.confidences * table.values
-    remaining = list(range(len(table.candidates)))
+    applying the documented tie rule (within tolerance -> smaller position)."""
+    remaining = list(range(len(effective)))
     order = []
     while remaining:
         sums = {i: sum(effective[i, j] for j in remaining if j != i) for i in remaining}
         top = max(sums.values())
         tol = 1e-9 * max(1.0, abs(top))
         tied = [i for i in remaining if sums[i] >= top - tol]
-        best = min(tied) if priority is None else max(tied, key=lambda i: priority[i])
-        order.append(table.candidates[best])
-        remaining.remove(best)
-    return tuple(order)
+        order.append(min(tied))
+        remaining.remove(min(tied))
+    return order
+
+
+def recompute_greedy(table, weighted=False):
+    """The oracle's order of a table's candidates."""
+    effective = table.values if not weighted else table.confidences * table.values
+    return tuple(table.candidates[i] for i in recompute_positions(effective))
 
 
 def test_single_candidate():
@@ -117,14 +123,29 @@ def test_incremental_equals_recompute(rng):
             assert incremental.order == recompute_greedy(table, weighted)
 
 
-def test_seeded_tie_break_matches_oracle(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        table = pipeline_table(rng, n)
-        priority = derive_rng(7).permutation(n)
-        for weighted in (False, True):
-            got = greedy_rank(table, weighted=weighted, tie_break_seed=7)
-            assert got.order == recompute_greedy(table, weighted, priority)
+def test_greedy_orders_rows_match_recompute_oracle(rng):
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        stack = []
+        for table in (pipeline_table(rng, n) for _ in range(int(rng.integers(1, 5)))):
+            stack += [table.values, table.confidences * table.values]
+        levels = rng.integers(-2, 3, (n, n)).astype(float)  # exact ties in the sums
+        stack += [levels - levels.T, np.zeros((n, n))]  # the last one all unknown
+        effective = np.stack(stack)
+        expected = [recompute_positions(table) for table in effective]
+        assert greedy_orders(effective).tolist() == expected
+        for table, order in zip(effective, expected):
+            assert greedy_orders(table[None]).tolist() == [order]  # the 1-row loop
+
+
+def test_greedy_orders_tie_within_tolerance_goes_to_smaller_position():
+    # sums 1 - 5e-13, 1 + 5e-13 and -2: the first two tie within TIE_TOLERANCE
+    tied = np.array([[0.0, -5e-13, 1.0], [5e-13, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+    assert recompute_positions(tied) == [0, 1, 2]
+    assert recompute_positions(-tied) == [2, 0, 1]
+    effective = np.stack([tied, -tied, np.zeros((3, 3))])
+    assert greedy_orders(effective).tolist() == [[0, 1, 2], [2, 0, 1], [0, 1, 2]]
+    assert greedy_orders(tied[None]).tolist() == [[0, 1, 2]]
 
 
 def test_greedy_permutation_safety(rng):
@@ -133,15 +154,6 @@ def test_greedy_permutation_safety(rng):
         table = pipeline_table(rng, n)
         order = greedy_rank(table).order
         assert sorted(order) == list(range(n))
-
-
-def test_greedy_tie_break_seed_is_deterministic():
-    m = QoSMatrix(np.full((1, 5), np.nan))
-    table = build_preference_table(m, 0, EMPTY_NBRS, range(5))
-    a = greedy_rank(table, tie_break_seed=99)
-    b = greedy_rank(table, tie_break_seed=99)
-    assert a.order == b.order
-    assert sorted(a.order) == list(range(5))
 
 
 def test_correct_observed_order_two_element():
@@ -245,3 +257,71 @@ def test_rank_determinism(rng):
 def test_ranking_rejects_duplicates():
     with pytest.raises(DomainError):
         Ranking(active=0, order=(1, 1, 2))
+
+
+@pytest.mark.parametrize("batch_elems", [1, 1 << 40])
+def test_rank_users_matches_rank_per_user(rng, monkeypatch, batch_elems):
+    # one-user batches, then every user in one batch: both equal `rank` alone
+    monkeypatch.setattr(ranker, "BATCH_ELEMS", batch_elems)
+    kind_sets = [
+        tuple(RankerKind),
+        (RankerKind.CLOUDRANK2,),
+        (RankerKind.CLOUDRANK1, RankerKind.RANDOM_BASELINE),
+    ]
+    for trial in range(36):
+        users, services = int(rng.integers(2, 10)), int(rng.integers(1, 10))
+        density = float(rng.uniform(0.2, 0.9))
+        values = np.array(random_sparse_matrix(rng, users, services, density).values)
+        values[0] = np.nan
+        values[0, rng.integers(services)] = 0.5  # fewer than 2 observations
+        m = QoSMatrix(values)
+        active = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
+        if trial % 2 and 0 not in active:
+            active.append(0)
+        size = 1 if trial % 6 == 0 else int(rng.integers(1, services + 1))
+        cands = rng.choice(services, size=size, replace=False)
+        k = trial % 4
+        kinds = kind_sets[trial % 3]
+        for correct in (True, False):
+            got = rank_users(kinds, m, active, k, cands, seed=9, correct=correct)
+            assert len(got) == len(active)
+            for u, by_kind in zip(active, got):
+                assert tuple(by_kind) == kinds
+                for kind in kinds:
+                    assert by_kind[kind] == rank(kind, m, u, k, cands, seed=9, correct=correct)
+
+
+def test_rank_users_rejects_bad_arguments(rng):
+    m = random_sparse_matrix(rng, 3, 4, 0.8)
+    with pytest.raises(DomainError):
+        rank_users(tuple(RankerKind), m, [0, 3], 2, range(4))
+    with pytest.raises(DomainError):
+        rank_users(tuple(RankerKind), m, [0], 2, [])
+    assert rank_users(tuple(RankerKind), m, [], 2, range(4)) == []
+
+
+@pytest.mark.parametrize("kind", list(RankerKind))
+@pytest.mark.parametrize("bad", [-1, 3, 10**6])
+def test_candidate_outside_matrix_rejected(kind, bad):
+    m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8]]))
+    with pytest.raises(DomainError, match=f"candidate service {bad} outside"):
+        rank(kind, m, 0, 2, [bad, 0, 1])
+
+
+def test_split_batch_memory_bounded(rng):
+    # 8 active users over 400 candidates: BATCH_ELEMS keeps one user per
+    # batch (peak ~6 MB); the 8 users in one batch peak at ~40 MB
+    values = rng.uniform(0.1, 2.0, (300, 400))
+    values[rng.uniform(size=values.shape) > 0.3] = np.nan
+    active = tuple(range(8))
+    spec = SplitSpec(density=0.3, seed=1, active_users=active)
+    train, _ = split_train_test(QoSMatrix(values), spec)
+    kinds = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2)
+    tracemalloc.start()
+    try:
+        ranked = len(rank_users(kinds, train, active, 10, range(400)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranked == 8
+    assert peak < 12 * 2**20

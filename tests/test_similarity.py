@@ -6,7 +6,12 @@ import pytest
 
 from qosrank import similarity
 from qosrank.matrix import QoSMatrix
-from qosrank.similarity import SimilarityRow, select_neighbors, similarity_row
+from qosrank.similarity import (
+    SimilarityRow,
+    select_neighbors,
+    similarity_row,
+    similarity_rows,
+)
 
 from conftest import random_sparse_matrix
 
@@ -128,6 +133,30 @@ def test_row_matches_krcc_bit_for_bit_across_chunks(rng, monkeypatch, chunk_elem
                 assert s == brute_force_krcc(m, u, int(v))
         assert (similarity_row(m, 1).sims == 0.0).all()
         assert sim(m, 2, 3) == 0.0
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 14, 40])
+def test_block_matches_krcc_bit_for_bit_for_each_user(rng, monkeypatch, chunk_elems):
+    # 9 rows: chunks of 1, 1 and 4 pairs, which cut across the users' segments
+    monkeypatch.setattr(similarity, "CHUNK_ELEMS", chunk_elems)
+    for _ in range(15):
+        values = rng.integers(0, 3, (8, 10)).astype(float)  # 3 levels: many ties
+        values[rng.uniform(size=values.shape) < 0.3] = np.nan
+        values[1] = np.nan
+        values[1, 4] = 1.0  # a single observation: no own pairs
+        values[2, :5] = np.nan  # users 2 and 3 share no service
+        values[3, 5:] = np.nan
+        m = QoSMatrix(values)
+        batch = rng.permutation(8).tolist() + [5]  # a repeated user too
+        rows = similarity_rows(m, batch)
+        assert [row.active for row in rows] == batch
+        for u, row in zip(batch, rows):
+            assert list(row.users) == [v for v in range(8) if v != u]
+            for v, s in zip(row.users, row.sims):
+                assert s == brute_force_krcc(m, u, int(v))
+            alone = similarity_row(m, u)
+            assert row.sims.tobytes() == alone.sims.tobytes()
+    assert similarity_rows(m, []) == []
 
 
 def test_row_memory_bounded_for_fully_observed_user(rng):
