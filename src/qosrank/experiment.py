@@ -1,9 +1,13 @@
 """Experiment driver: split, rank, score across users, densities and kinds.
 
-Each (density, trial) split ranks all active users with one `rank_users`
-call, which runs them through the pipeline as batches (one similarity pass,
-stacked preference tables, one greedy loop) and returns every user's
-rankings, equal to ranking that user alone, for scoring.
+Each (density, trial) split ranks all active users with one `rank_orders`
+call, which runs them through the pipeline as batches (one similarity block,
+one neighbour sort, stacked preference tables, one greedy loop, one
+correction) and returns a (users, kinds, n) array of candidate ids, each row
+equal to ranking that user alone. The split is scored from that array
+without building a `Ranking`: one gather of the withheld values in
+predicted order, one `tau_scores` call over every row, and column 0 for the
+top-1 QoS.
 
 All randomness is derived from the config seed plus trial/user indices, so
 reports are reproducible byte for byte; evaluating users in parallel would
@@ -23,8 +27,8 @@ import numpy as np
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
 from .matrix import MetricOrientation, QoSMatrix, SplitSpec, load_matrix, split_train_test
-from .metrics import ExperimentReport, ScoreRow, aggregate, kendall_tau_score
-from .ranker import RankerKind, rank_users
+from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
+from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
@@ -170,34 +174,22 @@ def run_experiment(
             )
             spec = SplitSpec(density=density, seed=split_seed, active_users=active)
             train, truth = split_train_test(matrix, spec)
-            batch = rank_users(
-                config.kinds,
-                train,
-                active,
-                config.k_neighbors,
-                candidates,
-                seed=random_seed,
-                correct=config.correct_observed,
+            orders = rank_orders(
+                config.kinds, train, active, config.k_neighbors, candidates,
+                seed=random_seed, correct=config.correct_observed,
             )
-            for user, rankings in zip(active, batch):
-                truth_row = truth.row(user)
-                for kind in config.kinds:
-                    r = rankings[kind]
-                    score = kendall_tau_score(r, truth_row)
-                    if score is not None:
+            # withheld values in predicted order, NaN where a service has none
+            withheld = truth.values[np.array(active)[:, None, None], orders]
+            scores = tau_scores(withheld.reshape(-1, orders.shape[-1]))
+            taus, pairs = (a.reshape(orders.shape[:2]).tolist() for a in scores)
+            for user, user_taus, user_pairs in zip(active, taus, pairs):
+                for kind, tau, evaluated in zip(config.kinds, user_taus, user_pairs):
+                    if evaluated:  # 0 pairs: fewer than two evaluable services
                         rows.append(
-                            ScoreRow(
-                                density=density,
-                                kind=kind.value,
-                                user=user,
-                                tau=score.tau,
-                                accuracy=score.accuracy,
-                                evaluated_pairs=score.evaluated_pairs,
-                            )
+                            ScoreRow(density, kind.value, user, tau, (tau + 1) / 2, evaluated)
                         )
-                    top = r.order[0]
-                    if top in truth_row:
-                        top1[(density, kind.value)].append(truth_row[top])
+            for kind, top in zip(config.kinds, withheld[:, :, 0].T):
+                top1[(density, kind.value)].extend(top[~np.isnan(top)].tolist())
 
     report = aggregate(rows, trials=len(config.trial_seeds), seeds=config.trial_seeds)
     qos_rows = [

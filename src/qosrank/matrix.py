@@ -10,6 +10,7 @@ share across parallel workers.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ MAX_CELLS = 50_000_000
 # hundred bytes per line, so this bounds the parse's temporaries however long
 # the file is; per-block overhead is negligible from a few hundred lines up.
 LOAD_BLOCK = 1024
+
+# Characters `load_matrix` reads from the file at a time.
+READ_CHARS = 1 << 16
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -145,14 +149,6 @@ class QoSMatrix:
         v = self._values[user, service]
         return None if math.isnan(v) else float(v)
 
-    def row(self, user: int) -> dict[int, float]:
-        """Observed services of `user` mapped to their values."""
-        self._check_user(user)
-        return {
-            int(s): float(self._values[user, s])
-            for s in np.flatnonzero(self.observed_mask[user])
-        }
-
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """All observations in (user, service) order."""
         users, services = np.nonzero(self.observed_mask)
@@ -236,6 +232,20 @@ def _fill_grid(
             raise DomainError(f"{where(end)}entry {cell} outside matrix bounds")
         raise BadValueError(f"{where(end)}non-finite QoS value for {cell}")
     return grid.reshape(num_users, num_services)
+
+
+def _blocks(fh) -> Iterator[list[str]]:
+    """The lines of a text file opened with newline="", ends kept and split
+    where `str.splitlines` splits, in blocks of at most LOAD_BLOCK lines; a
+    "\\r\\n" cut by a read boundary stays one line end."""
+    carry = ""
+    while chunk := fh.read(READ_CHARS):
+        lines = (carry + chunk).splitlines(keepends=True)
+        carry = lines.pop()  # may continue in the next read
+        for lo in range(0, len(lines), LOAD_BLOCK):
+            yield lines[lo : lo + LOAD_BLOCK]
+    if carry:
+        yield [carry]
 
 
 def _content(lines: list[str]) -> list[str]:
@@ -325,12 +335,14 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     around fields are ignored. Smaller-is-better values are negated here so
     the returned matrix is canonical.
 
-    Lines are parsed LOAD_BLOCK at a time, a column at a time, into
-    int64/float64 arrays, and the grid is filled in one scatter. The checks
-    are array operations, so the cost per row is about that of Python's int
-    and float on its three fields; besides the file's text and lines, memory
-    is 24 bytes per row plus one block's fields. A 36k-row file loads in
-    ~50 ms with a 5.7 MB tracemalloc peak (2-vCPU host, Python 3.11).
+    The file is read READ_CHARS characters at a time, never whole, and its
+    lines are parsed LOAD_BLOCK at a time, a column at a time, into
+    int64/float64 arrays; the grid is filled in one scatter. The checks are
+    array operations, so the cost per row is about that of Python's int and
+    float on its three fields. Memory is 24 bytes per row (48 while the
+    blocks are joined) plus one read's text and one block's lines and fields:
+    a 36k-row file loads in 30-50 ms with a 3.1 MB tracemalloc peak (5.1 MB
+    when the text was read whole; 2-vCPU host, Python 3.11).
 
     Raises ParseError, BadValueError or DuplicateKeyError naming the line on
     malformed input, DataError if the file is unreadable or an id implies a
@@ -338,38 +350,38 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        with path.open(encoding="utf-8", newline="") as fh:
+            blocks, first = _blocks(fh), 0  # first: lines before the header's block
+            for block in blocks:
+                if _content(block):
+                    break
+                first += len(block)
+            else:
+                raise ParseError("empty dataset: no header line found")
+            at = _line_number(block, 0, 0)  # the block's lines up to the header
+            first += at
+            header = block[at - 1].strip()
+            if tuple(f.strip() for f in header.split(",")) != CSV_HEADER:
+                raise ParseError(
+                    f"line {first}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+                )
+            parts, start = [], first  # the header's block gives at least one part
+            for block in itertools.chain([block[at:]], blocks):
+                parts.append(
+                    _parse_block(_content(block), lambda k: start + _line_number(block, 0, k))
+                )
+                start += len(block)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-
-    first = next((n for n, line in enumerate(lines) if _content([line])), None)
-    if first is None:
-        raise ParseError("empty dataset: no header line found")
-    header = lines[first].strip()
-    if tuple(f.strip() for f in header.split(",")) != CSV_HEADER:
-        raise ParseError(
-            f"line {first + 1}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-        )
-
-    # one slot per remaining line; comment and blank lines leave theirs unused
-    size = len(lines) - first - 1
-    users, services = np.empty(size, np.int64), np.empty(size, np.int64)
-    values = np.empty(size)
-    n = 0
-    for start in range(first + 1, len(lines), LOAD_BLOCK):
-        rows = _content(lines[start : start + LOAD_BLOCK])
-        end = n + len(rows)
-        users[n:end], services[n:end], values[n:end] = _parse_block(
-            rows, lambda k: _line_number(lines, start, k)
-        )
-        n = end
-    users, services, values = users[:n], services[:n], values[:n]
+    users, services, values = map(np.concatenate, zip(*parts))
 
     def line_of(i: int) -> int:
-        return _line_number(lines, first + 1, i)
+        # cold: re-reads the file to name the line of an error
+        with path.open(encoding="utf-8", newline="") as fh:
+            return _line_number(list(itertools.chain.from_iterable(_blocks(fh))), first, i)
 
-    num_users = int(users.max()) + 1 if n else 0
-    num_services = int(services.max()) + 1 if n else 0
+    num_users = int(users.max()) + 1 if users.size else 0
+    num_services = int(services.max()) + 1 if users.size else 0
     if num_users * num_services > MAX_CELLS:
         axis, ids = ("user", users) if num_users > num_services else ("service", services)
         i = int(ids.argmax())

@@ -4,7 +4,9 @@ A prediction is scored only over the services that have a withheld truth
 value: concordant and discordant pairs between the predicted order and the
 truth-value order give tau in [-1, 1], and accuracy = (tau + 1) / 2 is the
 headline number in [0, 1]. Rankings with fewer than two evaluable services
-are unscoreable and excluded from aggregates.
+are unscoreable and excluded from aggregates. `tau_scores` scores a whole
+stack of rankings at once from bool comparisons; `kendall_tau_score` is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -57,24 +59,49 @@ class ExperimentReport:
     seeds: tuple[int, ...]
 
 
+# Upper bound on the rows x evaluable^2 comparisons `tau_scores` holds at once.
+SCORE_ELEMS = 1 << 18
+
+
+def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kendall tau and evaluated pairs of each row of `truth`, the withheld
+    values of a ranking's services in predicted order, NaN where a service
+    has none; tau is NaN in rows with fewer than two evaluable services.
+
+    Rows are compacted to their evaluable values and NaN-padded, which
+    compares false both ways. cd is an exact integer sum of bool comparisons,
+    so tau = cd / pairs is bit-identical to counting the pairs one by one.
+    """
+    evaluable = ~np.isnan(truth)
+    p = evaluable.sum(axis=1)
+    width = int(p.max(initial=0))
+    keep = np.argsort(~evaluable, axis=1, kind="stable")[:, :width]  # evaluable first
+    vals = np.take_along_axis(truth, keep, axis=1)
+    upper = np.triu(np.ones((width, width), dtype=bool), 1)
+    cd = np.empty(len(vals), dtype=np.int64)
+    step = max(1, SCORE_ELEMS // max(1, width * width))
+    for lo in range(0, len(vals), step):
+        # better[r, i, j]: i beats j in truth; i < j is concordant, i > j discordant
+        better = vals[lo : lo + step, :, None] > vals[lo : lo + step, None, :]
+        cd[lo : lo + step] = 2 * (better & upper).sum(axis=(1, 2)) - better.sum(axis=(1, 2))
+    pairs = p * (p - 1) // 2
+    tau = np.divide(cd, pairs, out=np.full(len(vals), np.nan), where=pairs > 0)
+    return tau, pairs
+
+
 def kendall_tau_score(
     predicted: Ranking, truth_row: Mapping[int, float]
 ) -> RankScore | None:
     """Score a predicted order against a user's withheld truth values.
 
     Returns None (undefined-score marker) when fewer than two ranked services
-    have truth values. Ties in truth count toward neither side.
+    have truth values. Ties in truth count toward neither side. `tau_scores`
+    for one ranking.
     """
-    evaluable = [s for s in predicted.order if s in truth_row]
-    p = len(evaluable)
-    if p < 2:
+    truth = np.array([[truth_row.get(s, np.nan) for s in predicted.order]], dtype=float)
+    (tau,), (pairs,) = (a.tolist() for a in tau_scores(truth))
+    if pairs == 0:
         return None
-    vals = np.array([truth_row[s] for s in evaluable], dtype=float)
-    signs = np.sign(vals[:, None] - vals[None, :])
-    # +1 per concordant and -1 per discordant pair (i ranked above j, i < j)
-    concordant_minus_discordant = int(signs[~np.tri(p, dtype=bool)].sum())
-    pairs = p * (p - 1) // 2
-    tau = concordant_minus_discordant / pairs
     return RankScore(tau=tau, accuracy=(tau + 1) / 2, evaluated_pairs=pairs)
 
 

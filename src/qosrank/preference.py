@@ -64,11 +64,12 @@ def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
 
 
 def preference_stack(
-    matrix: QoSMatrix, users, neighborhoods, cands: tuple[int, ...]
+    matrix: QoSMatrix, users, neighbors, cands: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (len(users), n, n) values, confidences and provenance codes of
     each user's table over the same n candidates `cands`, as `candidate_ids`
-    returns them; read-only.
+    returns them; read-only. neighbors[b] is users[b]'s (ids, similarities)
+    pair of arrays, as `top_neighbors` returns them.
 
     Slice b equals the table of users[b] built on its own, bit for bit: each
     user keeps its own neighbour products, and only the elementwise steps run
@@ -87,9 +88,7 @@ def preference_stack(
     # both services. All three reduce to (S x K) @ (K x S) products.
     shape = (len(users), cols.size, cols.size)
     denom, cross, confidences = np.empty(shape), np.empty(shape), np.empty(shape)
-    for b, nbrs in enumerate(neighborhoods):
-        ids = np.array(nbrs.user_ids(), dtype=int)
-        sims = np.array(nbrs.similarities(), dtype=float)
+    for b, (ids, sims) in enumerate(neighbors):
         covered = mask[ids].astype(float)
         np.matmul((sims[:, None] * covered).T, covered, out=denom[b])
         np.matmul((sims[:, None] * vals[ids]).T, covered, out=cross[b])
@@ -125,7 +124,8 @@ def build_preference_table(
 ) -> PreferenceTable:
     """The full pairwise table of one user; `preference_stack` for one user."""
     cands = candidate_ids(matrix, candidates)
-    values, confidences, provenance = preference_stack(matrix, (u,), (nbrs,), cands)
+    ids, sims = np.array(nbrs.user_ids(), dtype=int), np.array(nbrs.similarities(), dtype=float)
+    values, confidences, provenance = preference_stack(matrix, (u,), [(ids, sims)], cands)
     return PreferenceTable(
         active=u,
         candidates=cands,

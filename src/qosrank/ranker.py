@@ -4,9 +4,11 @@ Both CloudRank variants repeatedly pick the candidate whose preference sum
 over the still-unranked candidates is largest, then remove it and update the
 sums incrementally; CloudRank2 weights each preference by its confidence. A
 correction pass afterwards restores the user's own observed ordering within
-the positions those services occupy. `rank_users` is the one place that
-chains the stages, for a batch of users; `rank` and `rank_kinds` are batches
-of one and `run_experiment` passes each split's active users as one batch.
+the positions those services occupy. `rank_orders` is the one place that
+chains the stages, each once over a batch of users, and returns a
+(users, kinds, n) array of candidate ids; `run_experiment` scores that array
+directly, and `rank_users`, `rank_kinds` and `rank` wrap it in `Ranking`s.
+`greedy_rank` and `correct_observed_order` are batches of one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DomainError
 from .matrix import QoSMatrix
 from .preference import PreferenceTable, candidate_ids, preference_stack
 from .seeding import derive_rng
-from .similarity import select_neighbors, similarity_rows
+from .similarity import similarity_block, top_neighbors
 
 
 class RankerKind(Enum):
@@ -116,20 +118,69 @@ def correct_observed_order(ranking: Ranking, matrix: QoSMatrix, u: int) -> Ranki
 
     Unobserved services keep their slots, so the prediction is perturbed
     minimally while any two services the user actually observed end up in
-    their observed-QoS order.
+    their observed-QoS order. `correct_orders` for one ranking.
     """
-    observed = matrix.observed_set(u)
-    positions = [p for p, s in enumerate(ranking.order) if s in observed]
-    if not positions:
-        return ranking
-    resorted = sorted(
-        (ranking.order[p] for p in positions),
-        key=lambda s: (-matrix.values[u, s], s),
-    )
-    order = list(ranking.order)
-    for p, s in zip(positions, resorted):
-        order[p] = s
-    return Ranking(active=ranking.active, order=tuple(order))
+    matrix._check_user(u)
+    if ranking.order:
+        candidate_ids(matrix, ranking.order)  # DomainError for an id outside the matrix
+    order = np.array(ranking.order, dtype=np.intp)
+    fixed = correct_orders(order[None, None], matrix, np.array([u]))
+    return Ranking(active=ranking.active, order=tuple(fixed[0, 0].tolist()))
+
+
+def correct_orders(orders: np.ndarray, matrix: QoSMatrix, users: np.ndarray) -> np.ndarray:
+    """`orders` (users, rows, n) with each row's observed slots refilled by
+    its user's observed services there, sorted by (-value, id)."""
+    rows = users[:, None, None]
+    observed = matrix.observed_mask[rows, orders]
+    # one sort per row: observed services first, best value first, then id
+    by_qos = np.lexsort((orders, -matrix.values[rows, orders], ~observed), axis=-1)
+    resorted = np.take_along_axis(orders, by_qos, axis=-1)
+    fixed = orders.copy()
+    fixed[observed] = resorted[np.arange(orders.shape[-1]) < observed.sum(-1, keepdims=True)]
+    return fixed
+
+
+def rank_orders(
+    kinds: tuple[RankerKind, ...],
+    matrix: QoSMatrix,
+    users,
+    k: int,
+    candidates,
+    seed: int = 0,
+    correct: bool = True,
+) -> np.ndarray:
+    """The ranking of each user with each kind, best first, as a
+    (users, kinds, n) array of candidate ids.
+
+    The CloudRank kinds run a batch of users at a time: similarity block ->
+    one neighbour sort -> stacked preference tables -> one greedy loop over
+    every (user, kind) table -> unless disabled, one observed-order
+    correction. A batch holds at most BATCH_ELEMS table elements per stacked
+    array, and at least one user. Every ranking equals the one the user gets
+    alone. The random baseline shuffles the candidates seeded by (seed, u).
+    Raises DomainError if a row is not a permutation of the candidates.
+    """
+    users = np.array([int(u) for u in users], dtype=np.intp)
+    for u in users.tolist():
+        matrix._check_user(u)
+    cands = candidate_ids(matrix, candidates)
+    ids, n = np.array(cands), len(cands)
+    orders = np.empty((users.size, len(kinds), n), dtype=ids.dtype)
+    shuffled = [g for g, kind in enumerate(kinds) if kind is RankerKind.RANDOM_BASELINE]
+    greedy = [g for g in range(len(kinds)) if g not in shuffled]
+    for b, u in enumerate(users.tolist() if shuffled else ()):
+        orders[b, shuffled] = ids[derive_rng(seed, u).permutation(n)]
+    per_batch = max(1, BATCH_ELEMS // (max(1, len(greedy)) * n * n))
+    for lo in range(0, users.size if greedy else 0, per_batch):
+        batch = users[lo : lo + per_batch]
+        block = _greedy_batch([kinds[g] for g in greedy], matrix, batch, k, cands)
+        orders[lo : lo + per_batch, greedy] = (
+            correct_orders(block, matrix, batch) if correct else block
+        )
+    if not (np.sort(orders, axis=-1) == ids).all():
+        raise DomainError("ranking contains duplicate services")
+    return orders
 
 
 def rank_users(
@@ -142,50 +193,22 @@ def rank_users(
     correct: bool = True,
 ) -> list[dict[RankerKind, Ranking]]:
     """Rank the candidates for each user with each of the given kinds; item b
-    maps every kind to the ranking of users[b].
-
-    The CloudRank kinds run a batch of users at a time: similarities for the
-    whole batch -> each user's neighborhood -> stacked preference tables ->
-    one greedy loop over every (user, kind) table, then, unless disabled, the
-    observed-order correction per ranking. A batch holds at most BATCH_ELEMS
-    table elements per stacked array, and at least one user. Every ranking
-    equals the one the user gets alone. The random baseline is a uniform
-    shuffle of the candidates seeded by (seed, u).
-    """
-    kinds = tuple(kinds)
-    users = [int(u) for u in users]
-    for u in users:
-        matrix._check_user(u)
-    cands = candidate_ids(matrix, candidates)
-    n, ids = len(cands), np.array(cands)
-    greedy_kinds = [kind for kind in kinds if kind is not RankerKind.RANDOM_BASELINE]
-    per_batch = max(1, BATCH_ELEMS // (max(1, len(greedy_kinds)) * n * n))
-    rankings = []
-    for lo in range(0, len(users), per_batch):
-        batch = users[lo : lo + per_batch]
-        if greedy_kinds:
-            orders = _greedy_batch(greedy_kinds, matrix, batch, k, cands)
-        for b, u in enumerate(batch):
-            by_kind = {}
-            for kind in kinds:
-                if kind is RankerKind.RANDOM_BASELINE:
-                    order = ids[derive_rng(seed, u).permutation(n)]
-                    by_kind[kind] = Ranking(active=u, order=tuple(order.tolist()))
-                    continue
-                ranking = Ranking(active=u, order=tuple(orders[b][greedy_kinds.index(kind)]))
-                if correct:
-                    ranking = correct_observed_order(ranking, matrix, u)
-                by_kind[kind] = ranking
-            rankings.append(by_kind)
-    return rankings
+    maps every kind to the ranking of users[b]. See `rank_orders`."""
+    kinds, users = tuple(kinds), [int(u) for u in users]
+    orders = rank_orders(kinds, matrix, users, k, candidates, seed=seed, correct=correct)
+    return [
+        {kind: Ranking(active=u, order=tuple(row)) for kind, row in zip(kinds, by_kind)}
+        for u, by_kind in zip(users, orders.tolist())
+    ]
 
 
-def _greedy_batch(kinds, matrix, batch, k, cands) -> list[list[list[int]]]:
-    """Uncorrected greedy order of each batch user (outer) for each CloudRank
-    kind (inner), as candidate ids. The batch's arrays are freed on return,
-    before the next batch is built."""
+def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
+    """Uncorrected greedy order of each batch user for each CloudRank kind,
+    as a (users, kinds, n) array of candidate ids. The batch's arrays are
+    freed on return, before the next batch is built."""
     n = len(cands)
-    nbrs = [select_neighbors(row, k) for row in similarity_rows(matrix, batch)]
+    sims = similarity_block(matrix, batch)
+    nbrs = top_neighbors(np.arange(matrix.num_users), sims, batch, k)
     values, confidences, _ = preference_stack(matrix, batch, nbrs, cands)
     # one (n, n) table per (user, kind) row, filled in place
     effective = np.empty((len(batch), len(kinds), n, n))
@@ -196,7 +219,7 @@ def _greedy_batch(kinds, matrix, batch, k, cands) -> list[list[list[int]]]:
             effective[:, g] = values
     del values, confidences  # freed before the greedy loop copies the stack
     positions = greedy_orders(effective.reshape(-1, n, n))
-    return np.array(cands)[positions].reshape(len(batch), len(kinds), n).tolist()
+    return np.array(cands)[positions].reshape(len(batch), len(kinds), n)
 
 
 def rank_kinds(

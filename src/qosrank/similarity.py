@@ -6,13 +6,15 @@ neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
 
 A service pair can only count toward the similarity of u and v if the active
-user u observed both services, so `similarity_rows` enumerates just each
+user u observed both services, so `similarity_block` enumerates just each
 active user's own pairs: its cost is O(U * sum of n_u^2) in the active users'
 observed counts n_u rather than O(U * S^2) per user in the number of
-services. It concatenates the active users' n_u(n_u-1)/2 pair indices and
-builds every user's signs on them at most CHUNK_ELEMS elements at a time,
-never a (U, S, S) tensor; one product with a (pairs x active) matrix of the
-active users' own signs then sums each active user's segment.
+services. It indexes the active users' n_u(n_u-1)/2 pairs out of one
+triangle of the largest n_u and builds every user's signs on them at most
+CHUNK_ELEMS elements at a time, never a (U, S, S) tensor; one product with a
+(pairs x active) matrix of the active users' own signs then sums each active
+user's segment into a (U, active) block. `top_neighbors` picks every active
+user's neighbours from that block with one lexsort.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .matrix import QoSMatrix
 
-# Upper bound on the user x pair elements `similarity_rows` builds at once.
+# Upper bound on the user x pair elements `similarity_block` builds at once.
 CHUNK_ELEMS = 1 << 20
 
 
@@ -54,74 +56,78 @@ class Neighborhood:
         return len(self.members)
 
 
-def similarity_rows(matrix: QoSMatrix, users) -> list[SimilarityRow]:
-    """Similarity of each u in `users` to every user v != u.
+def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
+    """(num_users, len(users)) similarities: column b holds users[b]'s
+    similarity to every user, itself included.
 
-    Row b is bit-identical to computing users[b]'s row on its own: every sum
-    below adds exact integers, so the batch changes no bit of the result.
+    Column b is bit-identical to computing users[b]'s column on its own:
+    every sum below adds exact integers, so the batch changes no bit of the
+    result.
     """
-    users = [int(u) for u in users]
-    if not users:
-        return []
-    for u in users:
+    batch = np.array([int(u) for u in users], dtype=np.intp)
+    for u in batch.tolist():
         matrix._check_user(u)
-    mask = matrix.observed_mask
-    values = matrix.values
-    # The active users' own upper-triangle service pairs, one segment each.
-    first, second, owner = [], [], []
-    for b, u in enumerate(users):
-        own = np.flatnonzero(mask[u])
-        i, j = np.triu_indices(own.size, k=1)
-        first.append(own[i])
-        second.append(own[j])
-        owner.append(np.full(i.size, b))
-    first, second, owner = (np.concatenate(a) for a in (first, second, owner))
-    batch = np.array(users, dtype=int)
+    mask, values = matrix.observed_mask, matrix.values
+    # The active users' own service pairs, one segment each: a user with c
+    # observed services owns the pairs (before[q], after[q]) of its observed
+    # list for q < c(c-1)/2, as the row-major lower triangle lists the pairs
+    # of 0..c-1 first; one triangle of the largest c serves every user.
+    owner_rows, cols = np.nonzero(mask[batch])
+    counts = np.bincount(owner_rows, minlength=batch.size)
+    sizes = counts * (counts - 1) // 2
+    after, before = np.tril_indices(int(counts.max(initial=0)), k=-1)
+    owner = np.repeat(np.arange(batch.size), sizes)
+    q = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = (np.cumsum(counts) - counts)[owner]
+    first, second = cols[base + before[q]], cols[base + after[q]]
     active = batch[owner]
     sign_own = np.sign(values[active, first] - values[active, second])
     # Concordant - discordant is a dot product of +-1/0 signs. A chunk holds
     # at most CHUNK_ELEMS < 2^24 pairs, so each of its products is an exact
     # integer even in float32, and so is the float64 total: the result is
     # bit-identical to counting the pairs one by one.
-    cd = np.zeros((matrix.num_users, len(users)))
-    step = max(1, CHUNK_ELEMS // max(matrix.num_users, len(users)))
+    cd = np.zeros((matrix.num_users, batch.size))
+    step = max(1, CHUNK_ELEMS // max(matrix.num_users, batch.size))
     for lo in range(0, first.size, step):
         hi = min(lo + step, first.size)
         diff = values[:, first[lo:hi]]
         diff -= values[:, second[lo:hi]]
         # NaN compares false both ways, so pairs v did not observe sign to 0
         signs = np.subtract(diff > 0, diff < 0, dtype=np.float32)
-        weights = np.zeros((hi - lo, len(users)), dtype=np.float32)
+        weights = np.zeros((hi - lo, batch.size), dtype=np.float32)
         weights[np.arange(hi - lo), owner[lo:hi]] = sign_own[lo:hi]
         cd += signs @ weights
     maskf = mask.astype(float)
     common = maskf @ maskf[batch].T
     pairs = common * (common - 1) / 2.0
-    sims = np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
-    others = np.arange(matrix.num_users)
-    return [
-        SimilarityRow(active=u, users=np.delete(others, u), sims=np.delete(sims[:, b], u))
-        for b, u in enumerate(users)
-    ]
+    return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
 def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
-    """Similarity of u to every user v != u; `similarity_rows` for one user."""
-    return similarity_rows(matrix, (u,))[0]
+    """Similarity of u to every user v != u; `similarity_block` for one user."""
+    sims = similarity_block(matrix, (u,))[:, 0]
+    others = np.arange(matrix.num_users)
+    return SimilarityRow(active=u, users=np.delete(others, u), sims=np.delete(sims, u))
+
+
+def top_neighbors(
+    ids: np.ndarray, sims: np.ndarray, active, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each column b of the (len(ids), B) block `sims`: the ids and
+    similarities of the at-most-k entries with the largest strictly positive
+    similarity, active[b] excluded, sorted descending; equal similarities
+    break toward the smaller id. One lexsort orders the whole block."""
+    if k < 0:
+        raise DomainError(f"neighborhood size must be >= 0, got {k}")
+    sims = np.where(ids[:, None] == np.asarray(active)[None, :], 0.0, sims)
+    order = np.lexsort((np.broadcast_to(ids[:, None], sims.shape), -sims), axis=0)[:k]
+    top = np.take_along_axis(sims, order, axis=0)
+    counts = (top > 0.0).sum(axis=0).tolist()
+    return [(ids[order[:c, b]], top[:c, b]) for b, c in enumerate(counts)]
 
 
 def select_neighbors(row: SimilarityRow, k: int) -> Neighborhood:
     """The at-most-k users with the largest strictly positive similarity,
-    sorted descending; equal similarities break toward the smaller user id."""
-    if k < 0:
-        raise DomainError(f"neighborhood size must be >= 0, got {k}")
-    order = np.lexsort((row.users, -row.sims))
-    members = []
-    for idx in order:
-        if len(members) >= k:
-            break
-        sim = float(row.sims[idx])
-        if sim <= 0.0:
-            break  # sorted descending, nothing positive remains
-        members.append((int(row.users[idx]), sim))
-    return Neighborhood(active=row.active, members=tuple(members))
+    sorted descending; `top_neighbors` for one row."""
+    [(ids, sims)] = top_neighbors(row.users, row.sims[:, None], [row.active], k)
+    return Neighborhood(active=row.active, members=tuple(zip(ids.tolist(), sims.tolist())))

@@ -8,6 +8,11 @@ and `checked_preference` asserts that the two agree on the same inputs.
 
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
+
+Neighbour selection, the observed-order correction and tau scoring run over
+a whole similarity block or (users, kinds, n) stack of rankings; the
+`oracle_select_neighbors`, `oracle_correct_observed_order` and
+`oracle_kendall_tau` references handle one row or one ranking at a time.
 """
 
 from __future__ import annotations
@@ -190,6 +195,48 @@ def oracle_preference_table(
     for arr in (values, confidences, provenance):
         np.fill_diagonal(arr, 0)
     return values, confidences, provenance
+
+
+def oracle_select_neighbors(users, sims, k: int) -> tuple[tuple[int, float], ...]:
+    """The at-most-k (user, similarity) members with the largest strictly
+    positive similarity, best first, ties to the smaller id; one candidate
+    at a time."""
+    members = []
+    for idx in np.lexsort((users, -sims)):
+        if len(members) >= k:
+            break
+        sim = float(sims[idx])
+        if sim <= 0.0:
+            break  # sorted descending, nothing positive remains
+        members.append((int(users[idx]), sim))
+    return tuple(members)
+
+
+def oracle_correct_observed_order(order, matrix: QoSMatrix, u: int) -> tuple[int, ...]:
+    """`order` with u's observed services re-sorted by (-value, id) within
+    the positions they hold; one service at a time."""
+    observed = matrix.observed_set(u)
+    positions = [p for p, s in enumerate(order) if s in observed]
+    resorted = sorted((order[p] for p in positions), key=lambda s: (-matrix.values[u, s], s))
+    fixed = list(order)
+    for p, s in zip(positions, resorted):
+        fixed[p] = s
+    return tuple(fixed)
+
+
+def oracle_kendall_tau(order, truth_row) -> tuple[float, int] | None:
+    """(tau, evaluated pairs) of one predicted order against its truth
+    values from a (p, p) sign table; None below two evaluable services."""
+    evaluable = [s for s in order if s in truth_row]
+    p = len(evaluable)
+    if p < 2:
+        return None
+    vals = np.array([truth_row[s] for s in evaluable], dtype=float)
+    signs = np.sign(vals[:, None] - vals[None, :])
+    # +1 per concordant and -1 per discordant pair (i ranked above j, i < j)
+    concordant_minus_discordant = int(signs[~np.tri(p, dtype=bool)].sum())
+    pairs = p * (p - 1) // 2
+    return concordant_minus_discordant / pairs, pairs
 
 
 def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, Neighborhood]:

@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qosrank import experiment, ranker
 from qosrank.allocsim import AllocPolicy, default_scenario
-from qosrank.errors import ConfigError
+from qosrank.errors import ConfigError, DomainError
 from qosrank.experiment import (
     ExperimentConfig,
     build_matrix,
@@ -12,7 +13,12 @@ from qosrank.experiment import (
     load_config,
     run_experiment,
 )
-from qosrank.ranker import RankerKind
+from qosrank.matrix import SplitSpec, split_train_test
+from qosrank.metrics import ScoreRow, aggregate
+from qosrank.ranker import RankerKind, rank_users
+from qosrank.seeding import derive_rng
+
+from oracles import oracle_kendall_tau
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -166,3 +172,80 @@ def test_dataset_config(tmp_path):
     config = config_from_dict(raw, base_dir=tmp_path)
     report, _ = run_experiment(config)
     assert report.rows
+
+
+def per_ranking_reference(config):
+    """run_experiment's report and top-1 QoS rows rebuilt one ranking at a
+    time: `rank_users`' Ranking objects scored against each user's truth dict
+    by the per-ranking reference."""
+    matrix = build_matrix(config)
+    candidates = matrix.observed_services()
+    active = tuple(range(min(config.active_users, matrix.num_users)))
+    rows, top1 = [], {(d, k.value): [] for d in config.densities for k in config.kinds}
+    for density in config.densities:
+        dkey = experiment._density_key(density)
+        for trial in config.trial_seeds:
+            split = derive_rng(config.seed, experiment._SPLIT_STREAM, trial, dkey)
+            shuffle = derive_rng(config.seed, experiment._RANDOM_STREAM, trial, dkey)
+            spec = SplitSpec(density=density, seed=int(split.integers(2**63)), active_users=active)
+            train, truth = split_train_test(matrix, spec)
+            batch = rank_users(
+                config.kinds, train, active, config.k_neighbors, candidates,
+                seed=int(shuffle.integers(2**63)), correct=config.correct_observed,
+            )
+            for user, rankings in zip(active, batch):
+                observed = np.flatnonzero(truth.observed_mask[user]).tolist()
+                truth_row = {s: float(truth.values[user, s]) for s in observed}
+                for kind in config.kinds:
+                    order = rankings[kind].order
+                    scored = oracle_kendall_tau(order, truth_row)
+                    if scored is not None:
+                        tau, pairs = scored
+                        rows.append(ScoreRow(density, kind.value, user, tau, (tau + 1) / 2, pairs))
+                    if order[0] in truth_row:
+                        top1[(density, kind.value)].append(truth_row[order[0]])
+    report = aggregate(rows, trials=len(config.trial_seeds), seeds=config.trial_seeds)
+    means = ((d, k, float(np.mean(v)) if v else None, len(v)) for (d, k), v in top1.items())
+    return report, sorted(means)
+
+
+def test_split_scoring_matches_per_ranking_reference(tmp_path):
+    # users withhold 0, 1 and up to 7 services: unscoreable rows next to
+    # rows of different evaluable counts in one stack; 3 value levels tie
+    rng = np.random.default_rng(4)
+    lines = ["user_id,service_id,qos_value"]
+    for u, size in enumerate([1, 2, 8, 3, 5, 8, 4, 6, 2]):
+        services = rng.choice(8, size=size, replace=False).tolist()
+        lines += [f"{u},{s},{float(rng.integers(0, 3))!r}" for s in services]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    config = config_from_dict(
+        {
+            "dataset": "data.csv",
+            "densities": [0.2, 0.5],
+            "kinds": ["cloudrank2", "random-baseline", "cloudrank1"],
+            "k_neighbors": 3,
+            "active_users": 7,
+            "trials": 4,
+        },
+        base_dir=tmp_path,
+    )
+    report, qos_rows = run_experiment(config)
+    want_report, want_top1 = per_ranking_reference(config)
+    assert report == want_report
+    assert not any(r.user in (0, 1) for r in report.rows)
+    assert len({r.evaluated_pairs for r in report.rows}) >= 3
+    got_top1 = [(q.density, q.kind, q.mean_top1_qos, q.samples) for q in qos_rows if q.samples]
+    assert sorted(got_top1) == [row for row in want_top1 if row[3]]
+
+
+def test_duplicate_ranking_rejected_before_scoring(monkeypatch):
+    real = ranker.greedy_orders
+
+    def duplicated(effective):
+        positions = real(effective)
+        positions[:, 1] = positions[:, 0]
+        return positions
+
+    monkeypatch.setattr(ranker, "greedy_orders", duplicated)
+    with pytest.raises(DomainError, match="ranking contains duplicate services"):
+        run_experiment(small_config(trial_seeds=(0,)))

@@ -3,16 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+from qosrank import metrics
 from qosrank.errors import DomainError
 from qosrank.metrics import (
     ScoreRow,
     aggregate,
     kendall_tau_score,
+    tau_scores,
     write_rows_csv,
     write_summary_csv,
 )
 from qosrank.ranker import Ranking
 from qosrank.seeding import derive_rng
+
+from oracles import oracle_kendall_tau
 
 
 def score(order, truth):
@@ -170,3 +174,33 @@ def test_csv_round_trip_precision(tmp_path):
     assert parsed == [r.tau for r in report.rows]
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert header == "density,kind,mean_tau,std_tau,mean_accuracy,trials"
+
+
+@pytest.mark.parametrize("score_elems", [1, 40, None])
+def test_tau_scores_match_oracle_bit_for_bit(monkeypatch, score_elems):
+    # rows of one stack with different evaluable counts (so the compacted
+    # rows are padded), 4 truth levels (ties), and rows with 0 and 1
+    # evaluable services that stay unscoreable; score_elems cuts the rows
+    # into chunks of 1 and of a few
+    if score_elems is not None:
+        monkeypatch.setattr(metrics, "SCORE_ELEMS", score_elems)
+    rng = derive_rng(2718)
+    for _ in range(40):
+        rows, n = int(rng.integers(3, 9)), int(rng.integers(2, 12))
+        values = rng.integers(0, 4, (rows, n)).astype(float)
+        values[rng.uniform(size=values.shape) < rng.uniform(0.0, 0.8, (rows, 1))] = np.nan
+        values[0] = np.nan
+        values[1, 1:] = np.nan
+        orders = [rng.permutation(n).tolist() for _ in range(rows)]
+        truth = np.array([values[r, order] for r, order in enumerate(orders)])
+        taus, pairs = tau_scores(truth)
+        for r, order in enumerate(orders):
+            truth_row = {s: values[r, s] for s in range(n) if not np.isnan(values[r, s])}
+            want = oracle_kendall_tau(order, truth_row)
+            got = score(order, truth_row)
+            if want is None:
+                assert pairs[r] == 0 and np.isnan(taus[r]) and got is None
+            else:
+                assert (float(taus[r]), int(pairs[r])) == want
+                assert (got.tau, got.evaluated_pairs) == want
+                assert got.accuracy == (want[0] + 1) / 2

@@ -276,7 +276,8 @@ def test_stacked_tables_match_one_user_tables_bit_for_bit(rng):
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
         k = trial % 5
         nbrs = [select_neighbors(similarity_row(m, u), k) for u in batch]
-        stack = preference_stack(m, batch, nbrs, candidate_ids(m, cands))
+        arrays = [(np.array(nb.user_ids(), dtype=int), np.array(nb.similarities())) for nb in nbrs]
+        stack = preference_stack(m, batch, arrays, candidate_ids(m, cands))
         assert all(arr.shape == (len(batch),) + (len(set(cands.tolist())),) * 2 for arr in stack)
         assert not any(arr.flags.writeable for arr in stack)
         for b, (u, nb) in enumerate(zip(batch, nbrs)):

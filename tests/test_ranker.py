@@ -21,6 +21,7 @@ from qosrank.ranker import (
 from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
 
 from conftest import random_sparse_matrix
+from oracles import oracle_correct_observed_order
 
 EMPTY_NBRS = Neighborhood(active=0, members=())
 
@@ -325,3 +326,56 @@ def test_split_batch_memory_bounded(rng):
         tracemalloc.stop()
     assert ranked == 8
     assert peak < 12 * 2**20
+
+
+def test_correction_matches_oracle_bit_for_bit(rng):
+    # a (users, rows, n) stack against the one-ranking reference: 3 signed
+    # value levels tie often (0.0 and -0.0 among them), user 0 observes no
+    # candidate, user 1 every service, and non-candidate services exist
+    for _ in range(30):
+        users, services = int(rng.integers(2, 7)), int(rng.integers(2, 12))
+        values = rng.integers(0, 3, (users, services)) * rng.choice([-1.0, 1.0], (users, services))
+        values[rng.uniform(size=values.shape) < 0.5] = np.nan
+        values[1] = rng.integers(0, 3, services)
+        size = int(rng.integers(1, services + 1))
+        cands = np.sort(rng.choice(services, size=size, replace=False))
+        values[0, cands] = np.nan
+        m = QoSMatrix(values)
+        batch = rng.permutation(users)
+        orders = np.array([[rng.permutation(cands) for _ in range(3)] for _ in batch])
+        fixed = ranker.correct_orders(orders, m, batch)
+        for b, u in enumerate(batch.tolist()):
+            for order, got in zip(orders[b].tolist(), fixed[b].tolist()):
+                want = oracle_correct_observed_order(order, m, u)
+                assert tuple(got) == want
+                assert correct_observed_order(Ranking(u, tuple(order)), m, u).order == want
+
+
+def test_correct_rejects_service_outside_matrix():
+    m = QoSMatrix(np.array([[0.2, 0.9]]))
+    with pytest.raises(DomainError, match="outside"):
+        correct_observed_order(Ranking(active=0, order=(1, -1)), m, 0)
+    assert correct_observed_order(Ranking(active=0, order=()), m, 0).order == ()
+
+
+def test_rank_orders_stack_matches_rank_users(rng):
+    m = random_sparse_matrix(rng, 8, 6, 0.6)
+    kinds = (RankerKind.RANDOM_BASELINE, RankerKind.CLOUDRANK2, RankerKind.CLOUDRANK1)
+    orders = ranker.rank_orders(kinds, m, [3, 0, 5], 4, range(6), seed=9)
+    assert orders.shape == (3, 3, 6)
+    for by_kind, row in zip(rank_users(kinds, m, [3, 0, 5], 4, range(6), seed=9), orders):
+        assert [by_kind[kind].order for kind in kinds] == [tuple(r) for r in row.tolist()]
+
+
+def test_rank_orders_rejects_duplicates(monkeypatch, rng):
+    m = random_sparse_matrix(rng, 6, 5, 0.7)
+    real = ranker.greedy_orders
+
+    def duplicated(effective):
+        positions = real(effective)
+        positions[:, -1] = positions[:, 0]
+        return positions
+
+    monkeypatch.setattr(ranker, "greedy_orders", duplicated)
+    with pytest.raises(DomainError, match="ranking contains duplicate services"):
+        ranker.rank_orders((RankerKind.CLOUDRANK1,), m, [0, 1], 3, range(5))

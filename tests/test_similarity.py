@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from qosrank import similarity
+from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.similarity import (
     SimilarityRow,
     select_neighbors,
+    similarity_block,
     similarity_row,
-    similarity_rows,
+    top_neighbors,
 )
 
 from conftest import random_sparse_matrix
+from oracles import oracle_select_neighbors
 
 
 def brute_force_krcc(matrix, u, v):
@@ -148,15 +151,16 @@ def test_block_matches_krcc_bit_for_bit_for_each_user(rng, monkeypatch, chunk_el
         values[3, 5:] = np.nan
         m = QoSMatrix(values)
         batch = rng.permutation(8).tolist() + [5]  # a repeated user too
-        rows = similarity_rows(m, batch)
-        assert [row.active for row in rows] == batch
-        for u, row in zip(batch, rows):
-            assert list(row.users) == [v for v in range(8) if v != u]
-            for v, s in zip(row.users, row.sims):
-                assert s == brute_force_krcc(m, u, int(v))
+        block = similarity_block(m, batch)
+        assert block.shape == (8, len(batch))
+        for u, column in zip(batch, block.T):
+            for v in range(8):
+                if v != u:
+                    assert column[v] == brute_force_krcc(m, u, v)
             alone = similarity_row(m, u)
-            assert row.sims.tobytes() == alone.sims.tobytes()
-    assert similarity_rows(m, []) == []
+            assert list(alone.users) == [v for v in range(8) if v != u]
+            assert np.delete(column, u).tobytes() == alone.sims.tobytes()
+    assert similarity_block(m, []).shape == (8, 0)
 
 
 def test_row_memory_bounded_for_fully_observed_user(rng):
@@ -227,3 +231,34 @@ def test_neighborhood_is_prefix_of_sorted_positive_list(rng):
     assert all(s > 0 for _, s in full.members)
     sims = full.similarities()
     assert sims == sorted(sims, reverse=True)
+
+
+def test_top_neighbors_match_oracle(rng):
+    # each block column against the one-row reference; 3 value levels over 4
+    # services give many equal similarities, and k runs from 0 to past the
+    # positive neighbours
+    for _ in range(30):
+        users = int(rng.integers(2, 12))
+        values = rng.integers(0, 3, (users, 4)).astype(float)
+        values[rng.uniform(size=values.shape) < 0.2] = np.nan
+        m = QoSMatrix(values)
+        batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
+        block = similarity_block(m, batch)
+        for k in (0, 1, 3, users + 2):
+            got = top_neighbors(np.arange(users), block, batch, k)
+            for (ids, sims), u in zip(got, batch):
+                row = similarity_row(m, u)
+                want = oracle_select_neighbors(row.users, row.sims, k)
+                assert tuple(zip(ids.tolist(), sims.tolist())) == want
+                assert select_neighbors(row, k).members == want
+
+
+def test_top_neighbors_excludes_active_and_breaks_ties_by_id():
+    sims = np.array([[1.0, 0.5], [0.5, 1.0], [0.5, 0.5], [-0.2, 0.0]])
+    got = top_neighbors(np.arange(4), sims, [0, 1], 9)
+    assert [(ids.tolist(), s.tolist()) for ids, s in got] == [
+        ([1, 2], [0.5, 0.5]),
+        ([0, 2], [0.5, 0.5]),
+    ]
+    with pytest.raises(DomainError, match=">= 0"):
+        top_neighbors(np.arange(4), sims, [0, 1], -1)
