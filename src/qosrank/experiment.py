@@ -26,7 +26,7 @@ import numpy as np
 
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
-from .matrix import MetricOrientation, QoSMatrix, SplitSpec, load_matrix, split_train_test
+from .matrix import MetricOrientation, QoSMatrix, SplitSpec, as_int, load_matrix, split_train_test
 from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
 from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
@@ -87,6 +87,10 @@ class ExperimentConfig:
                 f"ranker kind {repeated[0]!r} is listed more than once "
                 "(\"random\" is an alias of \"random-baseline\")"
             )
+        if not self.trial_seeds:
+            raise ConfigError("at least one trial is required")
+        if min(self.seed, *self.trial_seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
         if self.k_neighbors < 0:
             raise ConfigError("k_neighbors must be >= 0")
         if self.active_users <= 0:
@@ -119,18 +123,19 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
                 else load_scenario(base_dir / ref)
             )
         dataset = Path(base_dir / raw["dataset"]) if "dataset" in raw else None
+        seed = as_int(raw.get("seed", 0), "seed", ConfigError)
         if "trial_seeds" in raw:
-            trial_seeds = tuple(int(s) for s in raw["trial_seeds"])
+            trial_seeds = tuple(as_int(s, "trial seed", ConfigError) for s in raw["trial_seeds"])
         else:
-            base = int(raw.get("seed", 0))
-            trial_seeds = tuple(base + i for i in range(int(raw.get("trials", 100))))
+            trials = as_int(raw.get("trials", 100), "trials", ConfigError)
+            trial_seeds = tuple(seed + i for i in range(trials))
         return ExperimentConfig(
             densities=tuple(float(d) for d in raw["densities"]),
             kinds=tuple(RankerKind.parse(k) for k in raw["kinds"]),
-            k_neighbors=int(raw.get("k_neighbors", 10)),
-            active_users=int(raw.get("active_users", 20)),
+            k_neighbors=as_int(raw.get("k_neighbors", 10), "k_neighbors", ConfigError),
+            active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),
             trial_seeds=trial_seeds,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             correct_observed=bool(raw.get("correct_observed", True)),
             dataset=dataset,
             orientation=MetricOrientation.parse(

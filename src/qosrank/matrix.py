@@ -13,6 +13,7 @@ import csv
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     DuplicateKeyError,
     ParseError,
+    QosRankError,
 )
 from .seeding import derive_rng
 
@@ -48,6 +50,14 @@ LOAD_BLOCK = 1024
 READ_CHARS = 1 << 16
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def as_int(value, what: str, error: type[QosRankError] = DomainError) -> int:
+    """`value` as an int; `error` naming it unless it is integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 class MetricOrientation(Enum):

@@ -5,7 +5,9 @@ j. It is explicit (confidence 1) when the active user observed both services,
 implicit when inferred from neighbors who observed both (confidence is the
 similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
-renormalized over the pair-specific neighbor subset.
+renormalized over the pair-specific neighbor subset. `preference_stack`
+builds a batch's tables from the neighbours' rows alone, with one stacked
+product per array for the users of each neighbour count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .matrix import QoSMatrix
+from .matrix import QoSMatrix, as_int
 from .similarity import Neighborhood
 
 
@@ -52,9 +54,9 @@ class PreferenceTable:
 def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
     """The distinct candidate service ids, ascending.
 
-    Raises DomainError for an empty set or an id outside [0, num_services).
+    Raises DomainError for an empty set or an id not an integer in [0, num_services).
     """
-    cands = tuple(sorted(set(int(c) for c in candidates)))
+    cands = tuple(sorted(set(as_int(c, "candidate service") for c in candidates)))
     if not cands:
         raise DomainError("candidate set must be non-empty")
     if cands[0] < 0 or cands[-1] >= matrix.num_services:
@@ -68,53 +70,67 @@ def preference_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (len(users), n, n) values, confidences and provenance codes of
     each user's table over the same n candidates `cands`, as `candidate_ids`
-    returns them; read-only. neighbors[b] is users[b]'s (ids, similarities)
-    pair of arrays, as `top_neighbors` returns them.
+    returns them; read-only. users are valid ids and neighbors[b] is
+    users[b]'s (ids, similarities) pair of arrays with positive similarities,
+    as `top_neighbors` returns them.
 
-    Slice b equals the table of users[b] built on its own, bit for bit: each
-    user keeps its own neighbour products, and only the elementwise steps run
-    once over the stack. Agrees with the per-pair reference in
-    tests/oracles.py up to floating-point summation order.
+    Only the union of the batch's neighbour rows is read, gathered once.
+    Users with the same neighbour count share one stacked product per array;
+    each slice is the same gemm call as the user's own 2-d product, so slice
+    b equals the table of users[b] built on its own, bit for bit. Agrees with
+    the per-pair reference in tests/oracles.py up to summation order.
     """
-    users = [int(u) for u in users]
-    for u in users:
-        matrix._check_user(u)
-    cols = np.array(cands, dtype=int)
-    mask = matrix.observed_mask[:, cols]
-    vals = np.where(mask, matrix.values[:, cols], 0.0)
+    users = np.asarray(users, dtype=np.intp)
+    cols, n = np.array(cands, dtype=np.intp), len(cands)
+    read = np.zeros(matrix.num_users, dtype=bool)
+    read[np.concatenate([np.empty(0, np.intp)] + [ids for ids, _ in neighbors])] = True
+    rows = np.flatnonzero(read)
+    mask = matrix.observed_mask.take(rows, axis=0).take(cols, axis=1)
+    vals = np.where(mask, matrix.values.take(rows, axis=0).take(cols, axis=1), 0.0)
+    covered = mask.astype(float)
 
     # For each pair (i, j): value = sum_v s_v (q_vi - q_vj) / sum_v s_v and
     # confidence = sum_v s_v^2 / sum_v s_v, restricted to neighbors covering
     # both services. All three reduce to (S x K) @ (K x S) products.
-    shape = (len(users), cols.size, cols.size)
-    denom, cross, confidences = np.empty(shape), np.empty(shape), np.empty(shape)
-    for b, (ids, sims) in enumerate(neighbors):
-        covered = mask[ids].astype(float)
-        np.matmul((sims[:, None] * covered).T, covered, out=denom[b])
-        np.matmul((sims[:, None] * vals[ids]).T, covered, out=cross[b])
-        np.matmul(((sims**2)[:, None] * covered).T, covered, out=confidences[b])
+    denom, cross, confidences = (np.empty((len(users), n, n)) for _ in range(3))
+    sizes = [ids.size for ids, _ in neighbors]
+    for size in set(sizes):
+        group = [b for b, s in enumerate(sizes) if s == size]
+        ids = rows.searchsorted(np.array([neighbors[b][0] for b in group]).reshape(len(group), size))
+        sims = np.array([neighbors[b][1] for b in group]).reshape(len(group), size, 1)
+        cov, whole = covered[ids], len(group) == len(users)
+        for out, lhs in ((denom, sims * cov), (cross, sims * vals[ids]), (confidences, sims**2 * cov)):
+            product = np.matmul(lhs.transpose(0, 2, 1), cov, out=out if whole else None)
+            if not whole:
+                out[group] = product
 
+    # Divide by the denominator, or by 1 where no neighbour covers the pair
+    # (denominator 0). There every product term is +-0.0 and the sums start
+    # from +0.0, so both sums are exactly +0.0 and stay so without a mask; a
+    # covered pair's denominator gains exactly 0.0.
     implicit = denom > 0
-    numerator = cross - cross.transpose(0, 2, 1)
-    del cross
-    values = np.divide(numerator, denom, out=np.zeros(shape), where=implicit)
-    del numerator
-    confidences = np.divide(confidences, denom, out=np.zeros(shape), where=implicit)
-    del denom
-    provenance = np.where(implicit, _PROV_CODES[Provenance.IMPLICIT], 0).astype(np.int8)
+    denom += ~implicit
+    values = np.subtract(cross, cross.transpose(0, 2, 1))
+    values /= denom
+    confidences /= denom
+    provenance = implicit.astype(np.int8)  # _PROV_CODES[Provenance.IMPLICIT] is 1
 
-    # The explicit pairs are the users' own observed x observed blocks.
-    rows = np.array(users, dtype=int)[:, None]
-    own = matrix.observed_mask[rows, cols]
-    b, i, j = np.nonzero(own[:, :, None] & own[:, None, :])
-    own_vals = matrix.values[rows, cols]
-    values[b, i, j] = own_vals[b, i] - own_vals[b, j]
-    confidences[b, i, j] = 1.0
-    provenance[b, i, j] = _PROV_CODES[Provenance.EXPLICIT]
+    # The explicit pairs are each user's own observed x observed positions:
+    # every observed entry repeats once per observed entry of its user and
+    # pairs with those in order (`partner`); writes go by flat index.
+    owner, pos = np.nonzero(matrix.observed_mask[users][:, cols])
+    own_vals = matrix.values[users[owner], cols[pos]]
+    counts = np.bincount(owner, minlength=len(users))
+    reps = counts[owner]
+    start = (np.cumsum(counts) - counts)[owner]
+    partner = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - start, reps)
+    flat = np.repeat((owner * n + pos) * n, reps) + pos[partner]
+    values.reshape(-1)[flat] = np.repeat(own_vals, reps) - own_vals[partner]
+    confidences.reshape(-1)[flat] = 1.0
+    provenance.reshape(-1)[flat] = _PROV_CODES[Provenance.EXPLICIT]
 
-    diagonal = np.arange(cols.size)
     for arr in (values, confidences, provenance):
-        arr[:, diagonal, diagonal] = 0
+        arr.reshape(len(users), n * n)[:, :: n + 1] = 0  # the diagonal
         arr.setflags(write=False)
     return values, confidences, provenance
 
@@ -123,6 +139,7 @@ def build_preference_table(
     matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
 ) -> PreferenceTable:
     """The full pairwise table of one user; `preference_stack` for one user."""
+    matrix._check_user(u := as_int(u, "user"))
     cands = candidate_ids(matrix, candidates)
     ids, sims = np.array(nbrs.user_ids(), dtype=int), np.array(nbrs.similarities(), dtype=float)
     values, confidences, provenance = preference_stack(matrix, (u,), [(ids, sims)], cands)

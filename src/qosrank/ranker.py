@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .matrix import QoSMatrix
+from .matrix import QoSMatrix, as_int
 from .preference import PreferenceTable, candidate_ids, preference_stack
 from .seeding import derive_rng
 from .similarity import similarity_block, top_neighbors
@@ -161,7 +161,7 @@ def rank_orders(
     alone. The random baseline shuffles the candidates seeded by (seed, u).
     Raises DomainError if a row is not a permutation of the candidates.
     """
-    users = np.array([int(u) for u in users], dtype=np.intp)
+    users = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in users.tolist():
         matrix._check_user(u)
     cands = candidate_ids(matrix, candidates)
@@ -194,7 +194,7 @@ def rank_users(
 ) -> list[dict[RankerKind, Ranking]]:
     """Rank the candidates for each user with each of the given kinds; item b
     maps every kind to the ranking of users[b]. See `rank_orders`."""
-    kinds, users = tuple(kinds), [int(u) for u in users]
+    kinds, users = tuple(kinds), [as_int(u, "user") for u in users]
     orders = rank_orders(kinds, matrix, users, k, candidates, seed=seed, correct=correct)
     return [
         {kind: Ranking(active=u, order=tuple(row)) for kind, row in zip(kinds, by_kind)}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matrix import QoSMatrix
+from .matrix import QoSMatrix, as_int
 
 # Upper bound on the user x pair elements `similarity_block` builds at once.
 CHUNK_ELEMS = 1 << 20
@@ -64,7 +64,7 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     every sum below adds exact integers, so the batch changes no bit of the
     result.
     """
-    batch = np.array([int(u) for u in users], dtype=np.intp)
+    batch = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in batch.tolist():
         matrix._check_user(u)
     mask, values = matrix.observed_mask, matrix.values
@@ -117,6 +117,7 @@ def top_neighbors(
     similarities of the at-most-k entries with the largest strictly positive
     similarity, active[b] excluded, sorted descending; equal similarities
     break toward the smaller id. One lexsort orders the whole block."""
+    k = as_int(k, "neighborhood size")
     if k < 0:
         raise DomainError(f"neighborhood size must be >= 0, got {k}")
     sims = np.where(ids[:, None] == np.asarray(active)[None, :], 0.0, sims)

@@ -249,6 +249,34 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"seed": -3}, "seeds must be >= 0, got -3"),
+        ({"trial_seeds": [-1, 2]}, "seeds must be >= 0, got -1"),
+        ({"trial_seeds": [], "seed": 0}, "at least one trial is required"),
+        ({"trial_seeds": None, "trials": 0}, "at least one trial is required"),
+        ({"trial_seeds": None, "trials": 2.5}, "trials 2.5 is not an integer"),
+        ({"trial_seeds": [0, 1.5]}, "trial seed 1.5 is not an integer"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"k_neighbors": 2.5}, "k_neighbors 2.5 is not an integer"),
+        ({"active_users": "10"}, "active_users '10' is not an integer"),
+    ],
+)
+def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
+    # each of these used to end in a numpy traceback, an empty-aggregate
+    # error or a silent truncation (k_neighbors 2.5 ran with k = 2)
+    config = json.loads((workspace / "experiment.json").read_text())
+    config.update(override)
+    config = {key: value for key, value in config.items() if value is not None}
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out = workspace / "out"
+    code, _, err = run(["evaluate", "--config", workspace / "experiment.json", "--out", out], capsys)
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--user", "1"])  # missing --config

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,34 @@ def test_candidate_outside_matrix_rejected(kind, bad):
     with pytest.raises(DomainError, match=f"candidate service {bad} outside"):
         rank(kind, m, 0, 2, [bad, 0, 1])
 
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, [0, 1.5, 2]), "candidate service 1.5"),
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, ["a", 1]), "candidate service 'a'"),
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0.7, 2, range(3)), "user 0.7"),
+        (lambda m: rank_users(tuple(RankerKind), m, [1, np.float64(0.0)], 2, range(3)),
+         f"user {np.float64(0.0)!r}"),
+        (lambda m: ranker.rank_orders((RankerKind.CLOUDRANK1,), m, [0.5], 2, range(3)), "user 0.5"),
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2.9, range(3)), "neighborhood size 2.9"),
+        (lambda m: similarity_row(m, 0.7), "user 0.7"),
+        (lambda m: build_preference_table(m, 0.7, EMPTY_NBRS, range(3)), "user 0.7"),
+    ],
+)
+def test_non_integral_ids_and_k_rejected(call, named):
+    # before: 1.5 ranked service 1, u=0.7 ranked user 0, "a" and k=2.9 raised
+    # a bare ValueError / TypeError
+    m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
+    with pytest.raises(DomainError, match=f"{re.escape(named)} is not an integer"):
+        call(m)
+
+
+def test_numpy_integer_ids_and_k_accepted():
+    m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
+    got = rank(RankerKind.CLOUDRANK2, m, np.int64(2), np.int32(2), np.arange(3))
+    assert got == rank(RankerKind.CLOUDRANK2, m, 2, 2, [0, 1, 2])
 
 def test_split_batch_memory_bounded(rng):
     # 8 active users over 400 candidates: BATCH_ELEMS keeps one user per
