@@ -15,7 +15,6 @@ from .allocsim import (
     Scenario,
     VirtualMachine,
     allocate,
-    default_scenario,
     load_scenario,
     simulate_qos,
     synth_matrix,
@@ -46,31 +45,15 @@ from .matrix import (
 )
 from .metrics import (
     ExperimentReport,
-    RankScore,
     ScoreRow,
     SummaryRow,
     aggregate,
-    kendall_tau_score,
-)
-from .preference import (
-    PreferenceTable,
-    Provenance,
-    build_preference_table,
 )
 from .ranker import (
     RankerKind,
     Ranking,
-    correct_observed_order,
-    greedy_rank,
     rank,
-    rank_kinds,
-    rank_users,
-)
-from .similarity import (
-    Neighborhood,
-    SimilarityRow,
-    select_neighbors,
-    similarity_row,
+    rank_orders,
 )
 
 __version__ = "0.1.0"

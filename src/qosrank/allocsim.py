@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import QoSMatrix
+from .matrix import MAX_CELLS, QoSMatrix, as_bool, as_int
 from .seeding import derive_rng
 
 
@@ -222,26 +222,22 @@ def synth_matrix(
     policy: AllocPolicy,
     noise_seed: int,
     *,
-    vm_specs: Sequence[tuple[float, float, float]] | None = None,
-    cloudlet_lengths: Sequence[float] | None = None,
+    vm_specs: Sequence[tuple[float, float, float]],
+    cloudlet_lengths: Sequence[float],
     noise_amplitude: float = 0.02,
     user_factor_range: tuple[float, float] = (0.8, 1.2),
     contention: bool = True,
 ) -> tuple[QoSMatrix, AllocationPlan]:
     """Generate a synthetic throughput matrix from an allocation run.
 
-    Service k is backed by VM k (requests from vm_specs, default an even
-    mips ramp) running one cloudlet. Per-user rows are
+    Service k is backed by VM k (requests vm_specs[k]) running one cloudlet
+    of cloudlet_lengths[k] million instructions. Per-user rows are
     base_throughput * user_factor + gaussian noise whose deviation is
     noise_amplitude times the base spread. Services whose VM could not be
     placed have no observations. Deterministic for a fixed seed.
     """
     if num_users <= 0 or num_services <= 0:
         raise ConfigError("matrix sizes must be > 0")
-    if vm_specs is None:
-        vm_specs = [(150.0 + 20.0 * k, 512.0, 100.0) for k in range(num_services)]
-    if cloudlet_lengths is None:
-        cloudlet_lengths = [1000.0] * num_services
     if len(vm_specs) != num_services or len(cloudlet_lengths) != num_services:
         raise ConfigError("need one VM spec and one cloudlet length per service")
 
@@ -324,35 +320,6 @@ class Scenario:
         )
 
 
-# Ramp of service VM sizes for the default scenario. Values are chosen so
-# that response_time * throughput == 1.0 holds exactly in floating point for
-# a 1000 MI cloudlet, and so that round-robin placement on 4 x 3600-mips
-# hosts strands the 900-mips VM while best-fit-decreasing places everything.
-_DEFAULT_MIPS = (
-    150, 170, 191, 210, 230, 250, 270, 290, 311, 330,
-    350, 370, 390, 410, 430, 450, 470, 490, 510, 530,
-    550, 570, 590, 610, 630, 651, 670, 691, 710, 900,
-)
-
-
-def default_scenario() -> Scenario:
-    """The committed 50-user x 30-service fixture used by the experiments."""
-    return Scenario(
-        host_count=4,
-        host_mips=3600.0,
-        host_ram=16384.0,
-        host_bw=4000.0,
-        vm_specs=tuple((float(m), 512.0, 100.0) for m in _DEFAULT_MIPS),
-        cloudlet_lengths=tuple(1000.0 for _ in _DEFAULT_MIPS),
-        policy=AllocPolicy.BEST_FIT_DECREASING,
-        num_users=50,
-        seed=20260810,
-        noise_amplitude=0.02,
-        user_factor_range=(0.8, 1.2),
-        contention=True,
-    )
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario JSON file; see README for the schema."""
     path = Path(path)
@@ -371,7 +338,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         vms = raw["vms"]
         lengths = raw["cloudlets"]
         scenario = Scenario(
-            host_count=int(hosts["count"]),
+            host_count=as_int(hosts["count"], "hosts.count", ConfigError),
             host_mips=float(hosts["mips"]),
             host_ram=float(hosts["ram"]),
             host_bw=float(hosts["bw"]),
@@ -380,18 +347,25 @@ def scenario_from_dict(raw: dict) -> Scenario:
             ),
             cloudlet_lengths=tuple(float(x) for x in lengths),
             policy=AllocPolicy.parse(raw["policy"]),
-            num_users=int(raw["num_users"]),
-            seed=int(raw["seed"]),
+            num_users=as_int(raw["num_users"], "num_users", ConfigError),
+            seed=as_int(raw["seed"], "seed", ConfigError),
             noise_amplitude=float(raw.get("noise_amplitude", 0.02)),
             user_factor_range=tuple(
                 float(x) for x in raw.get("user_factor_range", (0.8, 1.2))
             ),
-            contention=bool(raw.get("contention", True)),
+            contention=as_bool(raw.get("contention", True), "contention"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
     if scenario.host_count <= 0 or scenario.num_users <= 0:
         raise ConfigError("host count and user count must be > 0")
+    if scenario.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {scenario.seed}")
+    if scenario.num_users * scenario.num_services > MAX_CELLS:
+        raise ConfigError(
+            f"{scenario.num_users} users x {scenario.num_services} services is over the "
+            f"{MAX_CELLS}-cell matrix limit"
+        )
     if len(scenario.cloudlet_lengths) != scenario.num_services:
         raise ConfigError("need one cloudlet length per VM")
     if not 0.0 <= scenario.noise_amplitude:
@@ -407,24 +381,3 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"got {list(factors)}"
         )
     return scenario
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "hosts": {
-            "count": scenario.host_count,
-            "mips": scenario.host_mips,
-            "ram": scenario.host_ram,
-            "bw": scenario.host_bw,
-        },
-        "vms": [
-            {"mips": m, "ram": r, "bw": b} for m, r, b in scenario.vm_specs
-        ],
-        "cloudlets": list(scenario.cloudlet_lengths),
-        "policy": scenario.policy.value,
-        "num_users": scenario.num_users,
-        "seed": scenario.seed,
-        "noise_amplitude": scenario.noise_amplitude,
-        "user_factor_range": list(scenario.user_factor_range),
-        "contention": scenario.contention,
-    }

@@ -26,7 +26,9 @@ import numpy as np
 
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
-from .matrix import MetricOrientation, QoSMatrix, SplitSpec, as_int, load_matrix, split_train_test
+from .matrix import (
+    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_int, load_matrix, split_train_test,
+)
 from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
 from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
@@ -129,6 +131,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
         else:
             trials = as_int(raw.get("trials", 100), "trials", ConfigError)
             trial_seeds = tuple(seed + i for i in range(trials))
+        if any(isinstance(d, bool) for d in raw["densities"]):
+            raise ConfigError(f"densities must be numbers, got {raw['densities']}")
         return ExperimentConfig(
             densities=tuple(float(d) for d in raw["densities"]),
             kinds=tuple(RankerKind.parse(k) for k in raw["kinds"]),
@@ -136,7 +140,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
             active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),
             trial_seeds=trial_seeds,
             seed=seed,
-            correct_observed=bool(raw.get("correct_observed", True)),
+            correct_observed=as_bool(raw.get("correct_observed", True), "correct_observed"),
             dataset=dataset,
             orientation=MetricOrientation.parse(
                 raw.get("orientation", "larger-is-better")

@@ -53,11 +53,20 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def as_int(value, what: str, error: type[QosRankError] = DomainError) -> int:
-    """`value` as an int; `error` naming it unless it is integral."""
+    """`value` as an int; `error` naming it unless it is integral and not a bool."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
+        pass
+    raise error(f"{what} {value!r} is not an integer")
+
+
+def as_bool(value, what: str) -> bool:
+    """`value` if it is a bool; ConfigError naming it otherwise."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 class MetricOrientation(Enum):
@@ -145,19 +154,6 @@ class QoSMatrix:
     @property
     def num_entries(self) -> int:
         return int(self.observed_mask.sum())
-
-    def density(self) -> float:
-        return self.num_entries / (self.num_users * self.num_services)
-
-    def observed_set(self, user: int) -> set[int]:
-        """Services with an observation for `user`."""
-        self._check_user(user)
-        return set(np.flatnonzero(self.observed_mask[user]).tolist())
-
-    def value(self, user: int, service: int) -> float | None:
-        self._check_user(user)
-        v = self._values[user, service]
-        return None if math.isnan(v) else float(v)
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """All observations in (user, service) order."""

@@ -5,8 +5,7 @@ value: concordant and discordant pairs between the predicted order and the
 truth-value order give tau in [-1, 1], and accuracy = (tau + 1) / 2 is the
 headline number in [0, 1]. Rankings with fewer than two evaluable services
 are unscoreable and excluded from aggregates. `tau_scores` scores a whole
-stack of rankings at once from bool comparisons; `kendall_tau_score` is a
-stack of one.
+stack of rankings at once from bool comparisons.
 """
 
 from __future__ import annotations
@@ -14,19 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .ranker import Ranking
-
-
-@dataclass(frozen=True)
-class RankScore:
-    tau: float
-    accuracy: float
-    evaluated_pairs: int
 
 
 @dataclass(frozen=True)
@@ -87,22 +78,6 @@ def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairs = p * (p - 1) // 2
     tau = np.divide(cd, pairs, out=np.full(len(vals), np.nan), where=pairs > 0)
     return tau, pairs
-
-
-def kendall_tau_score(
-    predicted: Ranking, truth_row: Mapping[int, float]
-) -> RankScore | None:
-    """Score a predicted order against a user's withheld truth values.
-
-    Returns None (undefined-score marker) when fewer than two ranked services
-    have truth values. Ties in truth count toward neither side. `tau_scores`
-    for one ranking.
-    """
-    truth = np.array([[truth_row.get(s, np.nan) for s in predicted.order]], dtype=float)
-    (tau,), (pairs,) = (a.tolist() for a in tau_scores(truth))
-    if pairs == 0:
-        return None
-    return RankScore(tau=tau, accuracy=(tau + 1) / 2, evaluated_pairs=pairs)
 
 
 def aggregate(

@@ -12,43 +12,10 @@ product per array for the users of each neighbour count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
-from .similarity import Neighborhood
-
-
-class Provenance(Enum):
-    EXPLICIT = "explicit"
-    IMPLICIT = "implicit"
-    UNKNOWN = "unknown"
-
-
-_PROV_CODES = {Provenance.UNKNOWN: 0, Provenance.IMPLICIT: 1, Provenance.EXPLICIT: 2}
-
-
-@dataclass(frozen=True)
-class PreferenceTable:
-    """All pairwise preferences of one active user over a candidate set.
-
-    `values` is antisymmetric, `confidences` symmetric; `provenance_codes`
-    holds 0 (unknown), 1 (implicit) or 2 (explicit). Diagonal entries are
-    placeholders and never read.
-    """
-
-    active: int
-    candidates: tuple[int, ...]
-    values: np.ndarray
-    confidences: np.ndarray
-    provenance_codes: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.values, self.confidences, self.provenance_codes):
-            arr.setflags(write=False)
 
 
 def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
@@ -70,9 +37,10 @@ def preference_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (len(users), n, n) values, confidences and provenance codes of
     each user's table over the same n candidates `cands`, as `candidate_ids`
-    returns them; read-only. users are valid ids and neighbors[b] is
-    users[b]'s (ids, similarities) pair of arrays with positive similarities,
-    as `top_neighbors` returns them.
+    returns them; read-only. Values are antisymmetric, confidences symmetric,
+    codes 0 (unknown), 1 (implicit) or 2 (explicit); diagonals are 0. users
+    are valid ids and neighbors[b] is users[b]'s (ids, similarities) pair of
+    arrays with positive similarities, as `top_neighbors` returns them.
 
     Only the union of the batch's neighbour rows is read, gathered once.
     Users with the same neighbour count share one stacked product per array;
@@ -113,7 +81,7 @@ def preference_stack(
     values = np.subtract(cross, cross.transpose(0, 2, 1))
     values /= denom
     confidences /= denom
-    provenance = implicit.astype(np.int8)  # _PROV_CODES[Provenance.IMPLICIT] is 1
+    provenance = implicit.astype(np.int8)
 
     # The explicit pairs are each user's own observed x observed positions:
     # every observed entry repeats once per observed entry of its user and
@@ -127,26 +95,9 @@ def preference_stack(
     flat = np.repeat((owner * n + pos) * n, reps) + pos[partner]
     values.reshape(-1)[flat] = np.repeat(own_vals, reps) - own_vals[partner]
     confidences.reshape(-1)[flat] = 1.0
-    provenance.reshape(-1)[flat] = _PROV_CODES[Provenance.EXPLICIT]
+    provenance.reshape(-1)[flat] = 2  # explicit
 
     for arr in (values, confidences, provenance):
         arr.reshape(len(users), n * n)[:, :: n + 1] = 0  # the diagonal
         arr.setflags(write=False)
     return values, confidences, provenance
-
-
-def build_preference_table(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
-) -> PreferenceTable:
-    """The full pairwise table of one user; `preference_stack` for one user."""
-    matrix._check_user(u := as_int(u, "user"))
-    cands = candidate_ids(matrix, candidates)
-    ids, sims = np.array(nbrs.user_ids(), dtype=int), np.array(nbrs.similarities(), dtype=float)
-    values, confidences, provenance = preference_stack(matrix, (u,), [(ids, sims)], cands)
-    return PreferenceTable(
-        active=u,
-        candidates=cands,
-        values=values[0],
-        confidences=confidences[0],
-        provenance_codes=provenance[0],
-    )

@@ -7,21 +7,19 @@ correction pass afterwards restores the user's own observed ordering within
 the positions those services occupy. `rank_orders` is the one place that
 chains the stages, each once over a batch of users, and returns a
 (users, kinds, n) array of candidate ids; `run_experiment` scores that array
-directly, and `rank_users`, `rank_kinds` and `rank` wrap it in `Ranking`s.
-`greedy_rank` and `correct_observed_order` are batches of one.
+directly, and `rank` wraps one user's row in a `Ranking`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
-from .preference import PreferenceTable, candidate_ids, preference_stack
+from .preference import candidate_ids, preference_stack
 from .seeding import derive_rng
 from .similarity import similarity_block, top_neighbors
 
@@ -104,30 +102,6 @@ def greedy_orders(effective: np.ndarray) -> np.ndarray:
     return order.T
 
 
-def greedy_rank(table: PreferenceTable, weighted: bool = False) -> Ranking:
-    """Rank by iterated argmax of preference sums over the remaining set; see
-    `greedy_orders`. Ties go to the smaller service id."""
-    effective = table.values if not weighted else table.confidences * table.values
-    positions = greedy_orders(effective[None])[0]
-    order = np.array(table.candidates)[positions]
-    return Ranking(active=table.active, order=tuple(order.tolist()))
-
-
-def correct_observed_order(ranking: Ranking, matrix: QoSMatrix, u: int) -> Ranking:
-    """Re-sort the user's observed services within their current positions.
-
-    Unobserved services keep their slots, so the prediction is perturbed
-    minimally while any two services the user actually observed end up in
-    their observed-QoS order. `correct_orders` for one ranking.
-    """
-    matrix._check_user(u)
-    if ranking.order:
-        candidate_ids(matrix, ranking.order)  # DomainError for an id outside the matrix
-    order = np.array(ranking.order, dtype=np.intp)
-    fixed = correct_orders(order[None, None], matrix, np.array([u]))
-    return Ranking(active=ranking.active, order=tuple(fixed[0, 0].tolist()))
-
-
 def correct_orders(orders: np.ndarray, matrix: QoSMatrix, users: np.ndarray) -> np.ndarray:
     """`orders` (users, rows, n) with each row's observed slots refilled by
     its user's observed services there, sorted by (-value, id)."""
@@ -183,25 +157,6 @@ def rank_orders(
     return orders
 
 
-def rank_users(
-    kinds: Iterable[RankerKind],
-    matrix: QoSMatrix,
-    users: Iterable[int],
-    k: int,
-    candidates,
-    seed: int = 0,
-    correct: bool = True,
-) -> list[dict[RankerKind, Ranking]]:
-    """Rank the candidates for each user with each of the given kinds; item b
-    maps every kind to the ranking of users[b]. See `rank_orders`."""
-    kinds, users = tuple(kinds), [as_int(u, "user") for u in users]
-    orders = rank_orders(kinds, matrix, users, k, candidates, seed=seed, correct=correct)
-    return [
-        {kind: Ranking(active=u, order=tuple(row)) for kind, row in zip(kinds, by_kind)}
-        for u, by_kind in zip(users, orders.tolist())
-    ]
-
-
 def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
     """Uncorrected greedy order of each batch user for each CloudRank kind,
     as a (users, kinds, n) array of candidate ids. The batch's arrays are
@@ -222,21 +177,6 @@ def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
     return np.array(cands)[positions].reshape(len(batch), len(kinds), n)
 
 
-def rank_kinds(
-    kinds: Iterable[RankerKind],
-    matrix: QoSMatrix,
-    u: int,
-    k: int,
-    candidates,
-    seed: int = 0,
-    correct: bool = True,
-) -> dict[RankerKind, Ranking]:
-    """Rank the candidates for user u with each of the given kinds; a batch of
-    one in `rank_users`. The CloudRank kinds share one similarity row and
-    preference table."""
-    return rank_users(kinds, matrix, (u,), k, candidates, seed=seed, correct=correct)[0]
-
-
 def rank(
     kind: RankerKind,
     matrix: QoSMatrix,
@@ -246,5 +186,8 @@ def rank(
     seed: int = 0,
     correct: bool = True,
 ) -> Ranking:
-    """Rank the candidates for user u with one kind; see `rank_users`."""
-    return rank_kinds((kind,), matrix, u, k, candidates, seed=seed, correct=correct)[kind]
+    """Rank the candidates for user u with one kind; `rank_orders` for one
+    user and one kind."""
+    u = as_int(u, "user")
+    [[order]] = rank_orders((kind,), matrix, (u,), k, candidates, seed=seed, correct=correct)
+    return Ranking(active=u, order=tuple(order.tolist()))

@@ -19,8 +19,6 @@ user's neighbours from that block with one lexsort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -28,32 +26,6 @@ from .matrix import QoSMatrix, as_int
 
 # Upper bound on the user x pair elements `similarity_block` builds at once.
 CHUNK_ELEMS = 1 << 20
-
-
-@dataclass(frozen=True)
-class SimilarityRow:
-    """Similarities of one active user to every other user."""
-
-    active: int
-    users: np.ndarray  # candidate user ids, ascending, active excluded
-    sims: np.ndarray  # aligned with users
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """Top-K users with strictly positive similarity, best first."""
-
-    active: int
-    members: tuple[tuple[int, float], ...]
-
-    def user_ids(self) -> list[int]:
-        return [u for u, _ in self.members]
-
-    def similarities(self) -> list[float]:
-        return [s for _, s in self.members]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
@@ -103,13 +75,6 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
-def similarity_row(matrix: QoSMatrix, u: int) -> SimilarityRow:
-    """Similarity of u to every user v != u; `similarity_block` for one user."""
-    sims = similarity_block(matrix, (u,))[:, 0]
-    others = np.arange(matrix.num_users)
-    return SimilarityRow(active=u, users=np.delete(others, u), sims=np.delete(sims, u))
-
-
 def top_neighbors(
     ids: np.ndarray, sims: np.ndarray, active, k: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -125,10 +90,3 @@ def top_neighbors(
     top = np.take_along_axis(sims, order, axis=0)
     counts = (top > 0.0).sum(axis=0).tolist()
     return [(ids[order[:c, b]], top[:c, b]) for b, c in enumerate(counts)]
-
-
-def select_neighbors(row: SimilarityRow, k: int) -> Neighborhood:
-    """The at-most-k users with the largest strictly positive similarity,
-    sorted descending; `top_neighbors` for one row."""
-    [(ids, sims)] = top_neighbors(row.users, row.sims[:, None], [row.active], k)
-    return Neighborhood(active=row.active, members=tuple(zip(ids.tolist(), sims.tolist())))

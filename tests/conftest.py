@@ -1,7 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qosrank.allocsim import load_scenario
 from qosrank.matrix import QoSMatrix
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def committed_scenario():
+    """The committed 50-user x 30-service scenario the experiments run on."""
+    return load_scenario(CONFIG_DIR / "default_scenario.json")
 
 
 def random_sparse_matrix(rng, num_users, num_services, density):

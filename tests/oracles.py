@@ -1,10 +1,13 @@
 """Reference implementations that check the shipped vectorised paths.
 
-`build_preference_table` computes every pair at once with matrix products.
-The functions here compute one pair at a time straight from the definitions,
-and `checked_preference` asserts that the two agree on the same inputs.
-`oracle_preference_table` builds one user's table with the same products on
-2-d arrays, so a stacked table can be checked against it bit for bit.
+`preference_stack` computes every pair of a batch's tables at once with
+matrix products. The functions here compute one pair at a time straight from
+the definitions, and `checked_preference` asserts that the two agree on the
+same inputs. `oracle_preference_table` builds one user's table with the same
+products on 2-d arrays, so a stacked table can be checked against it bit for
+bit. A user's neighbours are an `(ids, sims)` pair of arrays, as
+`top_neighbors` returns them, and a table is the `(values, confidences,
+codes)` triple of one slice of `preference_stack`'s output.
 
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
@@ -32,17 +35,18 @@ from qosrank.errors import (
     ParseError,
 )
 from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix
-from qosrank.preference import PreferenceTable, Provenance, build_preference_table
-from qosrank.similarity import Neighborhood
+from qosrank.preference import candidate_ids, preference_stack
+from qosrank.similarity import similarity_block, top_neighbors
 
-_CODE_PROV = {0: Provenance.UNKNOWN, 1: Provenance.IMPLICIT, 2: Provenance.EXPLICIT}
+# provenance codes of a preference table
+UNKNOWN, IMPLICIT, EXPLICIT = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class PreferenceValue:
     value: float
     confidence: float
-    provenance: Provenance
+    provenance: int
 
 
 @dataclass(frozen=True)
@@ -53,12 +57,22 @@ class PairNeighborhood:
     members: tuple[tuple[int, float], ...]
 
 
-def pair_neighborhood(
-    matrix: QoSMatrix, nbrs: Neighborhood, i: int, j: int
-) -> PairNeighborhood:
-    """Restrict a neighborhood to members observing both i and j."""
+def neighbors_of(members) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, sims) arrays of (user, similarity) members."""
+    ids = np.array([v for v, _ in members], dtype=int)
+    return ids, np.array([s for _, s in members], dtype=float)
+
+
+def members_of(nbrs) -> tuple[tuple[int, float], ...]:
+    """The (user, similarity) members of (ids, sims) arrays."""
+    ids, sims = nbrs
+    return tuple(zip(ids.tolist(), sims.tolist()))
+
+
+def pair_neighborhood(matrix: QoSMatrix, nbrs, i: int, j: int) -> PairNeighborhood:
+    """Restrict neighbours (ids, sims) to those observing both i and j."""
     mask = matrix.observed_mask
-    members = tuple((v, s) for v, s in nbrs.members if mask[v, i] and mask[v, j])
+    members = tuple((v, s) for v, s in members_of(nbrs) if mask[v, i] and mask[v, j])
     return PairNeighborhood(pair=(i, j), members=members)
 
 
@@ -77,9 +91,7 @@ def pair_confidence(pair_nbrs: PairNeighborhood) -> float:
     return sum(w * sims[v] for v, w in weights)
 
 
-def preference_value(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, i: int, j: int
-) -> PreferenceValue:
+def preference_value(matrix: QoSMatrix, u: int, nbrs, i: int, j: int) -> PreferenceValue:
     """Preference of service i over j for user u.
 
     Explicit when u observed both; otherwise inferred from the neighbors
@@ -95,42 +107,54 @@ def preference_value(
         return PreferenceValue(
             value=float(values[u, i] - values[u, j]),
             confidence=1.0,
-            provenance=Provenance.EXPLICIT,
+            provenance=EXPLICIT,
         )
     pn = pair_neighborhood(matrix, nbrs, i, j)
     if not pn.members:
-        return PreferenceValue(0.0, 0.0, Provenance.UNKNOWN)
+        return PreferenceValue(0.0, 0.0, UNKNOWN)
     weights = pair_weights(pn)
     value = sum(w * (values[v, i] - values[v, j]) for v, w in weights)
     return PreferenceValue(
         value=float(value),
         confidence=pair_confidence(pn),
-        provenance=Provenance.IMPLICIT,
+        provenance=IMPLICIT,
     )
 
 
-def index_of(table: PreferenceTable, service: int) -> int:
+def top_k(matrix: QoSMatrix, u: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """u's Top-k neighbours (ids, sims): `top_neighbors` over u's column of
+    `similarity_block`, a batch of one."""
+    return top_neighbors(np.arange(matrix.num_users), similarity_block(matrix, (u,)), [u], k)[0]
+
+
+def one_table(matrix: QoSMatrix, u: int, nbrs, candidates):
+    """u's (values, confidences, codes) over `candidate_ids(candidates)`:
+    `preference_stack` for a batch of one."""
+    stack = preference_stack(matrix, (u,), [nbrs], candidate_ids(matrix, candidates))
+    return tuple(arr[0] for arr in stack)
+
+
+def index_of(cands, service: int) -> int:
     try:
-        return table.candidates.index(service)
+        return tuple(cands).index(service)
     except ValueError:
         raise DomainError(f"service {service} not in candidate set") from None
 
 
-def table_value(table: PreferenceTable, i: int, j: int) -> PreferenceValue:
-    """Decode one entry of a built table."""
+def table_value(table, cands, i: int, j: int) -> PreferenceValue:
+    """Decode one entry of a built table over candidates `cands`."""
     if i == j:
         raise DomainError("preference requires two distinct services")
-    a, b = index_of(table, i), index_of(table, j)
+    a, b = index_of(cands, i), index_of(cands, j)
+    values, confidences, codes = table
     return PreferenceValue(
-        value=float(table.values[a, b]),
-        confidence=float(table.confidences[a, b]),
-        provenance=_CODE_PROV[int(table.provenance_codes[a, b])],
+        value=float(values[a, b]),
+        confidence=float(confidences[a, b]),
+        provenance=int(codes[a, b]),
     )
 
 
-def preference_sum(
-    table: PreferenceTable, i: int, remaining, weighted: bool = False
-) -> float:
+def preference_sum(table, cands, i: int, remaining, weighted: bool = False) -> float:
     """Sum of preferences of service i over the remaining candidates.
 
     With `weighted` on, each term is scaled by its confidence (the
@@ -140,44 +164,42 @@ def preference_sum(
     remaining = sorted(set(int(s) for s in remaining))
     if i not in remaining:
         raise DomainError(f"service {i} not in remaining set")
-    a = index_of(table, i)
+    values, confidences, _ = table
+    a = index_of(cands, i)
     total = 0.0
     for j in remaining:
         if j == i:
             continue
-        b = index_of(table, j)
-        term = table.values[a, b]
+        b = index_of(cands, j)
+        term = values[a, b]
         if weighted:
-            term = table.confidences[a, b] * term
+            term = confidences[a, b] * term
         total += term
     return float(total)
 
 
-def checked_preference(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, i: int, j: int
-) -> PreferenceValue:
+def checked_preference(matrix: QoSMatrix, u: int, nbrs, i: int, j: int) -> PreferenceValue:
     """The reference preference of i over j, after asserting that
-    `build_preference_table` over all services gives the same value,
-    confidence and provenance."""
+    `preference_stack` over all services gives the same value, confidence
+    and provenance."""
     ref = preference_value(matrix, u, nbrs, i, j)
-    table = build_preference_table(matrix, u, nbrs, range(matrix.num_services))
-    got = table_value(table, i, j)
+    services = range(matrix.num_services)
+    got = table_value(one_table(matrix, u, nbrs, services), services, i, j)
     assert got.value == pytest.approx(ref.value, abs=1e-12)
     assert got.confidence == pytest.approx(ref.confidence, abs=1e-12)
-    assert got.provenance is ref.provenance
+    assert got.provenance == ref.provenance
     return ref
 
 
 def oracle_preference_table(
-    matrix: QoSMatrix, u: int, nbrs: Neighborhood, candidates
+    matrix: QoSMatrix, u: int, nbrs, candidates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, confidences, provenance codes) of u's table, built alone on
     2-d arrays with the same float operations as `preference_stack`."""
     cols = np.array(sorted(set(int(c) for c in candidates)), dtype=int)
     mask = matrix.observed_mask[:, cols]
     vals = np.where(mask, matrix.values[:, cols], 0.0)
-    ids = np.array(nbrs.user_ids(), dtype=int)
-    sims = np.array(nbrs.similarities(), dtype=float)
+    ids, sims = nbrs
     covered = mask[ids].astype(float)
     denom = (sims[:, None] * covered).T @ covered
     cross = (sims[:, None] * vals[ids]).T @ covered
@@ -215,7 +237,7 @@ def oracle_select_neighbors(users, sims, k: int) -> tuple[tuple[int, float], ...
 def oracle_correct_observed_order(order, matrix: QoSMatrix, u: int) -> tuple[int, ...]:
     """`order` with u's observed services re-sorted by (-value, id) within
     the positions they hold; one service at a time."""
-    observed = matrix.observed_set(u)
+    observed = set(np.flatnonzero(matrix.observed_mask[u]).tolist())
     positions = [p for p, s in enumerate(order) if s in observed]
     resorted = sorted((order[p] for p in positions), key=lambda s: (-matrix.values[u, s], s))
     fixed = list(order)
@@ -239,8 +261,9 @@ def oracle_kendall_tau(order, truth_row) -> tuple[float, int] | None:
     return concordant_minus_discordant / pairs, pairs
 
 
-def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, Neighborhood]:
-    """A matrix and neighborhood realizing `pair_nbrs` for active user 0.
+def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, tuple[np.ndarray, np.ndarray]]:
+    """A matrix and (ids, sims) neighbours realizing `pair_nbrs` for active
+    user 0.
 
     User 0 observes nothing and every member observes both services of the
     pair with a distinct gap, so the pair is implicit and inferred from
@@ -252,7 +275,7 @@ def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, Neighborhood]:
     for idx, (v, _) in enumerate(pair_nbrs.members):
         values[v, i] = 1.0 + 0.1 * idx
         values[v, j] = 0.5 - 0.07 * idx
-    return QoSMatrix(values), Neighborhood(active=0, members=pair_nbrs.members)
+    return QoSMatrix(values), neighbors_of(pair_nbrs.members)
 
 
 def oracle_from_entries(

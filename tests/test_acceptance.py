@@ -6,31 +6,32 @@ import itertools
 import json
 import shutil
 import time
-from pathlib import Path
 
 import numpy as np
 
-from qosrank.allocsim import AllocPolicy, allocate, default_scenario
+from qosrank.allocsim import AllocPolicy, allocate
 from qosrank.cli import main
 from qosrank.errors import AllocationError
 from qosrank.experiment import ExperimentConfig, run_experiment
 from qosrank.matrix import QoSMatrix
-from qosrank.metrics import kendall_tau_score
-from qosrank.preference import build_preference_table
-from qosrank.ranker import RankerKind, Ranking, greedy_rank, rank
+from qosrank.metrics import tau_scores
+from qosrank.ranker import RankerKind, greedy_orders, rank
 from qosrank.seeding import derive_rng
-from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
+from qosrank.similarity import similarity_block
 
-from conftest import random_sparse_matrix
+from conftest import CONFIG_DIR, committed_scenario, random_sparse_matrix
 from oracles import (
     PairNeighborhood,
     checked_preference,
+    members_of,
+    neighbors_of,
+    one_table,
     pair_confidence,
     pair_matrix,
     pair_weights,
+    top_k,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ALL_KINDS = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
 
 
@@ -42,14 +43,15 @@ def _report(num, name, ok, detail=""):
 
 
 def oracle_krcc(matrix, u, v):
-    """Exhaustive pair-counting oracle, written independently of similarity_row."""
-    common = sorted(matrix.observed_set(u) & matrix.observed_set(v))
+    """Exhaustive pair-counting oracle, written independently of similarity_block."""
+    common = np.flatnonzero(matrix.observed_mask[u] & matrix.observed_mask[v]).tolist()
     if len(common) < 2:
         return 0.0
+    values = matrix.values
     concordant = discordant = 0
     for i, j in itertools.combinations(common, 2):
-        du = matrix.value(u, i) - matrix.value(u, j)
-        dv = matrix.value(v, i) - matrix.value(v, j)
+        du = values[u, i] - values[u, j]
+        dv = values[v, i] - values[v, j]
         if du == 0.0 or dv == 0.0:
             continue
         if (du > 0) == (dv > 0):
@@ -71,8 +73,8 @@ def test_c01_krcc_oracle_equivalence():
         m = random_sparse_matrix(rng, users, services, density)
         sims = {}
         for u in range(users):
-            row = similarity_row(m, u)
-            sims.update(((u, int(v)), float(s)) for v, s in zip(row.users, row.sims))
+            column = similarity_block(m, (u,))[:, 0].tolist()
+            sims.update(((u, v), s) for v, s in enumerate(column) if v != u)
         for u, v in itertools.combinations(range(users), 2):
             got = sims[(u, v)]
             assert got == oracle_krcc(m, u, v)
@@ -109,10 +111,7 @@ def test_c02_confidence_worked_example():
     for idx, v in enumerate((4, 5, 6)):
         values[v] = [np.nan, 0.6 + 0.1 * idx, 0.2 + 0.1 * idx]
     m = QoSMatrix(values)
-    nbrs = Neighborhood(
-        active=0,
-        members=((1, 0.1), (2, 0.2), (3, 0.3), (4, 0.7), (5, 0.8), (6, 0.9)),
-    )
+    nbrs = neighbors_of(((1, 0.1), (2, 0.2), (3, 0.3), (4, 0.7), (5, 0.8), (6, 0.9)))
     c_ab = checked_preference(m, 0, nbrs, 0, 1).confidence
     c_ac = checked_preference(m, 0, nbrs, 0, 2).confidence
     c_bc = checked_preference(m, 0, nbrs, 1, 2).confidence
@@ -130,14 +129,14 @@ def test_c03_antisymmetry_and_weight_normalization():
         services = int(rng.integers(2, 8))
         m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.3, 0.9)))
         u = int(rng.integers(users))
-        nbrs = select_neighbors(similarity_row(m, u), int(rng.integers(1, 6)))
-        table = build_preference_table(m, u, nbrs, range(services))
-        worst_sym = max(worst_sym, float(np.abs(table.values + table.values.T).max()))
-        if nbrs.members:
+        nbrs = top_k(m, u, int(rng.integers(1, 6)))
+        values = one_table(m, u, nbrs, range(services))[0]
+        worst_sym = max(worst_sym, float(np.abs(values + values.T).max()))
+        if nbrs[0].size:
             mask = m.observed_mask
             for i, j in itertools.combinations(range(services), 2):
                 members = tuple(
-                    (v, s) for v, s in nbrs.members if mask[v, i] and mask[v, j]
+                    (v, s) for v, s in members_of(nbrs) if mask[v, i] and mask[v, j]
                 )
                 if members:
                     weights = pair_weights(PairNeighborhood((i, j), members))
@@ -146,7 +145,7 @@ def test_c03_antisymmetry_and_weight_normalization():
                     )
                     if not (mask[u, i] and mask[u, j]):  # implicit pair
                         gap = sum(w * (m.values[v, i] - m.values[v, j]) for v, w in weights)
-                        worst_value = max(worst_value, abs(table.values[i, j] - gap))
+                        worst_value = max(worst_value, abs(values[i, j] - gap))
     ok = worst_sym <= 1e-12 and worst_weight <= 1e-12 and worst_value <= 1e-12
     _report(
         3,
@@ -177,12 +176,9 @@ def test_c05_incremental_greedy_equals_recompute():
         services = int(rng.integers(2, 9))
         m = random_sparse_matrix(rng, 6, services, float(rng.uniform(0.4, 0.9)))
         u = int(rng.integers(6))
-        nbrs = select_neighbors(similarity_row(m, u), 4)
-        table = build_preference_table(m, u, nbrs, range(services))
+        values, confidences, _ = one_table(m, u, top_k(m, u, 4), range(services))
         for weighted in (False, True):
-            effective = (
-                table.values if not weighted else table.confidences * table.values
-            )
+            effective = values if not weighted else confidences * values
             remaining = list(range(services))
             expected = []
             while remaining:  # full recomputation each round
@@ -193,9 +189,9 @@ def test_c05_incremental_greedy_equals_recompute():
                 top = max(sums.values())
                 tol = 1e-9 * max(1.0, abs(top))
                 best = min(i for i in remaining if sums[i] >= top - tol)
-                expected.append(table.candidates[best])
+                expected.append(best)  # candidates 0..services-1: position = id
                 remaining.remove(best)
-            assert greedy_rank(table, weighted=weighted).order == tuple(expected)
+            assert greedy_orders(effective[None])[0].tolist() == expected
     _report(5, "incremental greedy equals full recompute", True, "300 instances, <=8 services")
 
 
@@ -207,7 +203,7 @@ def test_c06_ranking_quality_ordering():
         active_users=20,
         trial_seeds=tuple(range(100)),
         seed=7,
-        scenario=default_scenario(),
+        scenario=committed_scenario(),
     )
     start = time.perf_counter()
     report, _ = run_experiment(config)
@@ -229,8 +225,8 @@ def test_c07_random_baseline_calibration():
     truth = {s: float(v) for s, v in enumerate(rng.uniform(0.0, 1.0, 10))}
     taus = []
     for draw in range(1000):
-        order = tuple(rng.permutation(10).tolist())
-        taus.append(kendall_tau_score(Ranking(active=0, order=order), truth).tau)
+        order = rng.permutation(10).tolist()
+        taus.append(float(tau_scores(np.array([[truth[s] for s in order]]))[0][0]))
     mean = float(np.mean(taus))
     _report(7, "random baseline calibration", -0.05 <= mean <= 0.05, f"mean tau {mean:+.4f}")
 
@@ -262,7 +258,7 @@ def test_c08_allocation_invariants():
                 ok = ok and sum(v.requested_ram for v in resident) <= h.ram
                 ok = ok and sum(v.requested_bw for v in resident) <= h.bw
     # exact reciprocal identity and policy ordering on the default scenario
-    scenario = default_scenario()
+    scenario = committed_scenario()
     means = {}
     for policy in AllocPolicy:
         _, plan = scenario.build(policy=policy)
@@ -282,7 +278,7 @@ def test_c09_allocation_improves_top1_qos():
         active_users=20,
         trial_seeds=tuple(range(20)),
         seed=7,
-        scenario=default_scenario(),
+        scenario=committed_scenario(),
     )
     _, qos_bf = run_experiment(ExperimentConfig(**base))
     _, qos_rr = run_experiment(

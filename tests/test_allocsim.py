@@ -8,10 +8,8 @@ from qosrank.allocsim import (
     Host,
     VirtualMachine,
     allocate,
-    default_scenario,
     effective_mips,
     load_scenario,
-    scenario_to_dict,
     simulate_qos,
     synth_matrix,
     write_plan_csv,
@@ -19,7 +17,9 @@ from qosrank.allocsim import (
 from qosrank.errors import AllocationError, ConfigError, DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.seeding import derive_rng
-from qosrank.similarity import similarity_row
+from qosrank.similarity import similarity_block
+
+from conftest import CONFIG_DIR, committed_scenario
 
 
 def host(i, mips, ram=10000.0, bw=10000.0):
@@ -202,7 +202,7 @@ def test_policy_comparison_on_seeded_fixtures():
 
 
 def test_default_scenario_policy_effect():
-    scenario = default_scenario()
+    scenario = committed_scenario()
     bf_matrix, bf_plan = scenario.build(policy=AllocPolicy.BEST_FIT_DECREASING)
     rr_matrix, rr_plan = scenario.build(policy=AllocPolicy.ROUND_ROBIN)
     assert bf_plan.unplaced == ()
@@ -218,7 +218,7 @@ def test_default_scenario_policy_effect():
 
 
 def synth_default(**overrides):
-    scenario = default_scenario()
+    scenario = committed_scenario()
     kwargs = dict(
         vm_specs=scenario.vm_specs,
         cloudlet_lengths=scenario.cloudlet_lengths,
@@ -254,31 +254,24 @@ def test_synth_user_rankings_track_base_ranking():
     matrix, plan = synth_default(noise_amplitude=0.05)
     base_row = np.array([plan.throughput[s] for s in range(matrix.num_services)])
     stacked = QoSMatrix(np.vstack([base_row, matrix.values]))
-    taus = similarity_row(stacked, 0).sims  # users 1.. of the stack, in order
+    taus = similarity_block(stacked, (0,))[1:, 0]  # users 1.. of the stack, in order
     assert len(taus) == matrix.num_users
     assert min(taus) >= 0.8
 
 
 def test_synth_skips_unplaced_services():
-    scenario = default_scenario()
+    scenario = committed_scenario()
     matrix, plan = scenario.build(policy=AllocPolicy.ROUND_ROBIN)
     missing = set(range(scenario.num_services)) - set(plan.vm_to_host)
     assert missing == {29}
     for u in range(matrix.num_users):
-        assert 29 not in matrix.observed_set(u)
-
-
-def test_scenario_json_matches_factory():
-    from pathlib import Path
-
-    committed = Path(__file__).resolve().parents[1] / "configs" / "default_scenario.json"
-    assert load_scenario(committed) == default_scenario()
+        assert not matrix.observed_mask[u, 29]
 
 
 def test_scenario_rejects_bad_policy(tmp_path):
     import json
 
-    raw = scenario_to_dict(default_scenario())
+    raw = json.loads((CONFIG_DIR / "default_scenario.json").read_text())
     raw["policy"] = "optimal"
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))

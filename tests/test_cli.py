@@ -262,11 +262,17 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"k_neighbors": 2.5}, "k_neighbors 2.5 is not an integer"),
         ({"active_users": "10"}, "active_users '10' is not an integer"),
+        ({"correct_observed": "false"}, "correct_observed must be true or false, got 'false'"),
+        ({"correct_observed": 0}, "correct_observed must be true or false, got 0"),
+        ({"trial_seeds": None, "trials": True}, "trials True is not an integer"),
+        ({"k_neighbors": True}, "k_neighbors True is not an integer"),
+        ({"densities": [0.1, True]}, "densities must be numbers, got [0.1, True]"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
     # each of these used to end in a numpy traceback, an empty-aggregate
-    # error or a silent truncation (k_neighbors 2.5 ran with k = 2)
+    # error or a silent misreading (k_neighbors 2.5 ran with k = 2, "false"
+    # ran with the correction, true was read as 1 or 1.0)
     config = json.loads((workspace / "experiment.json").read_text())
     config.update(override)
     config = {key: value for key, value in config.items() if value is not None}
@@ -340,6 +346,34 @@ def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_rang
     )
     assert code == 1
     assert "user_factor_range" in err or "bad scenario config" in err
+    assert "Traceback" not in err
+    assert not (workspace / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"hosts": {"count": 2.5, "mips": 3600.0, "ram": 16384.0, "bw": 4000.0}},
+         "hosts.count 2.5 is not an integer"),
+        ({"num_users": "3"}, "num_users '3' is not an integer"),
+        ({"num_users": True}, "num_users True is not an integer"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"num_users": 10**9}, "1000000000 users x 30 services is over the 50000000-cell"),
+        ({"contention": "false"}, "contention must be true or false, got 'false'"),
+    ],
+)
+def test_simulate_bad_scenario_values_exit_one(workspace, capsys, override, message):
+    # these used to be truncated (2.5 hosts ran as 2), read as true
+    # ("false"), or end in a SeedSequence or ArrayMemoryError traceback
+    scenario = json.loads((workspace / "scenario.json").read_text())
+    scenario.update(override)
+    (workspace / "bad.json").write_text(json.dumps(scenario))
+    code, _, err = run(
+        ["simulate", "--scenario", workspace / "bad.json", "--out", workspace / "sim"], capsys
+    )
+    assert code == 1
+    assert err.startswith("qosrank: ") and message in err
     assert "Traceback" not in err
     assert not (workspace / "sim").exists()
 

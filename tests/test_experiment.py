@@ -1,10 +1,8 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from qosrank import experiment, ranker
-from qosrank.allocsim import AllocPolicy, default_scenario
+from qosrank.allocsim import AllocPolicy
 from qosrank.errors import ConfigError, DomainError
 from qosrank.experiment import (
     ExperimentConfig,
@@ -15,12 +13,11 @@ from qosrank.experiment import (
 )
 from qosrank.matrix import SplitSpec, split_train_test
 from qosrank.metrics import ScoreRow, aggregate
-from qosrank.ranker import RankerKind, rank_users
+from qosrank.ranker import RankerKind, rank
 from qosrank.seeding import derive_rng
 
+from conftest import CONFIG_DIR, committed_scenario
 from oracles import oracle_kendall_tau
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 ALL_KINDS = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
 
@@ -33,7 +30,7 @@ def small_config(**overrides):
         active_users=10,
         trial_seeds=tuple(range(5)),
         seed=11,
-        scenario=default_scenario(),
+        scenario=committed_scenario(),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -85,7 +82,7 @@ def test_run_deterministic():
 
 def test_config_from_json_files():
     config = load_config(CONFIG_DIR / "default_experiment.json")
-    assert config.scenario == default_scenario()
+    assert config.scenario == committed_scenario()
     assert config.densities == (0.1, 0.2, 0.3)
     assert len(config.trial_seeds) == 100
     assert config.policy is None
@@ -176,8 +173,8 @@ def test_dataset_config(tmp_path):
 
 def per_ranking_reference(config):
     """run_experiment's report and top-1 QoS rows rebuilt one ranking at a
-    time: `rank_users`' Ranking objects scored against each user's truth dict
-    by the per-ranking reference."""
+    time: each user's `rank` for each kind scored against the user's truth
+    dict by the per-ranking reference."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
@@ -189,15 +186,15 @@ def per_ranking_reference(config):
             shuffle = derive_rng(config.seed, experiment._RANDOM_STREAM, trial, dkey)
             spec = SplitSpec(density=density, seed=int(split.integers(2**63)), active_users=active)
             train, truth = split_train_test(matrix, spec)
-            batch = rank_users(
-                config.kinds, train, active, config.k_neighbors, candidates,
-                seed=int(shuffle.integers(2**63)), correct=config.correct_observed,
-            )
-            for user, rankings in zip(active, batch):
+            seed = int(shuffle.integers(2**63))
+            for user in active:
                 observed = np.flatnonzero(truth.observed_mask[user]).tolist()
                 truth_row = {s: float(truth.values[user, s]) for s in observed}
                 for kind in config.kinds:
-                    order = rankings[kind].order
+                    order = rank(
+                        kind, train, user, config.k_neighbors, candidates,
+                        seed=seed, correct=config.correct_observed,
+                    ).order
                     scored = oracle_kendall_tau(order, truth_row)
                     if scored is not None:
                         tau, pairs = scored

@@ -39,15 +39,15 @@ def write_csv(tmp_path, rows, header="user_id,service_id,qos_value"):
 def test_load_identity_ingestion(tmp_path):
     path = write_csv(tmp_path, ["0,0,0.5", "0,1,0.2"])
     m = load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
-    assert m.value(0, 0) == 0.5
-    assert m.value(0, 1) == 0.2
+    assert m.values[0, 0] == 0.5
+    assert m.values[0, 1] == 0.2
     assert m.num_users == 1 and m.num_services == 2
 
 
 def test_load_negates_smaller_is_better(tmp_path):
     path = write_csv(tmp_path, ["0,0,0.5"])
     m = load_matrix(path, MetricOrientation.SMALLER_IS_BETTER)
-    assert m.value(0, 0) == -0.5
+    assert m.values[0, 0] == -0.5
 
 
 def test_canonicalization_involution(tmp_path, rng):
@@ -56,7 +56,7 @@ def test_canonicalization_involution(tmp_path, rng):
     path = write_csv(tmp_path, rows)
     m = load_matrix(path, MetricOrientation.SMALLER_IS_BETTER)
     for i in range(20):
-        assert -m.value(i % 4, i // 4) == raw[i]
+        assert -m.values[i % 4, i // 4] == raw[i]
 
 
 def test_load_duplicate_key(tmp_path):
@@ -93,7 +93,7 @@ def test_load_huge_id_names_id_and_line(tmp_path):
 def test_load_skips_comments_and_blanks(tmp_path):
     path = write_csv(tmp_path, ["# a comment", "", "0,0,1.5"])
     m = load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
-    assert m.value(0, 0) == 1.5
+    assert m.values[0, 0] == 1.5
 
 
 def test_save_load_roundtrip(tmp_path, rng):
@@ -141,22 +141,29 @@ def test_observed_mask_is_cached_and_read_only(rng):
         m.observed_mask[0, 0] = not m.observed_mask[0, 0]
 
 
+def observed(m, u):
+    """The services u observed."""
+    return set(np.flatnonzero(m.observed_mask[u]).tolist())
+
+
 def test_observed_set():
     m = QoSMatrix.from_entries(2, 4, [(0, 0, 1.0), (0, 2, 2.0)])
-    assert m.observed_set(0) == {0, 2}
-    assert m.observed_set(1) == set()
+    assert observed(m, 0) == {0, 2}
+    assert observed(m, 1) == set()
 
 
 def test_observed_set_fully_observed():
     entries = [(0, s, float(s)) for s in range(5)]
     m = QoSMatrix.from_entries(1, 5, entries)
-    assert m.observed_set(0) == {0, 1, 2, 3, 4}
+    assert observed(m, 0) == {0, 1, 2, 3, 4}
 
 
 def test_observed_set_unknown_user():
+    # the split reads each active user's observed set; a user outside the
+    # matrix is a DomainError, not an IndexError
     m = QoSMatrix.from_entries(1, 1, [(0, 0, 1.0)])
-    with pytest.raises(DomainError):
-        m.observed_set(3)
+    with pytest.raises(DomainError, match="unknown user 3"):
+        split_train_test(m, SplitSpec(density=0.5, seed=0, active_users=(0, 3)))
 
 
 def test_split_density_one_is_identity(rng):
@@ -172,8 +179,8 @@ def test_split_retained_count_is_ceil():
     m = QoSMatrix.from_entries(2, 10, entries + [(1, 0, 1.0)])
     spec = SplitSpec(density=0.3, seed=1, active_users=(0,))
     train, truth = split_train_test(m, spec)
-    assert len(train.observed_set(0)) == 3
-    assert len(truth.observed_set(0)) == 7
+    assert len(observed(train, 0)) == 3
+    assert len(observed(truth, 0)) == 7
 
 
 def test_split_partition_property(rng):
@@ -182,16 +189,16 @@ def test_split_partition_property(rng):
     spec = SplitSpec(density=0.4, seed=9, active_users=active)
     train, truth = split_train_test(m, spec)
     for u in range(m.num_users):
-        original = m.observed_set(u)
-        kept = train.observed_set(u)
-        removed = truth.observed_set(u)
+        original = observed(m, u)
+        kept = observed(train, u)
+        removed = observed(truth, u)
         if u in active:
             assert kept | removed == original
             assert kept & removed == set()
             for s in kept:
-                assert train.value(u, s) == m.value(u, s)
+                assert train.values[u, s] == m.values[u, s]
             for s in removed:
-                assert truth.value(u, s) == m.value(u, s)
+                assert truth.values[u, s] == m.values[u, s]
         else:
             assert kept == original
             assert removed == set()
@@ -219,7 +226,7 @@ def test_split_skips_empty_active_user(caplog):
     with caplog.at_level(logging.WARNING):
         train, truth = split_train_test(m, spec)
     assert "no observations" in caplog.text
-    assert train.observed_set(1) == set()
+    assert observed(train, 1) == set()
 
 
 def test_split_spec_rejects_bad_density():

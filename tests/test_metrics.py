@@ -1,26 +1,26 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qosrank import metrics
 from qosrank.errors import DomainError
-from qosrank.metrics import (
-    ScoreRow,
-    aggregate,
-    kendall_tau_score,
-    tau_scores,
-    write_rows_csv,
-    write_summary_csv,
-)
-from qosrank.ranker import Ranking
+from qosrank.metrics import ScoreRow, aggregate, tau_scores, write_rows_csv, write_summary_csv
 from qosrank.seeding import derive_rng
 
 from oracles import oracle_kendall_tau
 
 
 def score(order, truth):
-    return kendall_tau_score(Ranking(active=0, order=tuple(order)), truth)
+    """tau, accuracy and evaluated pairs of one predicted order against its
+    truth dict, from `tau_scores` on a stack of one, accuracy as
+    `run_experiment` takes it; None when unscoreable."""
+    withheld = np.array([[truth.get(s, np.nan) for s in order]], dtype=float)
+    (tau,), (pairs,) = (a.tolist() for a in tau_scores(withheld))
+    if pairs == 0:
+        return None
+    return SimpleNamespace(tau=tau, accuracy=(tau + 1) / 2, evaluated_pairs=pairs)
 
 
 def pair_count_oracle(order, truth):

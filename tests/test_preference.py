@@ -5,24 +5,19 @@ import pytest
 
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.preference import (
-    Provenance,
-    build_preference_table,
-    candidate_ids,
-    preference_stack,
-)
-from qosrank.similarity import (
-    Neighborhood,
-    select_neighbors,
-    similarity_block,
-    similarity_row,
-    top_neighbors,
-)
+from qosrank.preference import candidate_ids, preference_stack
+from qosrank.similarity import similarity_block, top_neighbors
 
 from conftest import random_sparse_matrix
 from oracles import (
+    EXPLICIT,
+    IMPLICIT,
+    UNKNOWN,
     PairNeighborhood,
     checked_preference,
+    members_of,
+    neighbors_of,
+    one_table,
     oracle_preference_table,
     pair_confidence,
     pair_matrix,
@@ -31,11 +26,12 @@ from oracles import (
     preference_sum,
     preference_value,
     table_value,
+    top_k,
 )
 
 
 def nb(*members):
-    return Neighborhood(active=0, members=tuple(members))
+    return neighbors_of(members)
 
 
 def assert_table_uses(pn):
@@ -74,7 +70,7 @@ def test_pair_weights_empty_rejected():
         pair_weights(PairNeighborhood(pair=(0, 1), members=()))
     # the table marks a pair no neighbor covers as unknown instead
     m = QoSMatrix(np.full((2, 2), np.nan))
-    assert checked_preference(m, 0, nb(), 0, 1).provenance is Provenance.UNKNOWN
+    assert checked_preference(m, 0, nb(), 0, 1).provenance == UNKNOWN
 
 
 def test_confidence_high_sims():
@@ -102,7 +98,7 @@ def test_confidence_ordering_explicit_beats_implicit():
     c_ab = checked_preference(m, 0, nbrs, 0, 1)
     c_ac = checked_preference(m, 0, nbrs, 0, 2)
     c_bc = checked_preference(m, 0, nbrs, 1, 2)
-    assert c_ab.confidence == 1.0 and c_ab.provenance is Provenance.EXPLICIT
+    assert c_ab.confidence == 1.0 and c_ab.provenance == EXPLICIT
     assert c_ab.confidence > c_bc.confidence > c_ac.confidence
     assert c_bc.confidence == pytest.approx(0.8083333333333333, abs=1e-9)
     assert c_ac.confidence == pytest.approx(0.23333333333333334, abs=1e-9)
@@ -113,7 +109,7 @@ def test_explicit_preference():
     pv = checked_preference(m, 0, nb(), 0, 1)
     assert pv.value == pytest.approx(0.5)
     assert pv.confidence == 1.0
-    assert pv.provenance is Provenance.EXPLICIT
+    assert pv.provenance == EXPLICIT
 
 
 def test_implicit_preference_weighted_gaps():
@@ -123,14 +119,14 @@ def test_implicit_preference_weighted_gaps():
     m = QoSMatrix(values)
     pv = checked_preference(m, 0, nb((1, 0.6), (2, 0.4)), 0, 1)
     assert pv.value == pytest.approx(0.6 * 0.3 + 0.4 * (-0.1))
-    assert pv.provenance is Provenance.IMPLICIT
+    assert pv.provenance == IMPLICIT
 
 
 def test_unknown_pair():
     m = QoSMatrix(np.full((2, 2), np.nan))
     pv = checked_preference(m, 0, nb(), 0, 1)
     assert pv.value == 0.0 and pv.confidence == 0.0
-    assert pv.provenance is Provenance.UNKNOWN
+    assert pv.provenance == UNKNOWN
 
 
 def test_hybrid_pair_is_implicit():
@@ -138,7 +134,7 @@ def test_hybrid_pair_is_implicit():
     values = np.array([[0.9, np.nan], [0.4, 0.6]])
     m = QoSMatrix(values)
     pv = checked_preference(m, 0, nb((1, 0.5)), 0, 1)
-    assert pv.provenance is Provenance.IMPLICIT
+    assert pv.provenance == IMPLICIT
     assert pv.value == pytest.approx(0.4 - 0.6)
 
 
@@ -146,10 +142,10 @@ def test_same_service_rejected():
     m = QoSMatrix(np.array([[0.5]]))
     with pytest.raises(DomainError):
         preference_value(m, 0, nb(), 0, 0)
-    table = build_preference_table(m, 0, nb(), [0])
-    assert table.values[0, 0] == 0.0 and table.provenance_codes[0, 0] == 0
+    table = one_table(m, 0, nb(), [0])
+    assert table[0][0, 0] == 0.0 and table[2][0, 0] == 0
     with pytest.raises(DomainError):
-        table_value(table, 0, 0)
+        table_value(table, [0], 0, 0)
 
 
 def test_pair_neighborhood_restricts_to_pair_observers():
@@ -167,17 +163,17 @@ def test_pair_neighborhood_restricts_to_pair_observers():
 
 def test_preference_sum_single_remaining():
     m = QoSMatrix(np.array([[0.9, 0.4, 0.6]]))
-    table = build_preference_table(m, 0, nb(), [0, 1, 2])
-    assert preference_sum(table, 0, {0}) == 0.0
-    assert table.values[0, 0] == 0.0
+    table = one_table(m, 0, nb(), [0, 1, 2])
+    assert preference_sum(table, [0, 1, 2], 0, {0}) == 0.0
+    assert table[0][0, 0] == 0.0
 
 
 def test_preference_sum_unweighted():
     m = QoSMatrix(np.array([[0.8, 0.3, 1.0]]))
-    table = build_preference_table(m, 0, nb(), [0, 1, 2])
+    table = one_table(m, 0, nb(), [0, 1, 2])
     # psi(0,1)=0.5, psi(0,2)=-0.2
-    assert preference_sum(table, 0, {0, 1, 2}) == pytest.approx(0.3)
-    assert table.values[0].sum() == pytest.approx(0.3)
+    assert preference_sum(table, [0, 1, 2], 0, {0, 1, 2}) == pytest.approx(0.3)
+    assert table[0][0].sum() == pytest.approx(0.3)
 
 
 def test_preference_sum_weighted():
@@ -188,64 +184,63 @@ def test_preference_sum_weighted():
     values[2] = [0.7, np.nan, 0.9]  # covers (0,2)
     m = QoSMatrix(values)
     nbrs = nb((1, 1.0), (2, 0.5))
-    table = build_preference_table(m, 0, nbrs, [0, 1, 2])
+    table = one_table(m, 0, nbrs, [0, 1, 2])
     psi_01 = checked_preference(m, 0, nbrs, 0, 1)
     psi_02 = checked_preference(m, 0, nbrs, 0, 2)
     assert psi_01.value == pytest.approx(0.5) and psi_01.confidence == pytest.approx(1.0)
     assert psi_02.value == pytest.approx(-0.2) and psi_02.confidence == pytest.approx(0.5)
     # 0.5 * 1.0 + (-0.2) * 0.5
-    assert preference_sum(table, 0, {0, 1, 2}, weighted=True) == pytest.approx(0.4)
-    assert (table.confidences * table.values)[0].sum() == pytest.approx(0.4)
+    assert preference_sum(table, [0, 1, 2], 0, {0, 1, 2}, weighted=True) == pytest.approx(0.4)
+    assert (table[1] * table[0])[0].sum() == pytest.approx(0.4)
 
 
 def test_preference_sum_requires_membership():
     m = QoSMatrix(np.array([[0.8, 0.3]]))
-    table = build_preference_table(m, 0, nb(), [0, 1])
+    table = one_table(m, 0, nb(), [0, 1])
     with pytest.raises(DomainError):
-        preference_sum(table, 0, {1})
+        preference_sum(table, [0, 1], 0, {1})
 
 
 def test_table_matches_scalar_path(rng):
     for _ in range(20):
         m = random_sparse_matrix(rng, 7, 6, 0.6)
         u = int(rng.integers(7))
-        nbrs = select_neighbors(similarity_row(m, u), 4)
-        table = build_preference_table(m, u, nbrs, range(6))
+        nbrs = top_k(m, u, 4)
+        table = one_table(m, u, nbrs, range(6))
         for i in range(6):
             for j in range(6):
                 if i == j:
                     continue
                 ref = preference_value(m, u, nbrs, i, j)
-                got = table_value(table, i, j)
+                got = table_value(table, range(6), i, j)
                 assert got.value == pytest.approx(ref.value, abs=1e-12)
                 assert got.confidence == pytest.approx(ref.confidence, abs=1e-12)
-                assert got.provenance is ref.provenance
+                assert got.provenance == ref.provenance
 
 
 def test_antisymmetry_and_confidence_symmetry(rng):
     for _ in range(50):
         m = random_sparse_matrix(rng, 6, 5, 0.5)
         u = int(rng.integers(6))
-        nbrs = select_neighbors(similarity_row(m, u), 3)
-        table = build_preference_table(m, u, nbrs, range(5))
-        assert np.abs(table.values + table.values.T).max() <= 1e-12
-        assert np.array_equal(table.confidences, table.confidences.T)
+        values, confidences, _ = one_table(m, u, top_k(m, u, 3), range(5))
+        assert np.abs(values + values.T).max() <= 1e-12
+        assert np.array_equal(confidences, confidences.T)
 
 
 def test_confidence_bounds(rng):
     for _ in range(30):
         m = random_sparse_matrix(rng, 8, 6, 0.5)
         u = int(rng.integers(8))
-        nbrs = select_neighbors(similarity_row(m, u), 5)
-        table = build_preference_table(m, u, nbrs, range(6))
-        max_sim = max(nbrs.similarities(), default=0.0)
-        n = len(table.candidates)
+        nbrs = top_k(m, u, 5)
+        _, confidences, codes = one_table(m, u, nbrs, range(6))
+        max_sim = max(nbrs[1].tolist(), default=0.0)
+        n = len(codes)
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                conf = table.confidences[i, j]
-                prov = int(table.provenance_codes[i, j])
+                conf = confidences[i, j]
+                prov = int(codes[i, j])
                 assert 0.0 <= conf <= 1.0 + 1e-12
                 if prov == 2:  # explicit
                     assert conf == 1.0
@@ -255,13 +250,13 @@ def test_confidence_bounds(rng):
 
 def test_fully_observed_user_everything_explicit(rng):
     m = QoSMatrix(rng.uniform(0, 1, (3, 5)))
-    table = build_preference_table(m, 0, nb(), range(5))
+    table = one_table(m, 0, nb(), range(5))
     off_diag = ~np.eye(5, dtype=bool)
-    assert (table.provenance_codes[off_diag] == 2).all()
+    assert (table[2][off_diag] == 2).all()
     # preference-sum ordering equals raw value ordering
-    sums = [preference_sum(table, i, range(5)) for i in range(5)]
+    sums = [preference_sum(table, range(5), i, range(5)) for i in range(5)]
     assert np.argsort(sums)[::-1].tolist() == np.argsort(m.values[0])[::-1].tolist()
-    assert table.values.sum(axis=1) == pytest.approx(sums, abs=1e-12)
+    assert table[0].sum(axis=1) == pytest.approx(sums, abs=1e-12)
 
 
 def test_confidence_scales_with_similarity():
@@ -283,14 +278,12 @@ def test_stacked_tables_match_one_user_tables_bit_for_bit(rng):
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
         k = trial % 5
-        nbrs = [select_neighbors(similarity_row(m, u), k) for u in batch]
-        arrays = [(np.array(nb.user_ids(), dtype=int), np.array(nb.similarities())) for nb in nbrs]
-        stack = preference_stack(m, batch, arrays, candidate_ids(m, cands))
+        nbrs = [top_k(m, u, k) for u in batch]
+        stack = preference_stack(m, batch, nbrs, candidate_ids(m, cands))
         assert all(arr.shape == (len(batch),) + (len(set(cands.tolist())),) * 2 for arr in stack)
         assert not any(arr.flags.writeable for arr in stack)
         for b, (u, nb) in enumerate(zip(batch, nbrs)):
-            table = build_preference_table(m, u, nb, cands)
-            alone = (table.values, table.confidences, table.provenance_codes)
+            alone = one_table(m, u, nb, cands)
             for got, one, ref in zip(stack, alone, oracle_preference_table(m, u, nb, cands)):
                 assert got[b].dtype == ref.dtype
                 assert got[b].tobytes() == one.tobytes() == ref.tobytes()
@@ -300,16 +293,15 @@ def test_stacked_tables_match_one_user_tables_bit_for_bit(rng):
 def test_table_rejects_candidate_outside_matrix(bad):
     m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8]]))
     with pytest.raises(DomainError, match="outside"):
-        build_preference_table(m, 0, Neighborhood(active=0, members=()), [0, bad])
+        one_table(m, 0, nb(), [0, bad])
 
 
 def assert_slices_match_oracle(m, batch, members, cands):
     """Each slice of the batch's stack is byte-equal to the user's table from
     `oracle_preference_table`, which divides with masks."""
-    arrays = [(np.array([v for v, _ in mem], dtype=int), np.array([x for _, x in mem])) for mem in members]
+    arrays = [neighbors_of(mem) for mem in members]
     stack = preference_stack(m, batch, arrays, candidate_ids(m, cands))
-    for b, (u, mem) in enumerate(zip(batch, members)):
-        nbrs = Neighborhood(active=u, members=tuple(mem))
+    for b, (u, nbrs) in enumerate(zip(batch, arrays)):
         for got, ref in zip(stack, oracle_preference_table(m, u, nbrs, cands)):
             assert got[b].dtype == ref.dtype
             assert got[b].tobytes() == ref.tobytes()
@@ -326,7 +318,7 @@ def test_uncovered_pairs_are_positive_zero_on_negative_values(rng):
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
         nbrs = top_neighbors(np.arange(users), similarity_block(m, batch), batch, trial % 6)
-        members = [tuple(zip(ids.tolist(), sims.tolist())) for ids, sims in nbrs]
+        members = [members_of(pair) for pair in nbrs]
         values, confidences, provenance = assert_slices_match_oracle(m, batch, members, cands)
         unknown = provenance == 0
         assert not np.signbit(values[unknown]).any()

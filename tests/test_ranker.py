@@ -8,34 +8,43 @@ import pytest
 from qosrank import ranker
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix, SplitSpec, split_train_test
-from qosrank.preference import build_preference_table
-from qosrank.ranker import (
-    RankerKind,
-    Ranking,
-    correct_observed_order,
-    greedy_orders,
-    greedy_rank,
-    rank,
-    rank_kinds,
-    rank_users,
-)
-from qosrank.similarity import Neighborhood, select_neighbors, similarity_row
+from qosrank.ranker import RankerKind, Ranking, correct_orders, greedy_orders, rank, rank_orders
+from qosrank.similarity import similarity_block
 
 from conftest import random_sparse_matrix
-from oracles import oracle_correct_observed_order
-
-EMPTY_NBRS = Neighborhood(active=0, members=())
+from oracles import neighbors_of, one_table, oracle_correct_observed_order, top_k
 
 
 def explicit_table(values, candidates=None):
+    """The all-explicit table of a one-user matrix over `candidates`, which
+    are ascending; its candidate ids."""
     m = QoSMatrix(np.array([values], dtype=float))
-    return build_preference_table(m, 0, EMPTY_NBRS, candidates or range(len(values)))
+    cands = tuple(candidates or range(len(values)))
+    return one_table(m, 0, neighbors_of(()), cands), cands
 
 
-def agreement_score(order, table, weighted=False):
+def effective_of(table, weighted=False):
+    values, confidences, _ = table
+    return confidences * values if weighted else values
+
+
+def greedy(table, cands, weighted=False):
+    """The greedy order of the candidate ids: `greedy_orders` for one table."""
+    positions = greedy_orders(effective_of(table, weighted)[None])[0]
+    return tuple(np.array(cands)[positions].tolist())
+
+
+def correct(order, m, u):
+    """`order` after the observed-order correction: `correct_orders` for one
+    ranking."""
+    fixed = correct_orders(np.array(order, dtype=np.intp)[None, None], m, np.array([u]))
+    return tuple(fixed[0, 0].tolist())
+
+
+def agreement_score(order, table, cands, weighted=False):
     """Sum of pairwise preferences realized by ranking `order`."""
-    effective = table.values if not weighted else table.confidences * table.values
-    idx = {s: table.candidates.index(s) for s in order}
+    effective = effective_of(table, weighted)
+    idx = {s: cands.index(s) for s in order}
     total = 0.0
     for a, b in itertools.combinations(order, 2):
         total += effective[idx[a], idx[b]]
@@ -43,10 +52,12 @@ def agreement_score(order, table, weighted=False):
 
 
 def pipeline_table(rng, num_services=4):
+    """A table of the pipeline's stages for a random user: its top-4
+    neighbours' preferences over every service; the candidate ids."""
     m = random_sparse_matrix(rng, 6, num_services, float(rng.uniform(0.5, 0.9)))
     u = int(rng.integers(6))
-    nbrs = select_neighbors(similarity_row(m, u), 4)
-    return build_preference_table(m, u, nbrs, range(num_services))
+    cands = tuple(range(num_services))
+    return one_table(m, u, top_k(m, u, 4), cands), cands
 
 
 def recompute_positions(effective):
@@ -64,43 +75,42 @@ def recompute_positions(effective):
     return order
 
 
-def recompute_greedy(table, weighted=False):
+def recompute_greedy(table, cands, weighted=False):
     """The oracle's order of a table's candidates."""
-    effective = table.values if not weighted else table.confidences * table.values
-    return tuple(table.candidates[i] for i in recompute_positions(effective))
+    return tuple(cands[i] for i in recompute_positions(effective_of(table, weighted)))
 
 
 def test_single_candidate():
-    table = explicit_table([0.7], candidates=[0])
-    assert greedy_rank(table).order == (0,)
+    table, cands = explicit_table([0.7], candidates=[0])
+    assert greedy(table, cands) == (0,)
 
 
 def test_explicit_ordering_matches_values():
-    table = explicit_table([0.9, 0.5, 0.7])
-    assert greedy_rank(table).order == (0, 2, 1)
+    table, cands = explicit_table([0.9, 0.5, 0.7])
+    assert greedy(table, cands) == (0, 2, 1)
 
 
 def test_all_unknown_falls_back_to_ascending_ids():
     m = QoSMatrix(np.full((1, 4), np.nan))
-    table = build_preference_table(m, 0, EMPTY_NBRS, range(4))
-    assert greedy_rank(table).order == (0, 1, 2, 3)
+    table = one_table(m, 0, neighbors_of(()), range(4))
+    assert greedy(table, range(4)) == (0, 1, 2, 3)
 
 
 def test_greedy_is_globally_optimal_on_explicit_tables(rng):
     # with every pair explicit the sums are additive in the raw values, so
     # greedy is exactly the brute-force optimum and no transposition helps
     for _ in range(100):
-        table = explicit_table(rng.uniform(0, 1, 4).tolist())
-        order = list(greedy_rank(table).order)
-        score = agreement_score(order, table)
+        table, cands = explicit_table(rng.uniform(0, 1, 4).tolist())
+        order = list(greedy(table, cands))
+        score = agreement_score(order, table, cands)
         best = max(
-            agreement_score(perm, table) for perm in itertools.permutations(range(4))
+            agreement_score(perm, table, cands) for perm in itertools.permutations(range(4))
         )
         assert score == pytest.approx(best, abs=1e-12)
         for p in range(len(order) - 1):
             neighbor = order.copy()
             neighbor[p], neighbor[p + 1] = neighbor[p + 1], neighbor[p]
-            assert score >= agreement_score(neighbor, table) - 1e-12
+            assert score >= agreement_score(neighbor, table, cands) - 1e-12
 
 
 def test_greedy_final_pair_is_locally_optimal(rng):
@@ -108,29 +118,29 @@ def test_greedy_final_pair_is_locally_optimal(rng):
     # an adjacent swap higher up, but the last two picks never benefit from
     # swapping: the later one had the smaller pairwise preference
     for _ in range(100):
-        table = pipeline_table(rng, 4)
+        table, cands = pipeline_table(rng, 4)
         for weighted in (False, True):
-            order = greedy_rank(table, weighted=weighted).order
+            order = greedy(table, cands, weighted=weighted)
             a, b = order[-2], order[-1]
-            effective = table.values if not weighted else table.confidences * table.values
-            assert effective[table.candidates.index(a), table.candidates.index(b)] >= -1e-9
+            effective = effective_of(table, weighted)
+            assert effective[cands.index(a), cands.index(b)] >= -1e-9
 
 
 def test_incremental_equals_recompute(rng):
     for _ in range(300):
         n = int(rng.integers(2, 9))
-        table = pipeline_table(rng, n)
+        table, cands = pipeline_table(rng, n)
         for weighted in (False, True):
-            incremental = greedy_rank(table, weighted=weighted)
-            assert incremental.order == recompute_greedy(table, weighted)
+            incremental = greedy(table, cands, weighted=weighted)
+            assert incremental == recompute_greedy(table, cands, weighted)
 
 
 def test_greedy_orders_rows_match_recompute_oracle(rng):
     for _ in range(60):
         n = int(rng.integers(1, 9))
         stack = []
-        for table in (pipeline_table(rng, n) for _ in range(int(rng.integers(1, 5)))):
-            stack += [table.values, table.confidences * table.values]
+        for table, _ in (pipeline_table(rng, n) for _ in range(int(rng.integers(1, 5)))):
+            stack += [effective_of(table), effective_of(table, weighted=True)]
         levels = rng.integers(-2, 3, (n, n)).astype(float)  # exact ties in the sums
         stack += [levels - levels.T, np.zeros((n, n))]  # the last one all unknown
         effective = np.stack(stack)
@@ -153,30 +163,26 @@ def test_greedy_orders_tie_within_tolerance_goes_to_smaller_position():
 def test_greedy_permutation_safety(rng):
     for _ in range(50):
         n = int(rng.integers(1, 10))
-        table = pipeline_table(rng, n)
-        order = greedy_rank(table).order
+        table, cands = pipeline_table(rng, n)
+        order = greedy(table, cands)
         assert sorted(order) == list(range(n))
 
 
 def test_correct_observed_order_two_element():
     m = QoSMatrix(np.array([[0.2, 0.9, np.nan]]))
-    predicted = Ranking(active=0, order=(0, 2, 1))  # a, x, b
-    fixed = correct_observed_order(predicted, m, 0)
-    assert fixed.order == (1, 2, 0)  # b, x, a
+    assert correct((0, 2, 1), m, 0) == (1, 2, 0)  # a, x, b -> b, x, a
 
 
 def test_correct_no_observations_is_identity():
     m = QoSMatrix(np.full((1, 3), np.nan))
-    predicted = Ranking(active=0, order=(2, 0, 1))
-    assert correct_observed_order(predicted, m, 0).order == (2, 0, 1)
+    assert correct((2, 0, 1), m, 0) == (2, 0, 1)
 
 
 def test_correct_all_observed_sorts_by_qos(rng):
     values = rng.uniform(0, 1, (1, 6))
     m = QoSMatrix(values)
-    predicted = Ranking(active=0, order=tuple(rng.permutation(6).tolist()))
-    fixed = correct_observed_order(predicted, m, 0)
-    assert list(fixed.order) == sorted(range(6), key=lambda s: -values[0, s])
+    fixed = correct(rng.permutation(6), m, 0)
+    assert list(fixed) == sorted(range(6), key=lambda s: -values[0, s])
 
 
 def test_correct_explicit_consistency(rng):
@@ -185,11 +191,11 @@ def test_correct_explicit_consistency(rng):
         u = int(rng.integers(5))
         r = rank(RankerKind.CLOUDRANK1, m, u, 3, range(8))
         position = {s: p for p, s in enumerate(r.order)}
-        observed = sorted(m.observed_set(u))
+        observed = np.flatnonzero(m.observed_mask[u]).tolist()
         for i, j in itertools.combinations(observed, 2):
-            if m.value(u, i) > m.value(u, j):
+            if m.values[u, i] > m.values[u, j]:
                 assert position[i] < position[j]
-            elif m.value(u, i) < m.value(u, j):
+            elif m.values[u, i] < m.values[u, j]:
                 assert position[j] < position[i]
 
 
@@ -235,17 +241,17 @@ def test_empty_candidates_rejected(rng):
 
 
 def test_rank_kinds_matches_rank_per_kind(rng):
-    # one shared similarity row and table must give what separate runs give
+    # one shared similarity column and table must give what separate runs give
     for _ in range(30):
         users, services = int(rng.integers(2, 9)), int(rng.integers(1, 10))
         m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
         u = int(rng.integers(users))
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
-        for correct in (True, False):
-            got = rank_kinds(tuple(RankerKind), m, u, 3, cands, seed=9, correct=correct)
-            assert set(got) == set(RankerKind)
-            for kind in RankerKind:
-                assert got[kind] == rank(kind, m, u, 3, cands, seed=9, correct=correct)
+        for fix in (True, False):
+            [got] = rank_orders(tuple(RankerKind), m, [u], 3, cands, seed=9, correct=fix).tolist()
+            assert len(got) == len(RankerKind)
+            for kind, order in zip(RankerKind, got):
+                assert Ranking(u, tuple(order)) == rank(kind, m, u, 3, cands, seed=9, correct=fix)
 
 
 def test_rank_determinism(rng):
@@ -284,22 +290,22 @@ def test_rank_users_matches_rank_per_user(rng, monkeypatch, batch_elems):
         cands = rng.choice(services, size=size, replace=False)
         k = trial % 4
         kinds = kind_sets[trial % 3]
-        for correct in (True, False):
-            got = rank_users(kinds, m, active, k, cands, seed=9, correct=correct)
-            assert len(got) == len(active)
-            for u, by_kind in zip(active, got):
-                assert tuple(by_kind) == kinds
-                for kind in kinds:
-                    assert by_kind[kind] == rank(kind, m, u, k, cands, seed=9, correct=correct)
+        for fix in (True, False):
+            got = rank_orders(kinds, m, active, k, cands, seed=9, correct=fix)
+            assert got.shape == (len(active), len(kinds), size)
+            for u, by_kind in zip(active, got.tolist()):
+                for kind, order in zip(kinds, by_kind):
+                    alone = rank(kind, m, u, k, cands, seed=9, correct=fix)
+                    assert Ranking(u, tuple(order)) == alone
 
 
 def test_rank_users_rejects_bad_arguments(rng):
     m = random_sparse_matrix(rng, 3, 4, 0.8)
     with pytest.raises(DomainError):
-        rank_users(tuple(RankerKind), m, [0, 3], 2, range(4))
+        rank_orders(tuple(RankerKind), m, [0, 3], 2, range(4))
     with pytest.raises(DomainError):
-        rank_users(tuple(RankerKind), m, [0], 2, [])
-    assert rank_users(tuple(RankerKind), m, [], 2, range(4)) == []
+        rank_orders(tuple(RankerKind), m, [0], 2, [])
+    assert rank_orders(tuple(RankerKind), m, [], 2, range(4)).shape == (0, 3, 4)
 
 
 @pytest.mark.parametrize("kind", list(RankerKind))
@@ -317,12 +323,12 @@ def test_candidate_outside_matrix_rejected(kind, bad):
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, [0, 1.5, 2]), "candidate service 1.5"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, ["a", 1]), "candidate service 'a'"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0.7, 2, range(3)), "user 0.7"),
-        (lambda m: rank_users(tuple(RankerKind), m, [1, np.float64(0.0)], 2, range(3)),
+        (lambda m: rank_orders(tuple(RankerKind), m, [1, np.float64(0.0)], 2, range(3)),
          f"user {np.float64(0.0)!r}"),
-        (lambda m: ranker.rank_orders((RankerKind.CLOUDRANK1,), m, [0.5], 2, range(3)), "user 0.5"),
+        (lambda m: rank_orders((RankerKind.CLOUDRANK1,), m, [0.5], 2, range(3)), "user 0.5"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2.9, range(3)), "neighborhood size 2.9"),
-        (lambda m: similarity_row(m, 0.7), "user 0.7"),
-        (lambda m: build_preference_table(m, 0.7, EMPTY_NBRS, range(3)), "user 0.7"),
+        (lambda m: similarity_block(m, [0.7]), "user 0.7"),
+        (lambda m: rank_orders((RankerKind.RANDOM_BASELINE,), m, [0.7], 2, range(3)), "user 0.7"),
     ],
 )
 def test_non_integral_ids_and_k_rejected(call, named):
@@ -349,7 +355,7 @@ def test_split_batch_memory_bounded(rng):
     kinds = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2)
     tracemalloc.start()
     try:
-        ranked = len(rank_users(kinds, train, active, 10, range(400)))
+        ranked = len(rank_orders(kinds, train, active, 10, range(400)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,28 +378,24 @@ def test_correction_matches_oracle_bit_for_bit(rng):
         m = QoSMatrix(values)
         batch = rng.permutation(users)
         orders = np.array([[rng.permutation(cands) for _ in range(3)] for _ in batch])
-        fixed = ranker.correct_orders(orders, m, batch)
+        fixed = correct_orders(orders, m, batch)
         for b, u in enumerate(batch.tolist()):
             for order, got in zip(orders[b].tolist(), fixed[b].tolist()):
                 want = oracle_correct_observed_order(order, m, u)
                 assert tuple(got) == want
-                assert correct_observed_order(Ranking(u, tuple(order)), m, u).order == want
-
-
-def test_correct_rejects_service_outside_matrix():
-    m = QoSMatrix(np.array([[0.2, 0.9]]))
-    with pytest.raises(DomainError, match="outside"):
-        correct_observed_order(Ranking(active=0, order=(1, -1)), m, 0)
-    assert correct_observed_order(Ranking(active=0, order=()), m, 0).order == ()
+                assert correct(order, m, u) == want
 
 
 def test_rank_orders_stack_matches_rank_users(rng):
+    # the random baseline first, then the CloudRank kinds in reverse order
     m = random_sparse_matrix(rng, 8, 6, 0.6)
     kinds = (RankerKind.RANDOM_BASELINE, RankerKind.CLOUDRANK2, RankerKind.CLOUDRANK1)
-    orders = ranker.rank_orders(kinds, m, [3, 0, 5], 4, range(6), seed=9)
+    orders = rank_orders(kinds, m, [3, 0, 5], 4, range(6), seed=9)
     assert orders.shape == (3, 3, 6)
-    for by_kind, row in zip(rank_users(kinds, m, [3, 0, 5], 4, range(6), seed=9), orders):
-        assert [by_kind[kind].order for kind in kinds] == [tuple(r) for r in row.tolist()]
+    for u, row in zip([3, 0, 5], orders.tolist()):
+        assert [rank(kind, m, u, 4, range(6), seed=9).order for kind in kinds] == [
+            tuple(r) for r in row
+        ]
 
 
 def test_rank_orders_rejects_duplicates(monkeypatch, rng):
@@ -407,4 +409,24 @@ def test_rank_orders_rejects_duplicates(monkeypatch, rng):
 
     monkeypatch.setattr(ranker, "greedy_orders", duplicated)
     with pytest.raises(DomainError, match="ranking contains duplicate services"):
-        ranker.rank_orders((RankerKind.CLOUDRANK1,), m, [0, 1], 3, range(5))
+        rank_orders((RankerKind.CLOUDRANK1,), m, [0, 1], 3, range(5))
+
+
+DELETED_NAMES = (
+    "similarity_row", "select_neighbors", "SimilarityRow", "Neighborhood",
+    "build_preference_table", "PreferenceTable", "Provenance", "greedy_rank",
+    "correct_observed_order", "kendall_tau_score", "RankScore", "rank_users",
+    "rank_kinds", "default_scenario", "scenario_to_dict",
+)
+
+
+def test_package_exports_rank_orders_and_no_one_user_wrappers():
+    # the pipeline runs each stage once per batch; one-user copies of the
+    # stages and their result types must not come back
+    import qosrank
+    from qosrank import allocsim, metrics, preference, similarity
+
+    assert qosrank.rank_orders is rank_orders
+    for module in (qosrank, allocsim, metrics, preference, ranker, similarity):
+        assert [name for name in DELETED_NAMES if hasattr(module, name)] == []
+    assert not hasattr(QoSMatrix, "observed_set") and not hasattr(QoSMatrix, "value")

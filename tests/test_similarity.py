@@ -7,28 +7,23 @@ import pytest
 from qosrank import similarity
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.similarity import (
-    SimilarityRow,
-    select_neighbors,
-    similarity_block,
-    similarity_row,
-    top_neighbors,
-)
+from qosrank.similarity import similarity_block, top_neighbors
 
 from conftest import random_sparse_matrix
-from oracles import oracle_select_neighbors
+from oracles import members_of, oracle_select_neighbors
 
 
 def brute_force_krcc(matrix, u, v):
     """Independent oracle: enumerate every unordered common-service pair."""
-    common = sorted(matrix.observed_set(u) & matrix.observed_set(v))
+    common = np.flatnonzero(matrix.observed_mask[u] & matrix.observed_mask[v]).tolist()
     n = len(common)
     if n < 2:
         return 0.0
+    values = matrix.values
     concordant = discordant = 0
     for i, j in itertools.combinations(common, 2):
-        du = matrix.value(u, i) - matrix.value(u, j)
-        dv = matrix.value(v, i) - matrix.value(v, j)
+        du = values[u, i] - values[u, j]
+        dv = values[v, i] - values[v, j]
         if du * dv > 0:
             concordant += 1
         elif du * dv < 0:
@@ -40,10 +35,20 @@ def matrix_of(*rows):
     return QoSMatrix(np.array(rows, dtype=float))
 
 
+def sims_of(matrix, u):
+    """u's similarity to every user v != u, ascending v: its column of
+    `similarity_block` for a batch of one, without u itself."""
+    return np.delete(similarity_block(matrix, (u,))[:, 0], u)
+
+
 def sim(matrix, u, v):
-    """Similarity of u and v as read from u's similarity_row."""
-    row = similarity_row(matrix, u)
-    return float(row.sims[np.searchsorted(row.users, v)])
+    """Similarity of u and v as read from u's column of the block."""
+    return float(similarity_block(matrix, (u,))[v, 0])
+
+
+def select(ids, sims, active, k):
+    """The Top-k members ((user, similarity), ...) of one column."""
+    return members_of(top_neighbors(np.asarray(ids), np.asarray(sims)[:, None], [active], k)[0])
 
 
 def test_identical_ordering_gives_one():
@@ -76,7 +81,7 @@ def test_no_common_services_is_zero():
 def test_symmetry_exact(rng):
     for _ in range(50):
         m = random_sparse_matrix(rng, 6, 7, 0.6)
-        rows = [similarity_row(m, u).sims for u in range(6)]
+        rows = [sims_of(m, u) for u in range(6)]
         for u in range(6):
             for v in range(u + 1, 6):
                 # u's row skips u, so v sits at v - 1; v's row holds u at u
@@ -87,7 +92,7 @@ def test_range(rng):
     for _ in range(50):
         m = random_sparse_matrix(rng, 5, 6, 0.8)
         for u in range(5):
-            sims = similarity_row(m, u).sims
+            sims = sims_of(m, u)
             assert ((-1.0 <= sims) & (sims <= 1.0)).all()
 
 
@@ -96,7 +101,7 @@ def test_monotone_transform_invariance(rng):
     values = np.array(m.values)
     values[0] = np.exp(3.0 * values[0]) + 1.0  # strictly increasing transform
     transformed = QoSMatrix(values)
-    assert (similarity_row(m, 0).sims == similarity_row(transformed, 0).sims).all()
+    assert (sims_of(m, 0) == sims_of(transformed, 0)).all()
 
 
 def test_oracle_equivalence_small_random(rng):
@@ -112,10 +117,11 @@ def test_oracle_equivalence_small_random(rng):
 def test_row_matches_pairwise_calls(rng):
     m = random_sparse_matrix(rng, 8, 9, 0.6)
     for u in range(8):
-        row = similarity_row(m, u)
-        assert list(row.users) == [v for v in range(8) if v != u]
-        for v, s in zip(row.users, row.sims):
-            assert s == brute_force_krcc(m, u, int(v))
+        column = similarity_block(m, (u,))[:, 0]
+        assert column.shape == (8,)
+        for v, s in enumerate(column.tolist()):
+            if v != u:
+                assert s == brute_force_krcc(m, u, v)
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 14, 40])
@@ -131,10 +137,10 @@ def test_row_matches_krcc_bit_for_bit_across_chunks(rng, monkeypatch, chunk_elem
         values[3, 5:] = np.nan
         m = QoSMatrix(values)
         for u in range(8):
-            row = similarity_row(m, u)
-            for v, s in zip(row.users, row.sims):
-                assert s == brute_force_krcc(m, u, int(v))
-        assert (similarity_row(m, 1).sims == 0.0).all()
+            for v, s in enumerate(similarity_block(m, (u,))[:, 0].tolist()):
+                if v != u:
+                    assert s == brute_force_krcc(m, u, v)
+        assert (sims_of(m, 1) == 0.0).all()
         assert sim(m, 2, 3) == 0.0
 
 
@@ -157,9 +163,8 @@ def test_block_matches_krcc_bit_for_bit_for_each_user(rng, monkeypatch, chunk_el
             for v in range(8):
                 if v != u:
                     assert column[v] == brute_force_krcc(m, u, v)
-            alone = similarity_row(m, u)
-            assert list(alone.users) == [v for v in range(8) if v != u]
-            assert np.delete(column, u).tobytes() == alone.sims.tobytes()
+            alone = similarity_block(m, (u,))[:, 0]
+            assert column.tobytes() == alone.tobytes()
     assert similarity_block(m, []).shape == (8, 0)
 
 
@@ -169,7 +174,7 @@ def test_row_memory_bounded_for_fully_observed_user(rng):
     m = QoSMatrix(values)
     tracemalloc.start()
     try:
-        similarity_row(m, 0)
+        similarity_block(m, (0,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -178,9 +183,9 @@ def test_row_memory_bounded_for_fully_observed_user(rng):
 
 def test_row_three_users():
     m = matrix_of([0.1, 0.2], [0.3, 0.4], [0.5, 0.1])
-    row = similarity_row(m, 1)
-    assert len(row.users) == 2
-    assert 1 not in row.users
+    column = similarity_block(m, (1,))[:, 0]
+    assert len(column) == 3
+    assert 1 not in [v for v, _ in select(range(3), column, 1, 3)]
 
 
 def test_row_isolated_user_all_zero():
@@ -188,48 +193,34 @@ def test_row_isolated_user_all_zero():
     values[0, 0] = 1.0
     values[1, 1] = 2.0
     values[2, 2] = 3.0
-    row = similarity_row(QoSMatrix(values), 0)
-    assert (row.sims == 0.0).all()
+    assert (similarity_block(QoSMatrix(values), (0,)) == 0.0).all()
 
 
 def test_select_neighbors_example():
-    row = SimilarityRow(
-        active=0,
-        users=np.array([1, 2, 3, 4]),
-        sims=np.array([0.9, 0.5, -0.2, 0.7]),
-    )
-    nbrs = select_neighbors(row, 2)
-    assert nbrs.members == ((1, 0.9), (4, 0.7))
+    assert select([1, 2, 3, 4], [0.9, 0.5, -0.2, 0.7], 0, 2) == ((1, 0.9), (4, 0.7))
 
 
 def test_select_neighbors_filters_nonpositive():
-    row = SimilarityRow(
-        active=0, users=np.array([1, 2, 3]), sims=np.array([-0.5, 0.0, -1.0])
-    )
-    assert select_neighbors(row, 5).members == ()
+    assert select([1, 2, 3], [-0.5, 0.0, -1.0], 0, 5) == ()
 
 
 def test_select_neighbors_k_zero():
-    row = SimilarityRow(active=0, users=np.array([1]), sims=np.array([0.9]))
-    assert select_neighbors(row, 0).members == ()
+    assert select([1], [0.9], 0, 0) == ()
 
 
 def test_select_neighbors_tie_breaks_to_smaller_id():
-    row = SimilarityRow(
-        active=0, users=np.array([5, 2, 9]), sims=np.array([0.5, 0.5, 0.5])
-    )
-    nbrs = select_neighbors(row, 2)
-    assert nbrs.user_ids() == [2, 5]
+    nbrs = select([5, 2, 9], [0.5, 0.5, 0.5], 0, 2)
+    assert [v for v, _ in nbrs] == [2, 5]
 
 
 def test_neighborhood_is_prefix_of_sorted_positive_list(rng):
     m = random_sparse_matrix(rng, 10, 8, 0.7)
-    row = similarity_row(m, 0)
-    full = select_neighbors(row, 9)
-    for k in range(len(full.members) + 1):
-        assert select_neighbors(row, k).members == full.members[:k]
-    assert all(s > 0 for _, s in full.members)
-    sims = full.similarities()
+    column = similarity_block(m, (0,))[:, 0]
+    full = select(range(10), column, 0, 9)
+    for k in range(len(full) + 1):
+        assert select(range(10), column, 0, k) == full[:k]
+    assert all(s > 0 for _, s in full)
+    sims = [s for _, s in full]
     assert sims == sorted(sims, reverse=True)
 
 
@@ -246,11 +237,13 @@ def test_top_neighbors_match_oracle(rng):
         block = similarity_block(m, batch)
         for k in (0, 1, 3, users + 2):
             got = top_neighbors(np.arange(users), block, batch, k)
-            for (ids, sims), u in zip(got, batch):
-                row = similarity_row(m, u)
-                want = oracle_select_neighbors(row.users, row.sims, k)
+            for b, ((ids, sims), u) in enumerate(zip(got, batch)):
+                column = similarity_block(m, (u,))[:, 0]
+                assert column.tobytes() == block[:, b].tobytes()
+                others = np.delete(np.arange(users), u)
+                want = oracle_select_neighbors(others, np.delete(column, u), k)
                 assert tuple(zip(ids.tolist(), sims.tolist())) == want
-                assert select_neighbors(row, k).members == want
+                assert select(range(users), column, u, k) == want
 
 
 def test_top_neighbors_excludes_active_and_breaks_ties_by_id():
