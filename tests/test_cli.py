@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -267,13 +268,31 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ({"trial_seeds": None, "trials": True}, "trials True is not an integer"),
         ({"k_neighbors": True}, "k_neighbors True is not an integer"),
         ({"densities": [0.1, True]}, "densities must be numbers, got [0.1, True]"),
+        ({"densities": ["0.5"]}, "densities must be numbers, got ['0.5']"),
+        ({"densities": [0.1, math.inf]}, "densities must be numbers, got [0.1, inf]"),
+        # a dict "scenario" holds fields to change in the committed scenario
+        ({"scenario": {"hosts": {"count": 4, "mips": "3600", "ram": 16384.0, "bw": 4000.0}}},
+         "hosts.mips '3600' is not a finite number"),
+        ({"scenario": {"hosts": {"count": 4, "mips": math.inf, "ram": 16384.0, "bw": 4000.0}}},
+         "hosts.mips inf is not a finite number"),
+        ({"scenario": {"vms": [{"mips": 150.0, "ram": True, "bw": 100.0}] * 30}},
+         "vms.ram True is not a finite number"),
+        ({"scenario": {"cloudlets": ["4000"] * 30}}, "cloudlet length '4000' is not a finite number"),
+        ({"scenario": {"noise_amplitude": "1e-3"}}, "noise_amplitude '1e-3' is not a finite number"),
+        ({"scenario": {"noise_amplitude": math.inf}}, "noise_amplitude inf is not a finite number"),
+        ({"scenario": {"user_factor_range": [0.8, math.nan]}},
+         "user_factor_range nan is not a finite number"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
     # each of these used to end in a numpy traceback, an empty-aggregate
     # error or a silent misreading (k_neighbors 2.5 ran with k = 2, "false"
-    # ran with the correction, true was read as 1 or 1.0)
+    # ran with the correction, true was read as 1 or 1.0, "3600" as 3600.0,
+    # and an infinite host mips built a matrix)
     config = json.loads((workspace / "experiment.json").read_text())
+    if isinstance(override.get("scenario"), dict):
+        scenario = json.loads((workspace / "scenario.json").read_text())
+        override = {**override, "scenario": {**scenario, **override["scenario"]}}
     config.update(override)
     config = {key: value for key, value in config.items() if value is not None}
     (workspace / "experiment.json").write_text(json.dumps(config))
@@ -281,6 +300,7 @@ def test_bad_config_values_exit_one_without_output(workspace, capsys, override, 
     code, _, err = run(["evaluate", "--config", workspace / "experiment.json", "--out", out], capsys)
     assert code == 1
     assert message in err and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 def test_usage_error_exits_one(capsys):

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,10 +335,11 @@ def test_load_undecodable_file_is_data_error(tmp_path):
 
 
 def test_load_peak_memory_bounded(tmp_path):
-    # 300 x 400 at 30% density: 36k rows. Read and parsed in blocks the load
-    # peaks at 3.1 MB (holding the file's text and lines: 5.1 MB; the
-    # line-by-line loader: 7.5 MB); parsing the whole file as one block takes
-    # 12 MB.
+    # 300 x 400 at 30% density: 36k rows. Read in blocks and parsed by
+    # numpy's C reader a block at a time, the load peaks at 3.1 MB, as it did
+    # with Python's int and float on every field (holding the file's text and
+    # lines: 5.1 MB; the line-by-line loader: 7.5 MB); reading and parsing the
+    # whole file as one block takes 7.8 MB (15 MB with int and float).
     rng = np.random.default_rng(5)
     mask = rng.random((300, 400)) < 0.3
     users, services = np.nonzero(mask)
@@ -421,6 +423,8 @@ BAD_ROWS = {
     "duplicate": ("0,0,0.25", DuplicateKeyError),
     "grid over MAX_CELLS": (f"1,{10**12},0.5", DataError),
     "id beyond int64": (f"{10**30},2,0.5", DataError),
+    "float-looking id": ("1.0,2,0.5", ParseError),
+    "value with trailing comment": ("1,2,0.5 # x", ParseError),
 }
 
 
@@ -478,6 +482,52 @@ def test_first_bad_line_wins_like_oracle(tmp_path, monkeypatch, block, seed):
         load_matrix(path, LARGER)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+# Number forms Python's int and float accept and numpy's C reader does not
+# (underscores, non-ASCII digits), some with no-break-space padding: a block
+# holding one is parsed row by row and must load as the oracle loads it.
+ODD_ROWS = ["1_0,2,0.5", "\u0663,4,0.25", "\xa05\xa0,6,1_000.5", "7,\xa08,1_0e-1"]
+
+
+@pytest.mark.parametrize("bad_row", ["1,x,0.5", "-1,2,0.5", "2,2,inf", "3,3"])
+@pytest.mark.parametrize("block", [3, None])
+def test_load_odd_number_forms_match_oracle(tmp_path, monkeypatch, block, bad_row):
+    if block is not None:
+        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+    # 1200 rows: the odd rows land in the second block at the shipped size
+    rows = [f"{u},{s},{0.5 + u - s!r}" for u in range(20, 60) for s in range(30)]
+    at = len(rows) - 10
+    rows[at:at] = ODD_ROWS
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    for orientation in MetricOrientation:
+        assert_same_matrix(load_matrix(path, orientation), oracle_load_matrix(path, orientation))
+    # a bad row after the odd ones is named at its line, as the oracle names it
+    rows.insert(at + len(ODD_ROWS), bad_row)
+    path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as want:
+        oracle_load_matrix(path, LARGER)
+    with pytest.raises(DataError) as got:
+        load_matrix(path, LARGER)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert line_number(str(got.value)) == at + len(ODD_ROWS) + 2
+
+
+def test_reader_deprecation_warning_counts_as_rejection(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 reads an int64 field such as "1.0" via float and only
+    # warns; a reader that warns stands in for it here, returning junk
+    def warning_loadtxt(rows, dtype, **kwargs):
+        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        return np.zeros(len(rows), dtype)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = write_csv(tmp_path, ["0,0,0.5", "1_0,2,0.25", "3,1,1.5"])
+    assert_same_matrix(load_matrix(path, LARGER), oracle_load_matrix(path, LARGER))
+    path = write_csv(tmp_path, ["0,0,0.5", "1.0,2,0.25", "3,1,1.5"])
+    with pytest.raises(ParseError, match="^line 3: invalid literal for int"):
+        load_matrix(path, LARGER)
 
 
 # Every line break `str.splitlines` knows, which `load_matrix` keeps.
