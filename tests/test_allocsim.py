@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,31 @@ def test_default_scenario_policy_effect():
     for plan in (bf_plan, rr_plan):
         for service, rt in plan.response_time.items():
             assert rt * plan.throughput[service] == 1.0
+
+
+# sha256 of values.tobytes(), unplaced VMs and repr of the summed response
+# times of the committed scenario under each policy
+PINNED_BUILDS = {
+    AllocPolicy.ROUND_ROBIN: (
+        "fbd4980ffca000113a313f134d9a05c5aae15db1554ff15ff750f92194cbac0f",
+        (29,),
+        "81.79729124771214",
+    ),
+    AllocPolicy.BEST_FIT_DECREASING: (
+        "dd0ac28e16611f7e4c53184a3bda048df0f94693b56ef748ee5a12a15deffa3d",
+        (),
+        "82.90840235882325",
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", list(PINNED_BUILDS), ids=lambda p: p.value)
+def test_committed_scenario_build_is_pinned(policy):
+    matrix, plan = committed_scenario().build(policy=policy)
+    digest, unplaced, rt_sum = PINNED_BUILDS[policy]
+    assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == digest
+    assert plan.unplaced == unplaced
+    assert repr(sum(plan.response_time.values())) == rt_sum
 
 
 def synth_default(**overrides):
