@@ -10,13 +10,11 @@ QoS matrices under different placement policies.
 from .allocsim import (
     AllocationPlan,
     AllocPolicy,
-    Cloudlet,
     Host,
     Scenario,
     VirtualMachine,
     allocate,
     load_scenario,
-    simulate_qos,
     synth_matrix,
 )
 from .errors import (

@@ -3,12 +3,11 @@
 Hosts expose mips/ram/bw capacities; every service is backed by one VM
 running one cloudlet. Two placement policies are provided: a round-robin
 baseline (cyclic first fit) and best-fit-decreasing, the standard strong
-bin-packing heuristic standing in for "optimal" allocation. QoS follows a
-linear execution model: response_time = cloudlet length / effective MIPS,
-throughput = 1 / response_time. With contention enabled, an oversubscribed
-host shares its MIPS capacity among co-resident VMs proportionally to their
-requests (plans produced by `allocate` never oversubscribe, but hand-built
-plans may).
+bin-packing heuristic standing in for "optimal" allocation. A VM is placed
+only where it fits in all three dimensions, so no host is oversubscribed and
+every placed VM runs at its requested MIPS: QoS follows a linear execution
+model, response_time = cloudlet length / requested mips, throughput =
+1 / response_time. A scenario's `contention` key is no longer read.
 
 `synth_matrix` expands the per-service base QoS into a user x service matrix:
 each user sees base * user_factor + noise, modelling heterogeneous network
@@ -17,7 +16,6 @@ conditions between users and the same services.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -26,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import MAX_CELLS, QoSMatrix, as_bool, as_float, as_int
+from .matrix import MAX_CELLS, QoSMatrix, as_float, as_int, read_json
 from .seeding import derive_rng
 
 
@@ -54,39 +52,24 @@ class VirtualMachine:
             raise ConfigError(f"vm {self.id}: requests must be > 0")
 
 
-@dataclass(frozen=True)
-class Cloudlet:
-    id: int
-    service: int
-    length: float  # million instructions
-    assigned_vm: int | None = None
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigError(f"cloudlet {self.id}: length must be > 0")
-
-
 class AllocPolicy(Enum):
     ROUND_ROBIN = "round-robin"
     BEST_FIT_DECREASING = "best-fit-decreasing"
 
     @classmethod
     def parse(cls, text: str) -> "AllocPolicy":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ConfigError(f"unknown allocation policy {text!r}")
+        try:
+            return cls(text)
+        except ValueError:
+            raise ConfigError(f"unknown allocation policy {text!r}") from None
 
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Placement of VMs on hosts plus, once simulated, per-service QoS."""
+    """Placement of VMs on hosts plus, once synthesized, per-service QoS."""
 
-    hosts: tuple[Host, ...]
-    vms: tuple[VirtualMachine, ...]
     vm_to_host: dict[int, int]
     unplaced: tuple[int, ...]
-    cloudlet_to_vm: dict[int, int] = field(default_factory=dict)
     response_time: dict[int, float] = field(default_factory=dict)
     throughput: dict[int, float] = field(default_factory=dict)
 
@@ -106,8 +89,6 @@ def allocate(
     """
     if not hosts or not vms:
         raise DomainError("allocate requires at least one host and one VM")
-    hosts = tuple(hosts)
-    vms = tuple(vms)
     if len({h.id for h in hosts}) != len(hosts):
         raise DomainError("duplicate host ids")
     if len({v.id for v in vms}) != len(vms):
@@ -155,129 +136,12 @@ def allocate(
 
     if not vm_to_host:
         raise AllocationError(sorted(unplaced))
-    return AllocationPlan(
-        hosts=hosts, vms=vms, vm_to_host=vm_to_host, unplaced=tuple(sorted(unplaced))
-    )
-
-
-def effective_mips(plan: AllocationPlan, contention: bool) -> dict[int, float]:
-    """Per-VM execution speed under the plan.
-
-    Without contention every placed VM runs at its requested mips. With
-    contention, a host whose resident requests exceed its capacity shares the
-    capacity proportionally to the requests.
-    """
-    by_vm = {vm.id: vm for vm in plan.vms}
-    result: dict[int, float] = {}
-    residents: dict[int, list[int]] = {}
-    for vm_id, host_id in plan.vm_to_host.items():
-        residents.setdefault(host_id, []).append(vm_id)
-    capacity = {h.id: h.mips_capacity for h in plan.hosts}
-    for host_id, vm_ids in residents.items():
-        requested = sum(by_vm[v].requested_mips for v in vm_ids)
-        oversubscribed = contention and requested > capacity[host_id]
-        for v in vm_ids:
-            if oversubscribed:
-                result[v] = capacity[host_id] * by_vm[v].requested_mips / requested
-            else:
-                result[v] = by_vm[v].requested_mips
-    return result
-
-
-def simulate_qos(
-    plan: AllocationPlan, cloudlets: Sequence[Cloudlet], contention: bool = True
-) -> AllocationPlan:
-    """Run every cloudlet on its VM and record per-service QoS in the plan.
-
-    Throughput is constructed as the exact reciprocal of response time.
-    Raises DomainError if a cloudlet's VM is missing from the placement or a
-    service carries more than one cloudlet.
-    """
-    speed = effective_mips(plan, contention)
-    cloudlet_to_vm: dict[int, int] = {}
-    response_time: dict[int, float] = {}
-    throughput: dict[int, float] = {}
-    for c in cloudlets:
-        if c.assigned_vm is None or c.assigned_vm not in plan.vm_to_host:
-            raise DomainError(f"cloudlet {c.id}: VM {c.assigned_vm} is not placed")
-        if c.service in response_time:
-            raise DomainError(f"service {c.service} has more than one cloudlet")
-        cloudlet_to_vm[c.id] = c.assigned_vm
-        rt = c.length / speed[c.assigned_vm]
-        response_time[c.service] = rt
-        throughput[c.service] = 1.0 / rt
-    return replace(
-        plan,
-        cloudlet_to_vm=cloudlet_to_vm,
-        response_time=response_time,
-        throughput=throughput,
-    )
-
-
-def synth_matrix(
-    num_users: int,
-    num_services: int,
-    hosts: Sequence[Host],
-    policy: AllocPolicy,
-    noise_seed: int,
-    *,
-    vm_specs: Sequence[tuple[float, float, float]],
-    cloudlet_lengths: Sequence[float],
-    noise_amplitude: float = 0.02,
-    user_factor_range: tuple[float, float] = (0.8, 1.2),
-    contention: bool = True,
-) -> tuple[QoSMatrix, AllocationPlan]:
-    """Generate a synthetic throughput matrix from an allocation run.
-
-    Service k is backed by VM k (requests vm_specs[k]) running one cloudlet
-    of cloudlet_lengths[k] million instructions. Per-user rows are
-    base_throughput * user_factor + gaussian noise whose deviation is
-    noise_amplitude times the base spread. Services whose VM could not be
-    placed have no observations. Deterministic for a fixed seed.
-    """
-    if num_users <= 0 or num_services <= 0:
-        raise ConfigError("matrix sizes must be > 0")
-    if len(vm_specs) != num_services or len(cloudlet_lengths) != num_services:
-        raise ConfigError("need one VM spec and one cloudlet length per service")
-
-    vms = [
-        VirtualMachine(id=k, requested_mips=m, requested_ram=r, requested_bw=b)
-        for k, (m, r, b) in enumerate(vm_specs)
-    ]
-    cloudlets = [
-        Cloudlet(id=k, service=k, length=cloudlet_lengths[k], assigned_vm=k)
-        for k in range(num_services)
-    ]
-    plan = allocate(hosts, vms, policy)
-    runnable = [c for c in cloudlets if c.assigned_vm in plan.vm_to_host]
-    plan = simulate_qos(plan, runnable, contention)
-
-    base = np.full(num_services, np.nan)
-    for service, tp in plan.throughput.items():
-        base[service] = tp
-    covered = ~np.isnan(base)
-    spread = float(base[covered].max() - base[covered].min()) if covered.any() else 0.0
-
-    rng = derive_rng(noise_seed)
-    lo, hi = user_factor_range
-    factors = rng.uniform(lo, hi, size=num_users)
-    noise = rng.normal(0.0, noise_amplitude * spread, size=(num_users, num_services))
-
-    values = np.where(covered, base * factors[:, None] + noise, np.nan)
-    return QoSMatrix._own(values), plan
-
-
-def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
-    """Write the vm -> host assignment as `vm_id,host_id` rows."""
-    lines = ["vm_id,host_id"]
-    for vm_id in sorted(plan.vm_to_host):
-        lines.append(f"{vm_id},{plan.vm_to_host[vm_id]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return AllocationPlan(vm_to_host=vm_to_host, unplaced=tuple(sorted(unplaced)))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to synthesize one QoS matrix."""
+    """Everything needed to synthesize one QoS matrix; checked on construction."""
 
     host_count: int
     host_mips: float
@@ -290,53 +154,95 @@ class Scenario:
     seed: int
     noise_amplitude: float
     user_factor_range: tuple[float, float]
-    contention: bool = True
+
+    def __post_init__(self):
+        if self.host_count <= 0 or self.num_users <= 0:
+            raise ConfigError("host count and user count must be > 0")
+        if not self.vm_specs:
+            raise ConfigError("a scenario needs at least one VM")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.num_users * self.num_services > MAX_CELLS:
+            raise ConfigError(
+                f"{self.num_users} users x {self.num_services} services is over the "
+                f"{MAX_CELLS}-cell matrix limit"
+            )
+        if len(self.cloudlet_lengths) != self.num_services:
+            raise ConfigError("need one cloudlet length per VM")
+        if min(self.cloudlet_lengths) <= 0:
+            raise ConfigError("cloudlet lengths must be > 0")
+        if not 0.0 <= self.noise_amplitude:
+            raise ConfigError("noise amplitude must be >= 0")
+        factors = self.user_factor_range
+        if not (len(factors) == 2 and factors[0] <= factors[1]):
+            raise ConfigError(
+                f"user_factor_range must be two finite numbers [lo, hi] with lo <= hi, "
+                f"got {list(factors)}"
+            )
 
     @property
     def num_services(self) -> int:
         return len(self.vm_specs)
 
-    def hosts(self) -> list[Host]:
-        return [
-            Host(id=i, mips_capacity=self.host_mips, ram=self.host_ram, bw=self.host_bw)
-            for i in range(self.host_count)
-        ]
 
-    def build(
-        self, policy: AllocPolicy | None = None
-    ) -> tuple[QoSMatrix, AllocationPlan]:
-        return synth_matrix(
-            self.num_users,
-            self.num_services,
-            self.hosts(),
-            policy or self.policy,
-            self.seed,
-            vm_specs=self.vm_specs,
-            cloudlet_lengths=self.cloudlet_lengths,
-            noise_amplitude=self.noise_amplitude,
-            user_factor_range=self.user_factor_range,
-            contention=self.contention,
-        )
+def synth_matrix(
+    scenario: Scenario, policy: AllocPolicy | None = None
+) -> tuple[QoSMatrix, AllocationPlan]:
+    """Place the scenario's VMs and generate a synthetic throughput matrix.
+
+    `policy` overrides the scenario's. Service k is backed by VM k (requests
+    vm_specs[k]) running one cloudlet of cloudlet_lengths[k] million
+    instructions. Per-user rows are base_throughput * user_factor + gaussian
+    noise whose deviation is noise_amplitude times the base spread. Services
+    whose VM could not be placed have no observations. Deterministic for a
+    fixed seed.
+    """
+    hosts = [
+        Host(id=i, mips_capacity=scenario.host_mips, ram=scenario.host_ram, bw=scenario.host_bw)
+        for i in range(scenario.host_count)
+    ]
+    vms = [VirtualMachine(k, *spec) for k, spec in enumerate(scenario.vm_specs)]
+    plan = allocate(hosts, vms, policy or scenario.policy)
+    response_time = {
+        k: scenario.cloudlet_lengths[k] / vms[k].requested_mips for k in sorted(plan.vm_to_host)
+    }
+    throughput = {k: 1.0 / rt for k, rt in response_time.items()}
+    plan = replace(plan, response_time=response_time, throughput=throughput)
+
+    base = np.full(scenario.num_services, np.nan)
+    base[list(throughput)] = list(throughput.values())
+    spread = float(max(throughput.values()) - min(throughput.values()))
+
+    rng = derive_rng(scenario.seed)
+    lo, hi = scenario.user_factor_range
+    factors = rng.uniform(lo, hi, size=scenario.num_users)
+    noise = rng.normal(
+        0.0, scenario.noise_amplitude * spread, size=(scenario.num_users, scenario.num_services)
+    )
+    values = np.where(np.isnan(base), np.nan, base * factors[:, None] + noise)
+    return QoSMatrix._own(values), plan
+
+
+def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
+    """Write the vm -> host assignment as `vm_id,host_id` rows."""
+    lines = ["vm_id,host_id"]
+    for vm_id in sorted(plan.vm_to_host):
+        lines.append(f"{vm_id},{plan.vm_to_host[vm_id]}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario JSON file; see README for the schema."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(Path(path), "scenario"))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    """Parse a decoded scenario; other keys, such as `contention`, are ignored."""
     try:
         hosts = raw["hosts"]
         vms = raw["vms"]
         lengths = raw["cloudlets"]
-        scenario = Scenario(
+        return Scenario(
             host_count=as_int(hosts["count"], "hosts.count", ConfigError),
             host_mips=as_float(hosts["mips"], "hosts.mips"),
             host_ram=as_float(hosts["ram"], "hosts.ram"),
@@ -354,27 +260,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
             user_factor_range=tuple(
                 as_float(x, "user_factor_range") for x in raw.get("user_factor_range", (0.8, 1.2))
             ),
-            contention=as_bool(raw.get("contention", True), "contention"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
-    if scenario.host_count <= 0 or scenario.num_users <= 0:
-        raise ConfigError("host count and user count must be > 0")
-    if scenario.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {scenario.seed}")
-    if scenario.num_users * scenario.num_services > MAX_CELLS:
-        raise ConfigError(
-            f"{scenario.num_users} users x {scenario.num_services} services is over the "
-            f"{MAX_CELLS}-cell matrix limit"
-        )
-    if len(scenario.cloudlet_lengths) != scenario.num_services:
-        raise ConfigError("need one cloudlet length per VM")
-    if not 0.0 <= scenario.noise_amplitude:
-        raise ConfigError("noise amplitude must be >= 0")
-    factors = scenario.user_factor_range
-    if not (len(factors) == 2 and factors[0] <= factors[1]):
-        raise ConfigError(
-            f"user_factor_range must be two finite numbers [lo, hi] with lo <= hi, "
-            f"got {list(factors)}"
-        )
-    return scenario

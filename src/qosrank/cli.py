@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .allocsim import AllocPolicy, load_scenario, write_plan_csv
+from .allocsim import AllocPolicy, load_scenario, synth_matrix, write_plan_csv
 from .errors import AllocationError, ConfigError, DataError, DomainError, QosRankError
 from .experiment import build_matrix, load_config, run_experiment, write_qos_performance_csv
 from .matrix import save_matrix
@@ -91,7 +91,7 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     policy = AllocPolicy.parse(args.policy) if args.policy else scenario.policy
-    matrix, plan = scenario.build(policy=policy)
+    matrix, plan = synth_matrix(scenario, policy)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(matrix, out / f"qos_{policy.value}.csv")

@@ -17,17 +17,16 @@ produce identical output since every cell owns its seed stream.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict
+from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, synth_matrix
 from .errors import ConfigError
 from .matrix import (
-    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_float, as_int, load_matrix,
+    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_float, as_int, load_matrix, read_json,
     split_train_test,
 )
 from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
@@ -65,9 +64,9 @@ class ExperimentConfig:
     seed: int = 0
     correct_observed: bool = True
     dataset: Path | None = None
-    orientation: MetricOrientation = MetricOrientation.LARGER_IS_BETTER
+    orientation: MetricOrientation | None = None  # dataset only; None is larger-is-better
     scenario: Scenario | None = None
-    policy: AllocPolicy | None = None  # overrides the scenario's policy
+    policy: AllocPolicy | None = None  # scenario only; overrides the scenario's policy
 
     def __post_init__(self):
         if not self.densities:
@@ -100,18 +99,20 @@ class ExperimentConfig:
             raise ConfigError("active_users must be > 0")
         if (self.dataset is None) == (self.scenario is None):
             raise ConfigError("config needs exactly one of dataset or scenario")
+        # a key that cannot take effect is rejected, not silently ignored
+        if self.dataset is not None and self.policy is not None:
+            raise ConfigError("policy applies only to a scenario, not to a dataset")
+        if self.scenario is not None and self.orientation is not None:
+            raise ConfigError(
+                "orientation applies only to a dataset; a scenario always yields "
+                "larger-is-better throughput"
+            )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse an experiment config JSON; paths resolve relative to the file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(read_json(path, "config"), base_dir=path.parent)
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -145,8 +146,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
             seed=seed,
             correct_observed=as_bool(raw.get("correct_observed", True), "correct_observed"),
             dataset=dataset,
-            orientation=MetricOrientation.parse(
-                raw.get("orientation", "larger-is-better")
+            orientation=(
+                MetricOrientation.parse(raw["orientation"]) if "orientation" in raw else None
             ),
             scenario=scenario,
             policy=AllocPolicy.parse(raw["policy"]) if "policy" in raw else None,
@@ -157,9 +158,10 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
 
 def build_matrix(config: ExperimentConfig) -> QoSMatrix:
     if config.dataset is not None:
-        return load_matrix(config.dataset, config.orientation)
-    matrix, _ = config.scenario.build(policy=config.policy)
-    return matrix
+        return load_matrix(
+            config.dataset, config.orientation or MetricOrientation.LARGER_IS_BETTER
+        )
+    return synth_matrix(config.scenario, config.policy)[0]
 
 
 def run_experiment(

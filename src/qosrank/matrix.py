@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import logging
 import math
 import operator
@@ -80,6 +81,16 @@ def as_bool(value, what: str) -> bool:
     return value
 
 
+def read_json(path: Path, what: str):
+    """The decoded JSON file at `path`; ConfigError naming it as `what` if unreadable."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 class MetricOrientation(Enum):
     """Whether larger raw metric values are better (throughput) or worse
     (response time). Declared once per dataset, out of band."""
@@ -89,10 +100,10 @@ class MetricOrientation(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "MetricOrientation":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ConfigError(f"unknown orientation {text!r}")
+        try:
+            return cls(text)
+        except ValueError:
+            raise ConfigError(f"unknown orientation {text!r}") from None
 
 
 class QoSMatrix:

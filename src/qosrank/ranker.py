@@ -31,13 +31,10 @@ class RankerKind(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "RankerKind":
-        aliases = {"random": cls.RANDOM_BASELINE}
-        for member in cls:
-            if member.value == text:
-                return member
-        if text in aliases:
-            return aliases[text]
-        raise DomainError(f"unknown ranker kind {text!r}")
+        try:
+            return cls("random-baseline" if text == "random" else text)
+        except ValueError:
+            raise DomainError(f"unknown ranker kind {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,13 +8,12 @@ import pytest
 from qosrank.allocsim import (
     AllocationPlan,
     AllocPolicy,
-    Cloudlet,
     Host,
+    Scenario,
     VirtualMachine,
     allocate,
-    effective_mips,
     load_scenario,
-    simulate_qos,
+    scenario_from_dict,
     synth_matrix,
     write_plan_csv,
 )
@@ -32,22 +33,35 @@ def vm(i, mips, ram=1.0, bw=1.0):
     return VirtualMachine(id=i, requested_mips=mips, requested_ram=ram, requested_bw=bw)
 
 
+def small_scenario(vm_mips, lengths, host_count=1, host_mips=10000.0):
+    """Round-robin scenario of 10000 MB / 10000 Mbps hosts and 1 MB / 1 Mbps VMs."""
+    return Scenario(
+        host_count=host_count,
+        host_mips=host_mips,
+        host_ram=10000.0,
+        host_bw=10000.0,
+        vm_specs=tuple((m, 1.0, 1.0) for m in vm_mips),
+        cloudlet_lengths=tuple(lengths),
+        policy=AllocPolicy.ROUND_ROBIN,
+        num_users=2,
+        seed=0,
+        noise_amplitude=0.02,
+        user_factor_range=(0.8, 1.2),
+    )
+
+
 def random_fixture(seed, load=0.7):
-    """Seeded fixture whose VMs all fit under either policy: total demand at
+    """Seeded scenario whose VMs all fit under either policy: total demand at
     `load` of capacity with every VM at most a quarter of one host."""
     rng = derive_rng(4000, seed)
-    hosts = [host(i, 2000.0) for i in range(int(rng.integers(3, 6)))]
-    budget = load * 2000.0 * len(hosts)
-    vms = []
+    host_count = int(rng.integers(3, 6))
+    budget = load * 2000.0 * host_count
+    sizes = []
     while budget > 500.0:
-        size = float(rng.integers(100, 501))
-        vms.append(vm(len(vms), size))
-        budget -= size
-    cloudlets = [
-        Cloudlet(id=k, service=k, length=float(rng.integers(500, 2000)), assigned_vm=k)
-        for k in range(len(vms))
-    ]
-    return hosts, vms, cloudlets
+        sizes.append(float(rng.integers(100, 501)))
+        budget -= sizes[-1]
+    lengths = [float(rng.integers(500, 2000)) for _ in sizes]
+    return small_scenario(sizes, lengths, host_count=host_count, host_mips=2000.0)
 
 
 def test_best_fit_single_host_overflow():
@@ -138,50 +152,15 @@ def test_allocate_requires_inputs():
         allocate([host(0, 10.0)], [], AllocPolicy.ROUND_ROBIN)
 
 
-def simulate_single(vm_mips, length, contention=False, cap=10000.0):
-    plan = allocate([host(0, cap)], [vm(0, vm_mips)], AllocPolicy.ROUND_ROBIN)
-    plan = simulate_qos(plan, [Cloudlet(0, service=0, length=length, assigned_vm=0)], contention)
-    return plan
-
-
 def test_response_time_is_length_over_mips():
-    plan = simulate_single(250.0, 500.0)
+    _, plan = synth_matrix(small_scenario([250.0], [500.0]))
     assert plan.response_time[0] == 2.0
     assert plan.throughput[0] == 0.5
 
 
-def test_contention_shares_capacity_proportionally():
-    # hand-built oversubscribed plan: two VMs requesting 800 on a 1000 host
-    hosts = (host(0, 1000.0),)
-    vms = (vm(0, 800.0), vm(1, 800.0))
-    plan = AllocationPlan(hosts=hosts, vms=vms, vm_to_host={0: 0, 1: 0}, unplaced=())
-    speed = effective_mips(plan, contention=True)
-    assert speed == {0: 500.0, 1: 500.0}
-    relaxed = effective_mips(plan, contention=False)
-    assert relaxed == {0: 800.0, 1: 800.0}
-
-
-def test_contention_noop_when_fit():
-    hosts = (host(0, 1000.0),)
-    vms = (vm(0, 400.0), vm(1, 500.0))
-    plan = AllocationPlan(hosts=hosts, vms=vms, vm_to_host={0: 0, 1: 0}, unplaced=())
-    assert effective_mips(plan, contention=True) == {0: 400.0, 1: 500.0}
-
-
-def test_unassigned_cloudlet_rejected():
-    plan = allocate([host(0, 1000.0)], [vm(0, 100.0)], AllocPolicy.ROUND_ROBIN)
-    with pytest.raises(DomainError):
-        simulate_qos(plan, [Cloudlet(0, service=0, length=100.0)])
-    with pytest.raises(DomainError):
-        simulate_qos(plan, [Cloudlet(0, service=0, length=100.0, assigned_vm=5)])
-
-
 def test_throughput_is_exact_reciprocal():
-    rng = derive_rng(55)
     for seed in range(10):
-        hosts, vms, cloudlets = random_fixture(seed)
-        plan = allocate(hosts, vms, AllocPolicy.BEST_FIT_DECREASING)
-        plan = simulate_qos(plan, cloudlets, contention=True)
+        _, plan = synth_matrix(random_fixture(seed), AllocPolicy.BEST_FIT_DECREASING)
         for service, rt in plan.response_time.items():
             assert plan.throughput[service] == 1.0 / rt
 
@@ -190,13 +169,11 @@ def test_policy_comparison_on_seeded_fixtures():
     """Best fit never does worse than round robin on the fixture suite:
     placed-VM counts and mean response time."""
     for seed in range(20):
-        hosts, vms, cloudlets = random_fixture(seed)
+        fixture = random_fixture(seed)
         means = {}
         placed = {}
         for policy in AllocPolicy:
-            plan = allocate(hosts, vms, policy)
-            runnable = [c for c in cloudlets if c.assigned_vm in plan.vm_to_host]
-            plan = simulate_qos(plan, runnable, contention=True)
+            _, plan = synth_matrix(fixture, policy)
             means[policy] = sum(plan.response_time.values()) / len(plan.response_time)
             placed[policy] = len(plan.vm_to_host)
         assert placed[AllocPolicy.BEST_FIT_DECREASING] >= placed[AllocPolicy.ROUND_ROBIN]
@@ -205,8 +182,8 @@ def test_policy_comparison_on_seeded_fixtures():
 
 def test_default_scenario_policy_effect():
     scenario = committed_scenario()
-    bf_matrix, bf_plan = scenario.build(policy=AllocPolicy.BEST_FIT_DECREASING)
-    rr_matrix, rr_plan = scenario.build(policy=AllocPolicy.ROUND_ROBIN)
+    bf_matrix, bf_plan = synth_matrix(scenario, AllocPolicy.BEST_FIT_DECREASING)
+    rr_matrix, rr_plan = synth_matrix(scenario, AllocPolicy.ROUND_ROBIN)
     assert bf_plan.unplaced == ()
     assert len(rr_plan.unplaced) == 1
     assert bf_matrix != rr_matrix
@@ -237,7 +214,7 @@ PINNED_BUILDS = {
 
 @pytest.mark.parametrize("policy", list(PINNED_BUILDS), ids=lambda p: p.value)
 def test_committed_scenario_build_is_pinned(policy):
-    matrix, plan = committed_scenario().build(policy=policy)
+    matrix, plan = synth_matrix(committed_scenario(), policy)
     digest, unplaced, rt_sum = PINNED_BUILDS[policy]
     assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == digest
     assert plan.unplaced == unplaced
@@ -245,21 +222,8 @@ def test_committed_scenario_build_is_pinned(policy):
 
 
 def synth_default(**overrides):
-    scenario = committed_scenario()
-    kwargs = dict(
-        vm_specs=scenario.vm_specs,
-        cloudlet_lengths=scenario.cloudlet_lengths,
-        noise_amplitude=scenario.noise_amplitude,
-        user_factor_range=scenario.user_factor_range,
-    )
-    kwargs.update(overrides)
     return synth_matrix(
-        scenario.num_users,
-        scenario.num_services,
-        scenario.hosts(),
-        AllocPolicy.BEST_FIT_DECREASING,
-        scenario.seed,
-        **kwargs,
+        replace(committed_scenario(), **overrides), AllocPolicy.BEST_FIT_DECREASING
     )
 
 
@@ -288,7 +252,7 @@ def test_synth_user_rankings_track_base_ranking():
 
 def test_synth_skips_unplaced_services():
     scenario = committed_scenario()
-    matrix, plan = scenario.build(policy=AllocPolicy.ROUND_ROBIN)
+    matrix, plan = synth_matrix(scenario, AllocPolicy.ROUND_ROBIN)
     missing = set(range(scenario.num_services)) - set(plan.vm_to_host)
     assert missing == {29}
     for u in range(matrix.num_users):
@@ -296,8 +260,6 @@ def test_synth_skips_unplaced_services():
 
 
 def test_scenario_rejects_bad_policy(tmp_path):
-    import json
-
     raw = json.loads((CONFIG_DIR / "default_scenario.json").read_text())
     raw["policy"] = "optimal"
     path = tmp_path / "scenario.json"
@@ -318,5 +280,41 @@ def test_capacity_validation():
         Host(id=0, mips_capacity=0.0, ram=1.0, bw=1.0)
     with pytest.raises(ConfigError):
         VirtualMachine(id=0, requested_mips=-5.0, requested_ram=1.0, requested_bw=1.0)
+    lengths = committed_scenario().cloudlet_lengths
     with pytest.raises(ConfigError):
-        Cloudlet(id=0, service=0, length=0.0)
+        replace(committed_scenario(), cloudlet_lengths=(0.0,) + lengths[1:])
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"host_count": 0}, "host count and user count must be > 0"),
+        ({"num_users": 0}, "host count and user count must be > 0"),
+        ({"vm_specs": (), "cloudlet_lengths": ()}, "a scenario needs at least one VM"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"num_users": 10**7}, "10000000 users x 30 services is over the 50000000-cell"),
+        ({"cloudlet_lengths": (1000.0,)}, "need one cloudlet length per VM"),
+        ({"cloudlet_lengths": (1000.0,) * 29 + (-1.0,)}, "cloudlet lengths must be > 0"),
+        ({"noise_amplitude": -0.1}, "noise amplitude must be >= 0"),
+        ({"user_factor_range": (1.2, 0.8)}, "user_factor_range must be two finite numbers"),
+    ],
+)
+def test_scenario_built_in_python_is_checked(override, message):
+    # the checks run on construction, so a Scenario made in Python is checked
+    # as one loaded from JSON is, before synth_matrix sees it
+    with pytest.raises(ConfigError, match=message):
+        replace(committed_scenario(), **override)
+
+
+def test_contention_key_is_ignored():
+    raw = json.loads((CONFIG_DIR / "default_scenario.json").read_text())
+    for value in (True, False, "false"):
+        assert scenario_from_dict({**raw, "contention": value}) == committed_scenario()
+
+
+def test_plan_and_scenario_carry_no_contention_layer():
+    assert [f.name for f in fields(AllocationPlan)] == [
+        "vm_to_host", "unplaced", "response_time", "throughput"
+    ]
+    assert "contention" not in [f.name for f in fields(Scenario)]
+    assert not hasattr(Scenario, "build") and not hasattr(Scenario, "hosts")

@@ -250,6 +250,17 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_non_utf8_config_exits_one(tmp_path, capsys, command):
+    # used to end in a UnicodeDecodeError traceback
+    (tmp_path / "cfg.json").write_bytes(b"\xff\xfe{}")
+    flag = "--config" if command == "evaluate" else "--scenario"
+    code, _, err = run([command, flag, tmp_path / "cfg.json", "--out", tmp_path / "out"], capsys)
+    assert code == 1
+    assert "is not valid JSON: 'utf-8' codec can't decode" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 
 @pytest.mark.parametrize(
     "override, message",
@@ -282,6 +293,10 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ({"scenario": {"noise_amplitude": math.inf}}, "noise_amplitude inf is not a finite number"),
         ({"scenario": {"user_factor_range": [0.8, math.nan]}},
          "user_factor_range nan is not a finite number"),
+        # keys that cannot take effect: both used to be ignored silently
+        ({"scenario": None, "dataset": "data.csv", "policy": "round-robin"},
+         "policy applies only to a scenario, not to a dataset"),
+        ({"orientation": "smaller-is-better"}, "orientation applies only to a dataset"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
@@ -380,12 +395,11 @@ def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_rang
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"num_users": 10**9}, "1000000000 users x 30 services is over the 50000000-cell"),
-        ({"contention": "false"}, "contention must be true or false, got 'false'"),
     ],
 )
 def test_simulate_bad_scenario_values_exit_one(workspace, capsys, override, message):
-    # these used to be truncated (2.5 hosts ran as 2), read as true
-    # ("false"), or end in a SeedSequence or ArrayMemoryError traceback
+    # these used to be truncated (2.5 hosts ran as 2) or end in a
+    # SeedSequence or ArrayMemoryError traceback
     scenario = json.loads((workspace / "scenario.json").read_text())
     scenario.update(override)
     (workspace / "bad.json").write_text(json.dumps(scenario))

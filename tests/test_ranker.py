@@ -416,7 +416,8 @@ DELETED_NAMES = (
     "similarity_row", "select_neighbors", "SimilarityRow", "Neighborhood",
     "build_preference_table", "PreferenceTable", "Provenance", "greedy_rank",
     "correct_observed_order", "kendall_tau_score", "RankScore", "rank_users",
-    "rank_kinds", "default_scenario", "scenario_to_dict",
+    "rank_kinds", "default_scenario", "scenario_to_dict", "Cloudlet", "simulate_qos",
+    "effective_mips",
 )
 
 
