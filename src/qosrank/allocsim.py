@@ -7,7 +7,7 @@ bin-packing heuristic standing in for "optimal" allocation. A VM is placed
 only where it fits in all three dimensions, so no host is oversubscribed and
 every placed VM runs at its requested MIPS: QoS follows a linear execution
 model, response_time = cloudlet length / requested mips, throughput =
-1 / response_time. A scenario's `contention` key is no longer read.
+1 / response_time.
 
 `synth_matrix` expands the per-service base QoS into a user x service matrix:
 each user sees base * user_factor + noise, modelling heterogeneous network

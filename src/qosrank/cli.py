@@ -60,13 +60,7 @@ def cmd_rank(args) -> int:
     kind = RankerKind.parse(args.kind)
     matrix = build_matrix(config)
     ranking = rank(
-        kind,
-        matrix,
-        args.user,
-        config.k_neighbors,
-        matrix.observed_services(),
-        seed=config.seed,
-        correct=config.correct_observed,
+        kind, matrix, args.user, config.k_neighbors, matrix.observed_services(), seed=config.seed
     )
     print(" ".join(str(s) for s in ranking.order))
     return EXIT_OK

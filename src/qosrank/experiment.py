@@ -26,7 +26,7 @@ import numpy as np
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, synth_matrix
 from .errors import ConfigError
 from .matrix import (
-    MetricOrientation, QoSMatrix, SplitSpec, as_bool, as_float, as_int, load_matrix, read_json,
+    MetricOrientation, QoSMatrix, SplitSpec, as_float, as_int, load_matrix, read_json,
     split_train_test,
 )
 from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
@@ -62,7 +62,6 @@ class ExperimentConfig:
     active_users: int = 20
     trial_seeds: tuple[int, ...] = tuple(range(100))
     seed: int = 0
-    correct_observed: bool = True
     dataset: Path | None = None
     orientation: MetricOrientation | None = None  # dataset only; None is larger-is-better
     scenario: Scenario | None = None
@@ -93,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError("at least one trial is required")
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
+        if len(set(self.trial_seeds)) < len(self.trial_seeds):
+            # a repeated trial seed would score the same splits twice
+            seed = next(s for s in self.trial_seeds if self.trial_seeds.count(s) > 1)
+            raise ConfigError(f"trial seed {seed} is listed more than once")
         if self.k_neighbors < 0:
             raise ConfigError("k_neighbors must be >= 0")
         if self.active_users <= 0:
@@ -118,6 +121,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     base_dir = base_dir or Path.cwd()
     try:
+        if "correct_observed" in raw:
+            raise ConfigError(
+                "correct_observed is not a setting: the observed-order correction is "
+                "always applied"
+            )
         scenario = None
         if "scenario" in raw:
             ref = raw["scenario"]
@@ -144,7 +152,6 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
             active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),
             trial_seeds=trial_seeds,
             seed=seed,
-            correct_observed=as_bool(raw.get("correct_observed", True), "correct_observed"),
             dataset=dataset,
             orientation=(
                 MetricOrientation.parse(raw["orientation"]) if "orientation" in raw else None
@@ -189,8 +196,7 @@ def run_experiment(
             spec = SplitSpec(density=density, seed=split_seed, active_users=active)
             train, truth = split_train_test(matrix, spec)
             orders = rank_orders(
-                config.kinds, train, active, config.k_neighbors, candidates,
-                seed=random_seed, correct=config.correct_observed,
+                config.kinds, train, active, config.k_neighbors, candidates, seed=random_seed
             )
             # withheld values in predicted order, NaN where a service has none
             withheld = truth.values[np.array(active)[:, None, None], orders]
@@ -205,7 +211,7 @@ def run_experiment(
             for kind, top in zip(config.kinds, withheld[:, :, 0].T):
                 top1[(density, kind.value)].extend(top[~np.isnan(top)].tolist())
 
-    report = aggregate(rows, trials=len(config.trial_seeds), seeds=config.trial_seeds)
+    report = aggregate(rows)
     qos_rows = [
         QoSPerformanceRow(
             density=d,

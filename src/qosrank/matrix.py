@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,12 +44,9 @@ CSV_HEADER = ("user_id", "service_id", "qos_value")
 # WS-DREAM's 339 x 5825 response-time matrix is about 2M cells.
 MAX_CELLS = 50_000_000
 
-# Lines `load_matrix` parses at a time. A block's field strings take a few
-# hundred bytes per line, so this bounds the parse's temporaries however long
-# the file is; per-block overhead is negligible from a few hundred lines up.
-LOAD_BLOCK = 1024
-
-# Characters `load_matrix` reads from the file at a time.
+# Characters `load_matrix` reads from the file at a time; one read's lines
+# are parsed together, so this bounds the parse's temporaries however long
+# the file is.
 READ_CHARS = 1 << 16
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -72,13 +69,6 @@ def as_float(value, what: str) -> float:
         if abs(value) <= sys.float_info.max:  # False for NaN, infinities and huge ints
             return float(value)
     raise ConfigError(f"{what} {value!r} is not a finite number")
-
-
-def as_bool(value, what: str) -> bool:
-    """`value` if it is a bool; ConfigError naming it otherwise."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
 
 
 def read_json(path: Path, what: str):
@@ -136,24 +126,6 @@ class QoSMatrix:
         mask = ~np.isnan(values)
         mask.setflags(write=False)
         self._mask = mask
-
-    @classmethod
-    def from_entries(
-        cls,
-        num_users: int,
-        num_services: int,
-        entries: Iterable[tuple[int, int, float]],
-    ) -> "QoSMatrix":
-        """Build a matrix from (user, service, value) triples.
-
-        Raises DomainError for a cell outside the matrix, BadValueError for a
-        NaN or infinite value and DuplicateKeyError if a (user, service) cell
-        appears twice; the first offending triple in order is reported.
-        """
-        columns = list(zip(*entries)) or [(), (), ()]
-        users, services = np.array(columns[0]), np.array(columns[1])
-        values = np.array(columns[2], dtype=float)
-        return cls._own(_fill_grid(num_users, num_services, users, services, values))
 
     @property
     def values(self) -> np.ndarray:
@@ -264,14 +236,13 @@ def _fill_grid(
 
 def _blocks(fh) -> Iterator[list[str]]:
     """The lines of a text file opened with newline="", ends kept and split
-    where `str.splitlines` splits, in blocks of at most LOAD_BLOCK lines; a
-    "\\r\\n" cut by a read boundary stays one line end."""
+    where `str.splitlines` splits, one block per read of READ_CHARS
+    characters; a "\\r\\n" cut by a read boundary stays one line end."""
     carry = ""
     while chunk := fh.read(READ_CHARS):
         lines = (carry + chunk).splitlines(keepends=True)
         carry = lines.pop()  # may continue in the next read
-        for lo in range(0, len(lines), LOAD_BLOCK):
-            yield lines[lo : lo + LOAD_BLOCK]
+        yield lines
     if carry:
         yield [carry]
 
@@ -359,15 +330,15 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     around fields are ignored. Smaller-is-better values are negated here so
     the returned matrix is canonical.
 
-    The file is read READ_CHARS characters at a time, never whole, and its
-    lines are parsed LOAD_BLOCK at a time by numpy's C reader into
+    The file is read READ_CHARS characters at a time, never whole, and each
+    read's complete lines are parsed as one block by numpy's C reader into
     (int64, int64, float64) records; the grid is filled in one scatter. The
     checks are array operations. Python's int and float still define the
     accepted number forms: a block the reader rejects is parsed row by row
     with them. Memory is 24 bytes per row (48 while the blocks are joined)
-    plus one read's text and one block's lines: a 36k-row file loads in
-    20-25 ms with a 3.1 MB tracemalloc peak (30-50 ms with Python's int and
-    float on every field; 2-vCPU host, Python 3.11, numpy 2.4).
+    plus one read's text and lines: a 36k-row file loads in 12-13 ms with a
+    3.1 MB tracemalloc peak (2-vCPU host, Python 3.11, numpy 2.4; Python's
+    int and float on every field took 30-50 ms).
 
     Raises ParseError, BadValueError or DuplicateKeyError naming the line on
     malformed input, DataError if the file is unreadable or an id implies a

@@ -46,8 +46,6 @@ class SummaryRow:
 class ExperimentReport:
     rows: tuple[ScoreRow, ...]
     summaries: tuple[SummaryRow, ...]
-    trials: int
-    seeds: tuple[int, ...]
 
 
 # Upper bound on the rows x evaluable^2 comparisons `tau_scores` holds at once.
@@ -80,9 +78,7 @@ def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tau, pairs
 
 
-def aggregate(
-    rows: Sequence[ScoreRow], trials: int = 1, seeds: Sequence[int] = ()
-) -> ExperimentReport:
+def aggregate(rows: Sequence[ScoreRow]) -> ExperimentReport:
     """Group scored rows into per-(density, kind) means and deviations.
 
     Standard deviation is the population deviation over the rows of a cell;
@@ -108,12 +104,7 @@ def aggregate(
                 trials=len(cell),
             )
         )
-    return ExperimentReport(
-        rows=tuple(ordered),
-        summaries=tuple(summaries),
-        trials=trials,
-        seeds=tuple(seeds),
-    )
+    return ExperimentReport(rows=tuple(ordered), summaries=tuple(summaries))
 
 
 def write_rows_csv(report: ExperimentReport, path: str | Path) -> None:

@@ -66,10 +66,11 @@ def greedy_orders(effective: np.ndarray) -> np.ndarray:
     (R, n) array of candidate positions, best first.
 
     Each row picks the candidate whose preference sum over the remaining set
-    is largest; the sums are maintained by subtracting the picked candidate's
-    column after each pick, which equals recomputing them over the remaining
-    set by linearity. Ties (within TIE_TOLERANCE) go to the smaller position.
-    A single table runs a 1-d loop, which is cheaper than the stacked one.
+    is largest. After each pick the sums gain the picked candidate's row: the
+    tables are exactly antisymmetric, so that subtracts its column exactly,
+    which equals recomputing the sums over the remaining set by linearity.
+    Ties (within TIE_TOLERANCE) go to the smaller position. A single table
+    runs a 1-d loop, which is cheaper than the stacked one.
     """
     rows, n = effective.shape[:2]
     totals = effective.sum(axis=2)
@@ -81,11 +82,10 @@ def greedy_orders(effective: np.ndarray) -> np.ndarray:
             tol = TIE_TOLERANCE * max(1.0, abs(best_total))
             pick = int((totals >= best_total - tol).argmax())
             picks.append(pick)
-            totals -= table[:, pick]
+            totals += table[pick]
             totals[pick] = -np.inf
         return np.array([picks], dtype=np.intp)
-    # picked columns are gathered as contiguous rows of a transposed copy
-    columns = effective.transpose(0, 2, 1).reshape(rows * n, n)
+    tables = effective.reshape(rows * n, n)  # row r * n + i: row i of table r
     flat_totals, first = totals.ravel(), np.arange(rows) * n
     order = np.empty((n, rows), dtype=np.intp)
     for step in range(n):
@@ -94,7 +94,7 @@ def greedy_orders(effective: np.ndarray) -> np.ndarray:
         pick = (totals >= (best - tol)[:, None]).argmax(axis=1)
         order[step] = pick
         flat = first + pick
-        totals -= columns.take(flat, axis=0)
+        totals += tables.take(flat, axis=0)
         flat_totals.put(flat, -np.inf)
     return order.T
 
@@ -119,18 +119,17 @@ def rank_orders(
     k: int,
     candidates,
     seed: int = 0,
-    correct: bool = True,
 ) -> np.ndarray:
     """The ranking of each user with each kind, best first, as a
     (users, kinds, n) array of candidate ids.
 
     The CloudRank kinds run a batch of users at a time: similarity block ->
     one neighbour sort -> stacked preference tables -> one greedy loop over
-    every (user, kind) table -> unless disabled, one observed-order
-    correction. A batch holds at most BATCH_ELEMS table elements per stacked
-    array, and at least one user. Every ranking equals the one the user gets
-    alone. The random baseline shuffles the candidates seeded by (seed, u).
-    Raises DomainError if a row is not a permutation of the candidates.
+    every (user, kind) table -> one observed-order correction. A batch holds
+    at most BATCH_ELEMS table elements per stacked array, and at least one
+    user. Every ranking equals the one the user gets alone. The random
+    baseline shuffles the candidates seeded by (seed, u). Raises DomainError
+    if a row is not a permutation of the candidates.
     """
     users = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in users.tolist():
@@ -146,9 +145,7 @@ def rank_orders(
     for lo in range(0, users.size if greedy else 0, per_batch):
         batch = users[lo : lo + per_batch]
         block = _greedy_batch([kinds[g] for g in greedy], matrix, batch, k, cands)
-        orders[lo : lo + per_batch, greedy] = (
-            correct_orders(block, matrix, batch) if correct else block
-        )
+        orders[lo : lo + per_batch, greedy] = correct_orders(block, matrix, batch)
     if not (np.sort(orders, axis=-1) == ids).all():
         raise DomainError("ranking contains duplicate services")
     return orders
@@ -181,10 +178,9 @@ def rank(
     k: int,
     candidates,
     seed: int = 0,
-    correct: bool = True,
 ) -> Ranking:
     """Rank the candidates for user u with one kind; `rank_orders` for one
     user and one kind."""
     u = as_int(u, "user")
-    [[order]] = rank_orders((kind,), matrix, (u,), k, candidates, seed=seed, correct=correct)
+    [[order]] = rank_orders((kind,), matrix, (u,), k, candidates, seed=seed)
     return Ranking(active=u, order=tuple(order.tolist()))

@@ -281,7 +281,7 @@ def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, tuple[np.ndarra
 def oracle_from_entries(
     num_users: int, num_services: int, entries
 ) -> QoSMatrix:
-    """`QoSMatrix.from_entries`, one entry at a time."""
+    """The matrix of (user, service, value) triples, one entry at a time."""
     values = np.full((num_users, num_services), np.nan)
     for user, service, value in entries:
         if not (0 <= user < num_users and 0 <= service < num_services):

@@ -274,8 +274,11 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, command):
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"k_neighbors": 2.5}, "k_neighbors 2.5 is not an integer"),
         ({"active_users": "10"}, "active_users '10' is not an integer"),
-        ({"correct_observed": "false"}, "correct_observed must be true or false, got 'false'"),
-        ({"correct_observed": 0}, "correct_observed must be true or false, got 0"),
+        # the correction moves only observed services, so no score depends on it
+        ({"correct_observed": False},
+         "correct_observed is not a setting: the observed-order correction is always applied"),
+        # a repeated trial seed used to score its splits twice
+        ({"trial_seeds": [0, 0, 1]}, "trial seed 0 is listed more than once"),
         ({"trial_seeds": None, "trials": True}, "trials True is not an integer"),
         ({"k_neighbors": True}, "k_neighbors True is not an integer"),
         ({"densities": [0.1, True]}, "densities must be numbers, got [0.1, True]"),

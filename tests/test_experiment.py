@@ -192,8 +192,7 @@ def per_ranking_reference(config):
                 truth_row = {s: float(truth.values[user, s]) for s in observed}
                 for kind in config.kinds:
                     order = rank(
-                        kind, train, user, config.k_neighbors, candidates,
-                        seed=seed, correct=config.correct_observed,
+                        kind, train, user, config.k_neighbors, candidates, seed=seed
                     ).order
                     scored = oracle_kendall_tau(order, truth_row)
                     if scored is not None:
@@ -201,7 +200,7 @@ def per_ranking_reference(config):
                         rows.append(ScoreRow(density, kind.value, user, tau, (tau + 1) / 2, pairs))
                     if order[0] in truth_row:
                         top1[(density, kind.value)].append(truth_row[order[0]])
-    report = aggregate(rows, trials=len(config.trial_seeds), seeds=config.trial_seeds)
+    report = aggregate(rows)
     means = ((d, k, float(np.mean(v)) if v else None, len(v)) for (d, k), v in top1.items())
     return report, sorted(means)
 

@@ -106,7 +106,7 @@ def test_save_load_roundtrip(tmp_path, rng):
 
 
 def test_values_are_read_only():
-    m = QoSMatrix.from_entries(1, 1, [(0, 0, 1.0)])
+    m = QoSMatrix(np.array([[1.0]]))
     with pytest.raises(ValueError):
         m.values[0, 0] = 2.0
 
@@ -122,12 +122,11 @@ def test_matrix_copies_caller_array():
 
 
 def test_built_matrices_are_read_only(tmp_path, rng):
-    # the grids load_matrix, from_entries and split_train_test build are
-    # adopted without a copy, and still cannot be written through the matrix
+    # the grids load_matrix and split_train_test build are adopted without
+    # a copy, and still cannot be written through the matrix
     path = tmp_path / "m.csv"
     save_matrix(random_sparse_matrix(rng, 4, 5, 0.6), path)
     built = [load_matrix(path, MetricOrientation.LARGER_IS_BETTER)]
-    built.append(QoSMatrix.from_entries(2, 2, [(0, 1, 0.5)]))
     built += split_train_test(built[0], SplitSpec(density=0.5, seed=3, active_users=(0, 1)))
     for m in built:
         with pytest.raises(ValueError):
@@ -148,21 +147,21 @@ def observed(m, u):
 
 
 def test_observed_set():
-    m = QoSMatrix.from_entries(2, 4, [(0, 0, 1.0), (0, 2, 2.0)])
+    m = oracle_from_entries(2, 4, [(0, 0, 1.0), (0, 2, 2.0)])
     assert observed(m, 0) == {0, 2}
     assert observed(m, 1) == set()
 
 
 def test_observed_set_fully_observed():
     entries = [(0, s, float(s)) for s in range(5)]
-    m = QoSMatrix.from_entries(1, 5, entries)
+    m = oracle_from_entries(1, 5, entries)
     assert observed(m, 0) == {0, 1, 2, 3, 4}
 
 
 def test_observed_set_unknown_user():
     # the split reads each active user's observed set; a user outside the
     # matrix is a DomainError, not an IndexError
-    m = QoSMatrix.from_entries(1, 1, [(0, 0, 1.0)])
+    m = QoSMatrix(np.array([[1.0]]))
     with pytest.raises(DomainError, match="unknown user 3"):
         split_train_test(m, SplitSpec(density=0.5, seed=0, active_users=(0, 3)))
 
@@ -177,7 +176,7 @@ def test_split_density_one_is_identity(rng):
 
 def test_split_retained_count_is_ceil():
     entries = [(0, s, float(s + 1)) for s in range(10)]
-    m = QoSMatrix.from_entries(2, 10, entries + [(1, 0, 1.0)])
+    m = oracle_from_entries(2, 10, entries + [(1, 0, 1.0)])
     spec = SplitSpec(density=0.3, seed=1, active_users=(0,))
     train, truth = split_train_test(m, spec)
     assert len(observed(train, 0)) == 3
@@ -222,7 +221,7 @@ def test_split_different_seed_differs(rng):
 
 
 def test_split_skips_empty_active_user(caplog):
-    m = QoSMatrix.from_entries(2, 3, [(0, 0, 1.0)])
+    m = oracle_from_entries(2, 3, [(0, 0, 1.0)])
     spec = SplitSpec(density=0.5, seed=0, active_users=(0, 1))
     with caplog.at_level(logging.WARNING):
         train, truth = split_train_test(m, spec)
@@ -244,6 +243,10 @@ def test_matrix_rejects_infinite_values():
 
 
 # --- block-wise loader: error paths and parity with the line-by-line oracle ---
+
+# About the characters of a short test row with its line end: a READ_CHARS of
+# ROW_CHARS * block cuts such a file into blocks of about `block` lines.
+ROW_CHARS = 12
 
 HEADER = "user_id,service_id,qos_value"
 LARGER = MetricOrientation.LARGER_IS_BETTER
@@ -270,7 +273,7 @@ def test_load_wrong_field_count_names_line(tmp_path, row, count):
 def test_load_field_counts_that_balance_out(tmp_path, monkeypatch, block):
     # 2 + 4 fields make 6, as two good rows do; each row is counted alone
     if block is not None:
-        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+        monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
     path = write_csv(tmp_path, ["0,0,0.5", "1,2", "1,2,0.5,0.7", "1,1,0.5"])
     with pytest.raises(ParseError, match="line 3: expected 3 fields, got 2"):
         load_matrix(path, LARGER)
@@ -335,11 +338,12 @@ def test_load_undecodable_file_is_data_error(tmp_path):
 
 
 def test_load_peak_memory_bounded(tmp_path):
-    # 300 x 400 at 30% density: 36k rows. Read in blocks and parsed by
-    # numpy's C reader a block at a time, the load peaks at 3.1 MB, as it did
-    # with Python's int and float on every field (holding the file's text and
-    # lines: 5.1 MB; the line-by-line loader: 7.5 MB); reading and parsing the
-    # whole file as one block takes 7.8 MB (15 MB with int and float).
+    # 300 x 400 at 30% density: 36k rows, 0.9 MB. Read READ_CHARS at a time
+    # and each read's lines parsed by numpy's C reader as one block, the load
+    # peaks at 3.1 MB, as it did with Python's int and float on every field
+    # (holding the file's text and lines: 5.1 MB; the line-by-line loader:
+    # 7.5 MB); reading and parsing the whole file as one block takes 7.8 MB
+    # (15 MB with int and float).
     rng = np.random.default_rng(5)
     mask = rng.random((300, 400)) < 0.3
     users, services = np.nonzero(mask)
@@ -390,7 +394,7 @@ def random_csv(rng, num_users, num_services, density):
 @pytest.mark.parametrize("seed", range(6))
 def test_load_matches_oracle_on_random_csvs(tmp_path, monkeypatch, block, seed):
     if block is not None:
-        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+        monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
     rng = np.random.default_rng(seed)
     path = tmp_path / "data.csv"
     for _ in range(4):
@@ -401,9 +405,10 @@ def test_load_matches_oracle_on_random_csvs(tmp_path, monkeypatch, block, seed):
 
 
 def test_load_matches_oracle_across_default_blocks(tmp_path):
+    # ~2700 rows in 67k characters: two reads of the shipped READ_CHARS
     rng = np.random.default_rng(11)
     path = tmp_path / "data.csv"
-    path.write_text(random_csv(rng, 60, 50, density=0.9))  # ~2700 rows, 3 blocks
+    path.write_text(random_csv(rng, 60, 50, density=0.9))
     for orientation in MetricOrientation:
         assert_same_matrix(load_matrix(path, orientation), oracle_load_matrix(path, orientation))
 
@@ -433,8 +438,8 @@ BAD_ROWS = {
 @pytest.mark.parametrize("kind", list(BAD_ROWS))
 def test_load_error_matches_oracle(tmp_path, monkeypatch, kind, block, where):
     if block is not None:
-        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
-    # a full 40 x 30 grid: 1200 rows, two blocks at the shipped size; comment
+        monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
+    # a full 40 x 30 grid: 1200 rows, one read at the shipped size; comment
     # and blank lines before and inside the data shift the line numbers
     rows = [f"{u},{s},{0.01 * (u + s)!r}" for u in range(40) for s in range(30)]
     rows[5:5] = ["", "# mid-file comment"]
@@ -470,7 +475,7 @@ def test_first_bad_line_wins_like_oracle(tmp_path, monkeypatch, block, seed):
     # several line faults in one file: the earliest line is reported, as
     # the line-by-line oracle does, whatever block and column they fall in
     if block is not None:
-        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
+        monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
     rng = np.random.default_rng(seed)
     rows = [f"{u},{s},{float(rng.uniform(1, 2))!r}" for u in range(4) for s in range(5)]
     for fault in rng.choice(LINE_FAULTS, size=3):
@@ -494,8 +499,8 @@ ODD_ROWS = ["1_0,2,0.5", "\u0663,4,0.25", "\xa05\xa0,6,1_000.5", "7,\xa08,1_0e-1
 @pytest.mark.parametrize("block", [3, None])
 def test_load_odd_number_forms_match_oracle(tmp_path, monkeypatch, block, bad_row):
     if block is not None:
-        monkeypatch.setattr(matrix_module, "LOAD_BLOCK", block)
-    # 1200 rows: the odd rows land in the second block at the shipped size
+        monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
+    # 1200 rows: the odd rows land in a later block of the short reads
     rows = [f"{u},{s},{0.5 + u - s!r}" for u in range(20, 60) for s in range(30)]
     at = len(rows) - 10
     rows[at:at] = ODD_ROWS
@@ -538,12 +543,12 @@ SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\
 @pytest.mark.parametrize("read_chars", [1, 2, 5, None])
 @pytest.mark.parametrize("sep", SEPARATORS)
 def test_load_line_breaks_match_oracle(tmp_path, monkeypatch, sep, read_chars, bad_row):
-    # reads of 1, 2 and 5 characters cut "\r\n" between two reads; with
-    # blocks of 3 lines the bad row (a parse error, or a duplicate, which is
-    # named after the whole file is read) lies beyond the first block and read
+    # reads of 1, 2 and 5 characters cut "\r\n" between two reads and leave
+    # the bad row (a parse error, or a duplicate, which is named after the
+    # whole file is read) beyond the first block; the shipped size reads the
+    # file in one block
     if read_chars is not None:
         monkeypatch.setattr(matrix_module, "READ_CHARS", read_chars)
-    monkeypatch.setattr(matrix_module, "LOAD_BLOCK", 3)
     lines = ["# c", HEADER, "0,0,0.5", "", "1,2,0.25", "  # note", "2,1,1.5"]
     path = tmp_path / "data.csv"
     path.write_bytes((sep.join(lines) + sep).encode("utf-8"))
@@ -560,6 +565,16 @@ def test_load_line_breaks_match_oracle(tmp_path, monkeypatch, sep, read_chars, b
         assert str(got.value) == str(want.value)
 
 
+def grid_from_entries(num_users, num_services, entries):
+    """The matrix `_fill_grid` builds from (user, service, value) triples."""
+    columns = list(zip(*entries)) or [(), (), ()]
+    users, services = np.array(columns[0]), np.array(columns[1])
+    values = np.array(columns[2], dtype=float)
+    return QoSMatrix(matrix_module._fill_grid(num_users, num_services, users, services, values))
+
+
+# `_fill_grid` fills the loader's grid; its bounds and finiteness checks are
+# reached only with triples the loader's parse has not already rejected.
 @pytest.mark.parametrize("seed", range(20))
 def test_from_entries_matches_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -574,13 +589,13 @@ def test_from_entries_matches_oracle(seed):
         want = oracle_from_entries(num_users, num_services, entries)
     except (DomainError, BadValueError, DuplicateKeyError) as exc:
         with pytest.raises(type(exc)) as got:
-            QoSMatrix.from_entries(num_users, num_services, entries)
+            grid_from_entries(num_users, num_services, entries)
         assert str(got.value) == str(exc)
     else:
-        assert_same_matrix(QoSMatrix.from_entries(num_users, num_services, entries), want)
+        assert_same_matrix(grid_from_entries(num_users, num_services, entries), want)
 
 
 def test_from_entries_empty_and_huge_id():
-    assert QoSMatrix.from_entries(2, 3, []).num_entries == 0
+    assert grid_from_entries(2, 3, []).num_entries == 0
     with pytest.raises(DomainError, match=f"entry \\({10**30}, 0\\) outside"):
-        QoSMatrix.from_entries(2, 3, [(1, 1, 0.5), (10**30, 0, 0.5)])
+        grid_from_entries(2, 3, [(1, 1, 0.5), (10**30, 0, 0.5)])

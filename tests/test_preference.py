@@ -223,8 +223,12 @@ def test_antisymmetry_and_confidence_symmetry(rng):
         m = random_sparse_matrix(rng, 6, 5, 0.5)
         u = int(rng.integers(6))
         values, confidences, _ = one_table(m, u, top_k(m, u, 3), range(5))
-        assert np.abs(values + values.T).max() <= 1e-12
+        # exact, not within a tolerance: greedy adds a picked row in place of
+        # subtracting its column
+        assert np.array_equal(values, -values.T)
         assert np.array_equal(confidences, confidences.T)
+        weighted = confidences * values
+        assert np.array_equal(weighted, -weighted.T)
 
 
 def test_confidence_bounds(rng):

@@ -247,11 +247,10 @@ def test_rank_kinds_matches_rank_per_kind(rng):
         m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
         u = int(rng.integers(users))
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
-        for fix in (True, False):
-            [got] = rank_orders(tuple(RankerKind), m, [u], 3, cands, seed=9, correct=fix).tolist()
-            assert len(got) == len(RankerKind)
-            for kind, order in zip(RankerKind, got):
-                assert Ranking(u, tuple(order)) == rank(kind, m, u, 3, cands, seed=9, correct=fix)
+        [got] = rank_orders(tuple(RankerKind), m, [u], 3, cands, seed=9).tolist()
+        assert len(got) == len(RankerKind)
+        for kind, order in zip(RankerKind, got):
+            assert Ranking(u, tuple(order)) == rank(kind, m, u, 3, cands, seed=9)
 
 
 def test_rank_determinism(rng):
@@ -290,13 +289,11 @@ def test_rank_users_matches_rank_per_user(rng, monkeypatch, batch_elems):
         cands = rng.choice(services, size=size, replace=False)
         k = trial % 4
         kinds = kind_sets[trial % 3]
-        for fix in (True, False):
-            got = rank_orders(kinds, m, active, k, cands, seed=9, correct=fix)
-            assert got.shape == (len(active), len(kinds), size)
-            for u, by_kind in zip(active, got.tolist()):
-                for kind, order in zip(kinds, by_kind):
-                    alone = rank(kind, m, u, k, cands, seed=9, correct=fix)
-                    assert Ranking(u, tuple(order)) == alone
+        got = rank_orders(kinds, m, active, k, cands, seed=9)
+        assert got.shape == (len(active), len(kinds), size)
+        for u, by_kind in zip(active, got.tolist()):
+            for kind, order in zip(kinds, by_kind):
+                assert Ranking(u, tuple(order)) == rank(kind, m, u, k, cands, seed=9)
 
 
 def test_rank_users_rejects_bad_arguments(rng):
@@ -379,6 +376,9 @@ def test_correction_matches_oracle_bit_for_bit(rng):
         batch = rng.permutation(users)
         orders = np.array([[rng.permutation(cands) for _ in range(3)] for _ in batch])
         fixed = correct_orders(orders, m, batch)
+        # only observed slots move: the withheld services scoring reads stay put
+        unobserved = ~m.observed_mask[batch[:, None, None], orders]
+        assert np.array_equal(fixed[unobserved], orders[unobserved])
         for b, u in enumerate(batch.tolist()):
             for order, got in zip(orders[b].tolist(), fixed[b].tolist()):
                 want = oracle_correct_observed_order(order, m, u)
@@ -417,7 +417,7 @@ DELETED_NAMES = (
     "build_preference_table", "PreferenceTable", "Provenance", "greedy_rank",
     "correct_observed_order", "kendall_tau_score", "RankScore", "rank_users",
     "rank_kinds", "default_scenario", "scenario_to_dict", "Cloudlet", "simulate_qos",
-    "effective_mips",
+    "effective_mips", "as_bool", "LOAD_BLOCK",
 )
 
 
@@ -425,9 +425,10 @@ def test_package_exports_rank_orders_and_no_one_user_wrappers():
     # the pipeline runs each stage once per batch; one-user copies of the
     # stages and their result types must not come back
     import qosrank
-    from qosrank import allocsim, metrics, preference, similarity
+    from qosrank import allocsim, matrix, metrics, preference, similarity
 
     assert qosrank.rank_orders is rank_orders
-    for module in (qosrank, allocsim, metrics, preference, ranker, similarity):
+    for module in (qosrank, allocsim, matrix, metrics, preference, ranker, similarity):
         assert [name for name in DELETED_NAMES if hasattr(module, name)] == []
-    assert not hasattr(QoSMatrix, "observed_set") and not hasattr(QoSMatrix, "value")
+    gone = ("observed_set", "value", "from_entries")
+    assert [name for name in gone if hasattr(QoSMatrix, name)] == []
