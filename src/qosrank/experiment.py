@@ -123,8 +123,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
     try:
         if "correct_observed" in raw:
             raise ConfigError(
-                "correct_observed is not a setting: the observed-order correction is "
-                "always applied"
+                "correct_observed must be trimmed from the config: the observed-order "
+                "correction is always applied"
             )
         scenario = None
         if "scenario" in raw:

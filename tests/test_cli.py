@@ -261,6 +261,11 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+CORRECT_OBSERVED_REJECTED = (
+    "correct_observed must be trimmed from the config: the observed-order correction is "
+    "always applied"
+)
+
 
 @pytest.mark.parametrize(
     "override, message",
@@ -274,11 +279,10 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, command):
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"k_neighbors": 2.5}, "k_neighbors 2.5 is not an integer"),
         ({"active_users": "10"}, "active_users '10' is not an integer"),
-        # the correction moves only observed services, so no score depends on it
-        ({"correct_observed": False},
-         "correct_observed is not a setting: the observed-order correction is always applied"),
-        # a repeated trial seed used to score its splits twice
-        ({"trial_seeds": [0, 0, 1]}, "trial seed 0 is listed more than once"),
+        # the correction moves only observed services, so no score depends on
+        # it: the key is rejected whatever its value
+        ({"correct_observed": True}, CORRECT_OBSERVED_REJECTED),
+        ({"correct_observed": False}, CORRECT_OBSERVED_REJECTED),
         ({"trial_seeds": None, "trials": True}, "trials True is not an integer"),
         ({"k_neighbors": True}, "k_neighbors True is not an integer"),
         ({"densities": [0.1, True]}, "densities must be numbers, got [0.1, True]"),
@@ -300,6 +304,8 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, command):
         ({"scenario": None, "dataset": "data.csv", "policy": "round-robin"},
          "policy applies only to a scenario, not to a dataset"),
         ({"orientation": "smaller-is-better"}, "orientation applies only to a dataset"),
+        # a repeated trial seed used to score its splits twice
+        ({"trial_seeds": [0, 0, 1]}, "trial seed 0 is listed more than once"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
