@@ -6,8 +6,9 @@ implicit when inferred from neighbors who observed both (confidence is the
 similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
 renormalized over the pair-specific neighbor subset. `preference_stack`
-builds a batch's tables from the neighbours' rows alone, with one stacked
-product per array for the users of each neighbour count.
+builds a batch's tables from the neighbours' rows alone, in place in one
+[confidences, values] block, with one stacked product per array for the
+users of each neighbour count.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def preference_stack(
     b equals the table of users[b] built on its own, bit for bit. Agrees with
     the per-pair reference in tests/oracles.py up to summation order.
     """
+    (confidences, values), provenance = _preference_block(matrix, users, neighbors, cands)
+    for arr in (values, confidences, provenance):
+        arr.setflags(write=False)
+    return values, confidences, provenance
+
+
+def _preference_block(matrix, users, neighbors, cands) -> tuple[np.ndarray, np.ndarray]:
+    """`preference_stack`'s [confidences, values] as one writable block, and the codes."""
     users = np.asarray(users, dtype=np.intp)
     cols, n = np.array(cands, dtype=np.intp), len(cands)
     read = np.zeros(matrix.num_users, dtype=bool)
@@ -60,17 +69,21 @@ def preference_stack(
     # For each pair (i, j): value = sum_v s_v (q_vi - q_vj) / sum_v s_v and
     # confidence = sum_v s_v^2 / sum_v s_v, restricted to neighbors covering
     # both services. All three reduce to (S x K) @ (K x S) products.
-    denom, cross, confidences = (np.empty((len(users), n, n)) for _ in range(3))
+    denom, block = np.empty((len(users), n, n)), np.empty((2, len(users), n, n))
+    confidences, values = block
     sizes = [ids.size for ids, _ in neighbors]
     for size in set(sizes):
         group = [b for b, s in enumerate(sizes) if s == size]
         ids = rows.searchsorted(np.array([neighbors[b][0] for b in group]).reshape(len(group), size))
         sims = np.array([neighbors[b][1] for b in group]).reshape(len(group), size, 1)
         cov, whole = covered[ids], len(group) == len(users)
-        for out, lhs in ((denom, sims * cov), (cross, sims * vals[ids]), (confidences, sims**2 * cov)):
-            product = np.matmul(lhs.transpose(0, 2, 1), cov, out=out if whole else None)
-            if not whole:
-                out[group] = product
+        d, c, v = (denom, confidences, values) if whole else np.empty((3, len(group), n, n))
+        np.matmul((sims * cov).transpose(0, 2, 1), cov, out=d)
+        np.matmul((sims * vals[ids]).transpose(0, 2, 1), cov, out=c)  # c: cross sums, then confidences
+        np.subtract(c, c.transpose(0, 2, 1), out=v)
+        np.matmul((sims**2 * cov).transpose(0, 2, 1), cov, out=c)
+        if not whole:
+            denom[group], confidences[group], values[group] = d, c, v
 
     # Divide by the denominator, or by 1 where no neighbour covers the pair
     # (denominator 0). There every product term is +-0.0 and the sums start
@@ -78,9 +91,7 @@ def preference_stack(
     # covered pair's denominator gains exactly 0.0.
     implicit = denom > 0
     denom += ~implicit
-    values = np.subtract(cross, cross.transpose(0, 2, 1))
-    values /= denom
-    confidences /= denom
+    block /= denom
     provenance = implicit.astype(np.int8)
 
     # The explicit pairs are each user's own observed x observed positions:
@@ -97,7 +108,6 @@ def preference_stack(
     confidences.reshape(-1)[flat] = 1.0
     provenance.reshape(-1)[flat] = 2  # explicit
 
-    for arr in (values, confidences, provenance):
-        arr.reshape(len(users), n * n)[:, :: n + 1] = 0  # the diagonal
-        arr.setflags(write=False)
-    return values, confidences, provenance
+    for arr in (block, provenance):
+        arr.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
+    return block, provenance

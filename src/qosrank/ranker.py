@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
-from .preference import candidate_ids, preference_stack
+from .preference import _preference_block, candidate_ids
 from .seeding import derive_rng
 from .similarity import similarity_block, top_neighbors
 
@@ -55,8 +55,8 @@ class Ranking:
 # comparison would make the tie-break differ from sums recomputed each round.
 TIE_TOLERANCE = 1e-9
 
-# Upper bound on the rows x candidates^2 elements of the stacked preference
-# arrays one batch of active users holds (2 MB per float64 array); a batch
+# Upper bound on the (user, CloudRank kind) rows x candidates^2 a batch ranks;
+# each user holds three (n, n) float64 arrays and one int8 array. A batch
 # takes at least one user, so a wide candidate set ranks one user at a time.
 BATCH_ELEMS = 1 << 18
 
@@ -125,8 +125,8 @@ def rank_orders(
 
     The CloudRank kinds run a batch of users at a time: similarity block ->
     one neighbour sort -> stacked preference tables -> one greedy loop over
-    every (user, kind) table -> one observed-order correction. A batch holds
-    at most BATCH_ELEMS table elements per stacked array, and at least one
+    every (user, kind) table, read in place -> one observed-order correction.
+    A batch holds at most BATCH_ELEMS greedy table elements, and at least one
     user. Every ranking equals the one the user gets alone. The random
     baseline shuffles the candidates seeded by (seed, u). Raises DomainError
     if a row is not a permutation of the candidates.
@@ -153,22 +153,19 @@ def rank_orders(
 
 def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
     """Uncorrected greedy order of each batch user for each CloudRank kind,
-    as a (users, kinds, n) array of candidate ids. The batch's arrays are
-    freed on return, before the next batch is built."""
+    as a (users, kinds, n) array of candidate ids, read off the kind-major
+    [cloudrank2, cloudrank1] block of tables. The batch's arrays are freed on
+    return, before the next batch is built."""
     n = len(cands)
     sims = similarity_block(matrix, batch)
     nbrs = top_neighbors(np.arange(matrix.num_users), sims, batch, k)
-    values, confidences, _ = preference_stack(matrix, batch, nbrs, cands)
-    # one (n, n) table per (user, kind) row, filled in place
-    effective = np.empty((len(batch), len(kinds), n, n))
-    for g, kind in enumerate(kinds):
-        if kind is RankerKind.CLOUDRANK2:
-            np.multiply(confidences, values, out=effective[:, g])
-        else:
-            effective[:, g] = values
-    del values, confidences  # freed before the greedy loop copies the stack
-    positions = greedy_orders(effective.reshape(-1, n, n))
-    return np.array(cands)[positions].reshape(len(batch), len(kinds), n)
+    block, _ = _preference_block(matrix, batch, nbrs, cands)
+    slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
+    if not slots.all():
+        block[0] *= block[1]  # cloudrank2's table: confidences * values
+    lo, hi = slots.min(), slots.max() + 1
+    positions = greedy_orders(block[lo:hi].reshape(-1, n, n)).reshape(hi - lo, len(batch), n)
+    return np.array(cands)[positions[slots - lo].transpose(1, 0, 2)]
 
 
 def rank(

@@ -9,12 +9,13 @@ A service pair can only count toward the similarity of u and v if the active
 user u observed both services, so `similarity_block` enumerates just each
 active user's own pairs: its cost is O(U * sum of n_u^2) in the active users'
 observed counts n_u rather than O(U * S^2) per user in the number of
-services. It indexes the active users' n_u(n_u-1)/2 pairs out of one
-triangle of the largest n_u and builds every user's signs on them at most
-CHUNK_ELEMS elements at a time, never a (U, S, S) tensor; one product with a
-(pairs x active) matrix of the active users' own signs then sums each active
-user's segment into a (U, active) block. `top_neighbors` picks every active
-user's neighbours from that block with one lexsort.
+services. Reading only the columns some active user observed, it indexes
+the active users' n_u(n_u-1)/2 pairs out of one triangle of the largest n_u
+and builds every user's signs on them in cache-sized chunks of CHUNK_ELEMS
+elements, never a (U, S, S) tensor; one product with a (pairs x active)
+matrix of the active users' own signs then sums each active user's segment
+into a (U, active) block. `top_neighbors` picks every active user's
+neighbours from it with one lexsort.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
 
-# Upper bound on the user x pair elements `similarity_block` builds at once.
-CHUNK_ELEMS = 1 << 20
+# User x pair elements `similarity_block` builds at once: 256 KB of float64.
+CHUNK_ELEMS = 1 << 15
 
 
 def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
@@ -39,7 +40,8 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     batch = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in batch.tolist():
         matrix._check_user(u)
-    mask, values = matrix.observed_mask, matrix.values
+    union = np.flatnonzero(matrix.observed_mask[batch].any(axis=0))  # the services a pair can use
+    mask, values = matrix.observed_mask[:, union], matrix.values[:, union]
     # The active users' own service pairs, one segment each: a user with c
     # observed services owns the pairs (before[q], after[q]) of its observed
     # list for q < c(c-1)/2, as the row-major lower triangle lists the pairs
@@ -69,7 +71,7 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
         weights = np.zeros((hi - lo, batch.size), dtype=np.float32)
         weights[np.arange(hi - lo), owner[lo:hi]] = sign_own[lo:hi]
         cd += signs @ weights
-    maskf = mask.astype(float)
+    maskf = mask.astype(float)  # overlaps can pass 2^24 under MAX_CELLS: not float32
     common = maskf @ maskf[batch].T
     pairs = common * (common - 1) / 2.0
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)

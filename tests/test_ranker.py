@@ -253,6 +253,29 @@ def test_rank_kinds_matches_rank_per_kind(rng):
             assert Ranking(u, tuple(order)) == rank(kind, m, u, 3, cands, seed=9)
 
 
+def test_rank_orders_every_kind_order_matches_rank(rng):
+    # the CloudRank tables sit kind-major in one block; every ordered subset
+    # of the kinds maps each row back to its own kind
+    kind_orders = [
+        order
+        for size in range(1, len(RankerKind) + 1)
+        for order in itertools.permutations(RankerKind, size)
+    ]
+    for trial in range(12):
+        users, services = int(rng.integers(2, 9)), int(rng.integers(1, 10))
+        m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
+        active = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
+        cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
+        alone = {
+            (u, kind): rank(kind, m, u, 3, cands, seed=9).order for u in active for kind in RankerKind
+        }
+        for kinds in kind_orders:
+            got = rank_orders(kinds, m, active, 3, cands, seed=9)
+            assert got.shape == (len(active), len(kinds), len(set(cands.tolist())))
+            for u, by_kind in zip(active, got.tolist()):
+                assert [tuple(order) for order in by_kind] == [alone[u, kind] for kind in kinds]
+
+
 def test_rank_determinism(rng):
     m = random_sparse_matrix(rng, 6, 8, 0.5)
     for kind in RankerKind:
@@ -343,7 +366,9 @@ def test_numpy_integer_ids_and_k_accepted():
 
 def test_split_batch_memory_bounded(rng):
     # 8 active users over 400 candidates: BATCH_ELEMS keeps one user per
-    # batch (peak ~6 MB); the 8 users in one batch peak at ~40 MB
+    # batch (peak 5.5 MB with an effective copy of the tables, 4.2 MB with
+    # cloudrank2's table formed in place); the 8 users in one batch peak at
+    # ~40 MB
     values = rng.uniform(0.1, 2.0, (300, 400))
     values[rng.uniform(size=values.shape) > 0.3] = np.nan
     active = tuple(range(8))
@@ -357,7 +382,30 @@ def test_split_batch_memory_bounded(rng):
     finally:
         tracemalloc.stop()
     assert ranked == 8
-    assert peak < 12 * 2**20
+    assert peak < 5 * 2**20
+
+
+def test_one_query_memory_bounded():
+    # one user of a 300 x 400 matrix at 30%, both kinds over all 400
+    # candidates: the tables take three 1.3 MB arrays. Peaks measured at
+    # 20.5 MB for the query and for its similarity column when a chunk of
+    # 2^20 elements of the whole matrix was gathered; 4.6 and 1.4 MB now
+    rng = np.random.default_rng(20260810)
+    values = -rng.uniform(0.0, 1.0, (300, 400))
+    values[rng.uniform(size=values.shape) > 0.3] = np.nan
+    m = QoSMatrix(values)
+    kinds = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2)
+    for call, bound in (
+        (lambda: rank_orders(kinds, m, [0], 10, range(400)), 6),
+        (lambda: similarity_block(m, [0]), 2),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
 
 
 def test_correction_matches_oracle_bit_for_bit(rng):
