@@ -7,7 +7,9 @@ bin-packing heuristic standing in for "optimal" allocation. A VM is placed
 only where it fits in all three dimensions, so no host is oversubscribed and
 every placed VM runs at its requested MIPS: QoS follows a linear execution
 model, response_time = cloudlet length / requested mips, throughput =
-1 / response_time.
+1 / response_time. `allocate` keeps each host's free (mips, ram, bw) as a
+triple of Python floats, which are float64 values, and converts each request
+to float64 before comparing or subtracting it.
 
 `synth_matrix` expands the per-service base QoS into a user x service matrix:
 each user sees base * user_factor + noise, modelling heterogeneous network
@@ -74,6 +76,11 @@ class AllocationPlan:
     throughput: dict[int, float] = field(default_factory=dict)
 
 
+def _need(vm: VirtualMachine) -> tuple[float, float, float]:
+    """`vm`'s (mips, ram, bw) request as float64 values, as the capacities are kept."""
+    return float(vm.requested_mips), float(vm.requested_ram), float(vm.requested_bw)
+
+
 def allocate(
     hosts: Sequence[Host], vms: Sequence[VirtualMachine], policy: AllocPolicy
 ) -> AllocationPlan:
@@ -93,17 +100,16 @@ def allocate(
         raise DomainError("duplicate host ids")
     if len({v.id for v in vms}) != len(vms):
         raise DomainError("duplicate VM ids")
-    free = {
-        h.id: np.array([h.mips_capacity, h.ram, h.bw], dtype=float) for h in hosts
-    }
+    free = {h.id: (float(h.mips_capacity), float(h.ram), float(h.bw)) for h in hosts}
     host_order = [h.id for h in hosts]
 
-    def fits(host_id: int, vm: VirtualMachine) -> bool:
-        need = (vm.requested_mips, vm.requested_ram, vm.requested_bw)
-        return bool((free[host_id] >= need).all())
+    def fits(host_id: int, need: tuple[float, float, float]) -> bool:
+        mips, ram, bw = free[host_id]
+        return mips >= need[0] and ram >= need[1] and bw >= need[2]
 
-    def place(host_id: int, vm: VirtualMachine) -> None:
-        free[host_id] -= (vm.requested_mips, vm.requested_ram, vm.requested_bw)
+    def place(host_id: int, vm: VirtualMachine, need: tuple[float, float, float]) -> None:
+        mips, ram, bw = free[host_id]
+        free[host_id] = (mips - need[0], ram - need[1], bw - need[2])
         vm_to_host[vm.id] = host_id
 
     vm_to_host: dict[int, int] = {}
@@ -111,26 +117,27 @@ def allocate(
 
     if policy is AllocPolicy.ROUND_ROBIN:
         for k, vm in enumerate(vms):
+            need = _need(vm)
             for step in range(len(host_order)):
                 host_id = host_order[(k + step) % len(host_order)]
-                if fits(host_id, vm):
-                    place(host_id, vm)
+                if fits(host_id, need):
+                    place(host_id, vm, need)
                     break
             else:
                 unplaced.append(vm.id)
     elif policy is AllocPolicy.BEST_FIT_DECREASING:
         for vm in sorted(vms, key=lambda v: (-v.requested_mips, v.id)):
-            best_id, best_left = None, None
+            need, best_id, best_left = _need(vm), None, None
             for host_id in host_order:
-                if not fits(host_id, vm):
+                if not fits(host_id, need):
                     continue
-                left = float(free[host_id][0] - vm.requested_mips)
+                left = free[host_id][0] - need[0]
                 if best_left is None or left < best_left:
                     best_id, best_left = host_id, left
             if best_id is None:
                 unplaced.append(vm.id)
             else:
-                place(best_id, vm)
+                place(best_id, vm, need)
     else:  # pragma: no cover
         raise ConfigError(f"unhandled policy {policy}")
 

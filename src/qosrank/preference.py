@@ -49,14 +49,20 @@ def preference_stack(
     b equals the table of users[b] built on its own, bit for bit. Agrees with
     the per-pair reference in tests/oracles.py up to summation order.
     """
-    (confidences, values), provenance = _preference_block(matrix, users, neighbors, cands)
+    users, n = np.asarray(users, dtype=np.intp), len(cands)
+    confidences, values = _preference_block(matrix, users, neighbors, cands)
+    # 2 where the user observed both services, else 1 where the confidence
+    # is positive: some neighbour covers the pair, as similarities are > 0
+    own = matrix.observed_mask[np.ix_(users, cands)]
+    provenance = np.add(confidences > 0, own[:, :, None] & own[:, None, :], dtype=np.int8)
+    provenance.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
     for arr in (values, confidences, provenance):
         arr.setflags(write=False)
     return values, confidences, provenance
 
 
-def _preference_block(matrix, users, neighbors, cands) -> tuple[np.ndarray, np.ndarray]:
-    """`preference_stack`'s [confidences, values] as one writable block, and the codes."""
+def _preference_block(matrix, users, neighbors, cands) -> np.ndarray:
+    """`preference_stack`'s [confidences, values] as one writable block."""
     users = np.asarray(users, dtype=np.intp)
     cols, n = np.array(cands, dtype=np.intp), len(cands)
     read = np.zeros(matrix.num_users, dtype=bool)
@@ -92,7 +98,6 @@ def _preference_block(matrix, users, neighbors, cands) -> tuple[np.ndarray, np.n
     implicit = denom > 0
     denom += ~implicit
     block /= denom
-    provenance = implicit.astype(np.int8)
 
     # The explicit pairs are each user's own observed x observed positions:
     # every observed entry repeats once per observed entry of its user and
@@ -106,8 +111,5 @@ def _preference_block(matrix, users, neighbors, cands) -> tuple[np.ndarray, np.n
     flat = np.repeat((owner * n + pos) * n, reps) + pos[partner]
     values.reshape(-1)[flat] = np.repeat(own_vals, reps) - own_vals[partner]
     confidences.reshape(-1)[flat] = 1.0
-    provenance.reshape(-1)[flat] = 2  # explicit
-
-    for arr in (block, provenance):
-        arr.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
-    return block, provenance
+    block.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
+    return block

@@ -56,8 +56,8 @@ class Ranking:
 TIE_TOLERANCE = 1e-9
 
 # Upper bound on the (user, CloudRank kind) rows x candidates^2 a batch ranks;
-# each user holds three (n, n) float64 arrays and one int8 array. A batch
-# takes at least one user, so a wide candidate set ranks one user at a time.
+# each user holds three (n, n) float64 arrays. A batch takes at least one
+# user, so a wide candidate set ranks one user at a time.
 BATCH_ELEMS = 1 << 18
 
 
@@ -159,7 +159,7 @@ def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
     n = len(cands)
     sims = similarity_block(matrix, batch)
     nbrs = top_neighbors(np.arange(matrix.num_users), sims, batch, k)
-    block, _ = _preference_block(matrix, batch, nbrs, cands)
+    block = _preference_block(matrix, batch, nbrs, cands)
     slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
     if not slots.all():
         block[0] *= block[1]  # cloudrank2's table: confidences * values

@@ -16,6 +16,10 @@ Neighbour selection, the observed-order correction and tau scoring run over
 a whole similarity block or (users, kinds, n) stack of rankings; the
 `oracle_select_neighbors`, `oracle_correct_observed_order` and
 `oracle_kendall_tau` references handle one row or one ranking at a time.
+
+`allocate` keeps each host's free capacity as a triple of Python floats;
+`oracle_allocate` keeps it as a numpy float64 vector and probes a host with
+one vector comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qosrank.allocsim import AllocationPlan, AllocPolicy, VirtualMachine
 from qosrank.errors import (
+    AllocationError,
     BadValueError,
     DataError,
     DomainError,
@@ -356,3 +362,51 @@ def oracle_load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSM
             f"matrix, over the {MAX_CELLS}-cell limit"
         )
     return oracle_from_entries(num_users, num_services, entries)
+
+
+def oracle_allocate(hosts, vms, policy: AllocPolicy) -> AllocationPlan:
+    """`allocate` with each host's free (mips, ram, bw) as a float64 vector."""
+    if not hosts or not vms:
+        raise DomainError("allocate requires at least one host and one VM")
+    if len({h.id for h in hosts}) != len(hosts):
+        raise DomainError("duplicate host ids")
+    if len({v.id for v in vms}) != len(vms):
+        raise DomainError("duplicate VM ids")
+    free = {h.id: np.array([h.mips_capacity, h.ram, h.bw], dtype=float) for h in hosts}
+    host_order = [h.id for h in hosts]
+
+    def fits(host_id: int, vm: VirtualMachine) -> bool:
+        need = (vm.requested_mips, vm.requested_ram, vm.requested_bw)
+        return bool((free[host_id] >= need).all())
+
+    def place(host_id: int, vm: VirtualMachine) -> None:
+        free[host_id] -= (vm.requested_mips, vm.requested_ram, vm.requested_bw)
+        vm_to_host[vm.id] = host_id
+
+    vm_to_host: dict[int, int] = {}
+    unplaced: list[int] = []
+    if policy is AllocPolicy.ROUND_ROBIN:
+        for k, vm in enumerate(vms):
+            for step in range(len(host_order)):
+                host_id = host_order[(k + step) % len(host_order)]
+                if fits(host_id, vm):
+                    place(host_id, vm)
+                    break
+            else:
+                unplaced.append(vm.id)
+    else:
+        for vm in sorted(vms, key=lambda v: (-v.requested_mips, v.id)):
+            best_id, best_left = None, None
+            for host_id in host_order:
+                if not fits(host_id, vm):
+                    continue
+                left = float(free[host_id][0] - vm.requested_mips)
+                if best_left is None or left < best_left:
+                    best_id, best_left = host_id, left
+            if best_id is None:
+                unplaced.append(vm.id)
+            else:
+                place(best_id, vm)
+    if not vm_to_host:
+        raise AllocationError(sorted(unplaced))
+    return AllocationPlan(vm_to_host=vm_to_host, unplaced=tuple(sorted(unplaced)))

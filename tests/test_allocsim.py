@@ -23,6 +23,7 @@ from qosrank.seeding import derive_rng
 from qosrank.similarity import similarity_block
 
 from conftest import CONFIG_DIR, committed_scenario
+from oracles import oracle_allocate
 
 
 def host(i, mips, ram=10000.0, bw=10000.0):
@@ -150,6 +151,53 @@ def test_allocate_requires_inputs():
         allocate([], [vm(0, 10.0)], AllocPolicy.ROUND_ROBIN)
     with pytest.raises(DomainError):
         allocate([host(0, 10.0)], [], AllocPolicy.ROUND_ROBIN)
+
+
+def oracle_fixture(seed):
+    """Seeded hosts and VMs sized in whole steps of 0.1, 0.25 or 1, the last
+    as Python ints: a host's room left often equals a later request exactly
+    or misses it by a rounding error, and hosts of one size tie in best fit."""
+    rng = derive_rng(5000, seed)
+    step = (0.1, 0.25, 1)[seed % 3]
+    size = int if step == 1 else (lambda k: int(k) * step)
+    first = rng.integers(4, 13, 3)
+    hosts = [
+        Host(i, *(size(k) for k in (rng.integers(4, 13, 3) if rng.random() < 0.3 else first)))
+        for i in range(int(rng.integers(1, 5)))
+    ]
+    vms = [
+        VirtualMachine(k, *(size(u) for u in rng.integers(1, 5, 3)))
+        for k in range(int(rng.integers(1, 16)))
+    ]
+    return hosts, vms
+
+
+# Hand fixtures: an exact fit after two non-integral subtractions (1.5 - 0.75
+# - 0.5 leaves 0.25), a fit that rounding denies (0.3 - 0.1 < 0.2), equal
+# leftovers on identical hosts, int-typed capacities and requests, and an int
+# request that fits only as float64: 2**53 + 1 rounds to the host's 2**53.
+HAND_FIXTURES = [
+    ([Host(0, 1.5, 1.5, 1.5)], [VirtualMachine(k, m, m, m) for k, m in enumerate([0.75, 0.5, 0.25])]),
+    ([Host(0, 0.3, 1.0, 1.0)], [VirtualMachine(0, 0.1, 0.1, 0.1), VirtualMachine(1, 0.2, 0.1, 0.1)]),
+    ([host(i, 1.0) for i in range(3)], [vm(k, 0.5) for k in range(5)]),
+    (
+        [Host(i, 1000, 2048, 1000) for i in range(2)],
+        [VirtualMachine(k, 250, 512, 100 * k + 1) for k in range(9)],
+    ),
+    ([Host(0, 2**53, 1, 1)], [VirtualMachine(0, 2**53 + 1, 1, 1), VirtualMachine(1, 1, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("policy", list(AllocPolicy), ids=lambda p: p.value)
+def test_allocate_matches_vector_oracle(policy):
+    fixtures = HAND_FIXTURES + [oracle_fixture(seed) for seed in range(300)]
+    for hosts, vms in fixtures:
+        want = oracle_allocate(hosts, vms, policy)
+        plan = allocate(hosts, vms, policy)
+        assert plan.vm_to_host == want.vm_to_host
+        assert plan.unplaced == want.unplaced
+    assert allocate(*HAND_FIXTURES[0], policy).vm_to_host == {0: 0, 1: 0, 2: 0}
+    assert len(allocate(*HAND_FIXTURES[1], policy).unplaced) == 1
 
 
 def test_response_time_is_length_over_mips():
