@@ -44,9 +44,9 @@ def _density_key(density: float) -> int:
 
 @dataclass(frozen=True)
 class QoSPerformanceRow:
-    """Mean withheld QoS of each user's top-ranked service, in the matrix's
-    canonical larger-is-better orientation (negated for smaller-is-better
-    datasets)."""
+    """Mean withheld QoS of each user's top-ranked service, in the dataset's
+    own units: a smaller-is-better dataset's mean is negated back from the
+    matrix's larger-is-better values. A scenario's is its matrix's mean."""
 
     density: float
     kind: str
@@ -212,11 +212,12 @@ def run_experiment(
                 top1[(density, kind.value)].extend(top[~np.isnan(top)].tolist())
 
     report = aggregate(rows)
+    sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
     qos_rows = [
         QoSPerformanceRow(
             density=d,
             kind=k,
-            mean_top1_qos=float(np.mean(vals)) if vals else float("nan"),
+            mean_top1_qos=sign * float(np.mean(vals)) if vals else float("nan"),
             samples=len(vals),
         )
         for (d, k), vals in sorted(top1.items())

@@ -406,10 +406,11 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
 
 
 def save_matrix(matrix: QoSMatrix, path: str | Path) -> None:
-    """Write a matrix in the canonical CSV format (larger-is-better values)."""
+    """Write a matrix in the canonical CSV format (larger-is-better values),
+    with "\n" line ends, so that `load_matrix` reads it as plain."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for user, service, value in matrix.entries():
             writer.writerow([user, service, repr(value)])

@@ -17,6 +17,12 @@ a whole similarity block or (users, kinds, n) stack of rankings; the
 `oracle_select_neighbors`, `oracle_correct_observed_order` and
 `oracle_kendall_tau` references handle one row or one ranking at a time.
 
+`greedy_orders` runs a stack of a few tables through a 1-d loop per table
+that skips the tie compare when the argmax is position 0;
+`oracle_greedy_orders` is the loop it replaced: one 1-d loop that takes a
+`max` and a compare every round for a single table, and one stacked loop
+for any other stack.
+
 `allocate` keeps each host's free capacity as a triple of Python floats;
 `oracle_allocate` keeps it as a numpy float64 vector and probes a host with
 one vector comparison.
@@ -42,6 +48,7 @@ from qosrank.errors import (
 )
 from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix
 from qosrank.preference import candidate_ids, preference_stack
+from qosrank.ranker import TIE_TOLERANCE
 from qosrank.similarity import similarity_block, top_neighbors
 
 # provenance codes of a preference table
@@ -265,6 +272,36 @@ def oracle_kendall_tau(order, truth_row) -> tuple[float, int] | None:
     concordant_minus_discordant = int(signs[~np.tri(p, dtype=bool)].sum())
     pairs = p * (p - 1) // 2
     return concordant_minus_discordant / pairs, pairs
+
+
+def oracle_greedy_orders(effective: np.ndarray) -> np.ndarray:
+    """`greedy_orders` with a `max` reduction and a tie compare every round:
+    a 1-d loop for a single table, one stacked loop for any other stack."""
+    rows, n = effective.shape[:2]
+    totals = effective.sum(axis=2)
+    # ranked candidates sit at -inf, so one max over all totals sees only the rest
+    if rows == 1:
+        table, totals, picks = effective[0], totals[0], []
+        for _ in range(n):
+            best_total = totals.max()
+            tol = TIE_TOLERANCE * max(1.0, abs(best_total))
+            pick = int((totals >= best_total - tol).argmax())
+            picks.append(pick)
+            totals += table[pick]
+            totals[pick] = -np.inf
+        return np.array([picks], dtype=np.intp)
+    tables = effective.reshape(rows * n, n)  # row r * n + i: row i of table r
+    flat_totals, first = totals.ravel(), np.arange(rows) * n
+    order = np.empty((n, rows), dtype=np.intp)
+    for step in range(n):
+        best = totals.max(axis=1)
+        tol = TIE_TOLERANCE * np.maximum(1.0, np.abs(best))
+        pick = (totals >= (best - tol)[:, None]).argmax(axis=1)
+        order[step] = pick
+        flat = first + pick
+        totals += tables.take(flat, axis=0)
+        flat_totals.put(flat, -np.inf)
+    return order.T
 
 
 def pair_matrix(pair_nbrs: PairNeighborhood) -> tuple[QoSMatrix, tuple[np.ndarray, np.ndarray]]:

@@ -11,7 +11,7 @@ from qosrank.experiment import (
     load_config,
     run_experiment,
 )
-from qosrank.matrix import SplitSpec, split_train_test
+from qosrank.matrix import MetricOrientation, SplitSpec, split_train_test
 from qosrank.metrics import ScoreRow, aggregate
 from qosrank.ranker import RankerKind, rank
 from qosrank.seeding import derive_rng
@@ -174,11 +174,12 @@ def test_dataset_config(tmp_path):
 def per_ranking_reference(config):
     """run_experiment's report and top-1 QoS rows rebuilt one ranking at a
     time: each user's `rank` for each kind scored against the user's truth
-    dict by the per-ranking reference."""
+    dict by the per-ranking reference; top-1 QoS in the dataset's units."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
     rows, top1 = [], {(d, k.value): [] for d in config.densities for k in config.kinds}
+    sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
     for density in config.densities:
         dkey = experiment._density_key(density)
         for trial in config.trial_seeds:
@@ -198,8 +199,8 @@ def per_ranking_reference(config):
                     if scored is not None:
                         tau, pairs = scored
                         rows.append(ScoreRow(density, kind.value, user, tau, (tau + 1) / 2, pairs))
-                    if order[0] in truth_row:
-                        top1[(density, kind.value)].append(truth_row[order[0]])
+                    if order[0] in truth_row:  # in the dataset's units
+                        top1[(density, kind.value)].append(sign * truth_row[order[0]])
     report = aggregate(rows)
     means = ((d, k, float(np.mean(v)) if v else None, len(v)) for (d, k), v in top1.items())
     return report, sorted(means)
@@ -214,24 +215,29 @@ def test_split_scoring_matches_per_ranking_reference(tmp_path):
         services = rng.choice(8, size=size, replace=False).tolist()
         lines += [f"{u},{s},{float(rng.integers(0, 3))!r}" for s in services]
     (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
-    config = config_from_dict(
-        {
-            "dataset": "data.csv",
-            "densities": [0.2, 0.5],
-            "kinds": ["cloudrank2", "random-baseline", "cloudrank1"],
-            "k_neighbors": 3,
-            "active_users": 7,
-            "trials": 4,
-        },
-        base_dir=tmp_path,
-    )
-    report, qos_rows = run_experiment(config)
-    want_report, want_top1 = per_ranking_reference(config)
-    assert report == want_report
-    assert not any(r.user in (0, 1) for r in report.rows)
-    assert len({r.evaluated_pairs for r in report.rows}) >= 3
-    got_top1 = [(q.density, q.kind, q.mean_top1_qos, q.samples) for q in qos_rows if q.samples]
-    assert sorted(got_top1) == [row for row in want_top1 if row[3]]
+    # a smaller-is-better dataset ranks the negated values, and reports
+    # top-1 QoS in its own units: positive, as the file's values are
+    for orientation in MetricOrientation:
+        config = config_from_dict(
+            {
+                "dataset": "data.csv",
+                "orientation": orientation.value,
+                "densities": [0.2, 0.5],
+                "kinds": ["cloudrank2", "random-baseline", "cloudrank1"],
+                "k_neighbors": 3,
+                "active_users": 7,
+                "trials": 4,
+            },
+            base_dir=tmp_path,
+        )
+        report, qos_rows = run_experiment(config)
+        want_report, want_top1 = per_ranking_reference(config)
+        assert report == want_report
+        assert not any(r.user in (0, 1) for r in report.rows)
+        assert len({r.evaluated_pairs for r in report.rows}) >= 3
+        got_top1 = [(q.density, q.kind, q.mean_top1_qos, q.samples) for q in qos_rows if q.samples]
+        assert sorted(got_top1) == [row for row in want_top1 if row[3]]
+        assert any(q.mean_top1_qos > 0 for q in qos_rows)
 
 
 def test_duplicate_ranking_rejected_before_scoring(monkeypatch):

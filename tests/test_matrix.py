@@ -97,12 +97,19 @@ def test_load_skips_comments_and_blanks(tmp_path):
     assert m.values[0, 0] == 1.5
 
 
-def test_save_load_roundtrip(tmp_path, rng):
+def test_save_load_roundtrip(tmp_path, rng, monkeypatch):
+    # "\n" line ends, so every read of a saved matrix is plain, also when
+    # short reads cut it into many
     m = random_sparse_matrix(rng, 6, 8, 0.5)
     path = tmp_path / "out.csv"
     save_matrix(m, path)
-    again = load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
-    assert again == m
+    for block in (None, 3, 1):
+        if block is not None:
+            monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
+        plain_reads, other_reads = read_kinds(path)
+        assert plain_reads > 0 and other_reads == 0
+        again = load_matrix(path, MetricOrientation.LARGER_IS_BETTER)
+        assert again == m
 
 
 def test_values_are_read_only():

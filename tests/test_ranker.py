@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -12,7 +13,13 @@ from qosrank.ranker import RankerKind, Ranking, correct_orders, greedy_orders, r
 from qosrank.similarity import similarity_block
 
 from conftest import random_sparse_matrix
-from oracles import neighbors_of, one_table, oracle_correct_observed_order, top_k
+from oracles import (
+    neighbors_of,
+    one_table,
+    oracle_correct_observed_order,
+    oracle_greedy_orders,
+    top_k,
+)
 
 
 def explicit_table(values, candidates=None):
@@ -136,28 +143,38 @@ def test_incremental_equals_recompute(rng):
 
 
 def test_greedy_orders_rows_match_recompute_oracle(rng):
+    # stacks of 1 to 6 tables fall on both sides of SHORT_STACK
     for _ in range(60):
         n = int(rng.integers(1, 9))
-        stack = []
-        for table, _ in (pipeline_table(rng, n) for _ in range(int(rng.integers(1, 5)))):
-            stack += [effective_of(table), effective_of(table, weighted=True)]
+        pool = []
+        for table, _ in (pipeline_table(rng, n) for _ in range(3)):
+            pool += [effective_of(table), effective_of(table, weighted=True)]
         levels = rng.integers(-2, 3, (n, n)).astype(float)  # exact ties in the sums
-        stack += [levels - levels.T, np.zeros((n, n))]  # the last one all unknown
-        effective = np.stack(stack)
-        expected = [recompute_positions(table) for table in effective]
-        assert greedy_orders(effective).tolist() == expected
-        for table, order in zip(effective, expected):
-            assert greedy_orders(table[None]).tolist() == [order]  # the 1-row loop
+        pool += [levels - levels.T, np.zeros((n, n))]  # the last one all unknown
+        for height in range(1, 7):
+            effective = np.stack([pool[i] for i in rng.choice(len(pool), height, replace=False)])
+            expected = [recompute_positions(table) for table in effective]
+            assert greedy_orders(effective).tolist() == expected
+            assert oracle_greedy_orders(effective).tolist() == expected
 
 
 def test_greedy_orders_tie_within_tolerance_goes_to_smaller_position():
-    # sums 1 - 5e-13, 1 + 5e-13 and -2: the first two tie within TIE_TOLERANCE
+    # sums 1 - 5e-13, 1 + 5e-13 and -2: the first two tie within TIE_TOLERANCE,
+    # so the argmax at position 1 gives way to position 0. `swapped` swaps
+    # positions 0 and 1: its argmax is position 0 with a tie behind it, the
+    # round that skips the tie compare.
     tied = np.array([[0.0, -5e-13, 1.0], [5e-13, 0.0, 1.0], [-1.0, -1.0, 0.0]])
-    assert recompute_positions(tied) == [0, 1, 2]
-    assert recompute_positions(-tied) == [2, 0, 1]
-    effective = np.stack([tied, -tied, np.zeros((3, 3))])
-    assert greedy_orders(effective).tolist() == [[0, 1, 2], [2, 0, 1], [0, 1, 2]]
-    assert greedy_orders(tied[None]).tolist() == [[0, 1, 2]]
+    swapped = tied[[1, 0, 2]][:, [1, 0, 2]]
+    tables = [tied, -tied, swapped, -swapped, np.zeros((3, 3))]
+    expected = [[0, 1, 2], [2, 0, 1], [0, 1, 2], [2, 0, 1], [0, 1, 2]]
+    assert [recompute_positions(table) for table in tables] == expected
+    for height in range(1, 7):
+        for start in range(len(tables)):
+            chosen = [(start + k) % len(tables) for k in range(height)]
+            effective = np.stack([tables[c] for c in chosen])
+            want = [expected[c] for c in chosen]
+            assert greedy_orders(effective).tolist() == want
+            assert oracle_greedy_orders(effective).tolist() == want
 
 
 def test_greedy_permutation_safety(rng):
@@ -274,6 +291,37 @@ def test_rank_orders_every_kind_order_matches_rank(rng):
             assert got.shape == (len(active), len(kinds), len(set(cands.tolist())))
             for u, by_kind in zip(active, got.tolist()):
                 assert [tuple(order) for order in by_kind] == [alone[u, kind] for kind in kinds]
+
+
+# SHA-256 of the int64 (users, kinds, n) orders of every user of
+# one_request_matrix with (cloudrank1, cloudrank2), k = 10; pinned while
+# greedy ran the loops of `oracle_greedy_orders`.
+ONE_REQUEST_ORDERS_SHA256 = "9a7eb4906a97ca911245b194d03aa3081430dba7f65ef38795597ab373fc1db4"
+
+
+def one_request_matrix():
+    """A seeded 40 x 400 matrix at 30% density whose values take 8 levels, so
+    that similarities and preference sums tie; every fourth service is a
+    candidate."""
+    rng = np.random.default_rng(14)
+    values = rng.integers(0, 8, (40, 400)) / 4.0
+    values[rng.random((40, 400)) >= 0.3] = np.nan
+    return QoSMatrix(values), range(0, 400, 4)
+
+
+def test_one_request_and_batched_orders_are_pinned(monkeypatch):
+    # rank() greedy-orders stacks of one table, a batch of one user stacks of
+    # two, and the default batch (13 users of 100 candidates) stacks of 26
+    m, cands = one_request_matrix()
+    kinds = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2)
+    users = range(m.num_users)
+    alone = np.array([[rank(kind, m, u, 10, cands).order for kind in kinds] for u in users])
+    long_stacks = rank_orders(kinds, m, users, 10, cands)
+    monkeypatch.setattr(ranker, "BATCH_ELEMS", 1)
+    pairs = rank_orders(kinds, m, users, 10, cands)
+    for orders in (alone, pairs, long_stacks):
+        digest = hashlib.sha256(orders.astype(np.int64).tobytes()).hexdigest()
+        assert digest == ONE_REQUEST_ORDERS_SHA256
 
 
 def test_rank_determinism(rng):
