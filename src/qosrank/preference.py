@@ -24,7 +24,10 @@ def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
 
     Raises DomainError for an empty set or an id not an integer in [0, num_services).
     """
-    cands = tuple(sorted(set(as_int(c, "candidate service") for c in candidates)))
+    cands = tuple(candidates)
+    if not {*map(type, cands)} <= {int}:  # plain ints need no conversion
+        cands = [as_int(c, "candidate service") for c in cands]
+    cands = tuple(sorted(set(cands)))
     if not cands:
         raise DomainError("candidate set must be non-empty")
     if cands[0] < 0 or cands[-1] >= matrix.num_services:
@@ -62,9 +65,10 @@ def preference_stack(
 
 
 def _preference_block(matrix, users, neighbors, cands) -> np.ndarray:
-    """`preference_stack`'s [confidences, values] as one writable block."""
+    """`preference_stack`'s [confidences, values] as one writable block;
+    `cands` may be the candidate ids already as an intp array."""
     users = np.asarray(users, dtype=np.intp)
-    cols, n = np.array(cands, dtype=np.intp), len(cands)
+    cols, n = np.asarray(cands, dtype=np.intp), len(cands)
     read = np.zeros(matrix.num_users, dtype=bool)
     read[np.concatenate([np.empty(0, np.intp)] + [ids for ids, _ in neighbors])] = True
     rows = np.flatnonzero(read)

@@ -156,8 +156,8 @@ def rank_orders(
     users = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in users.tolist():
         matrix._check_user(u)
-    cands = candidate_ids(matrix, candidates)
-    ids, n = np.array(cands), len(cands)
+    ids = np.array(candidate_ids(matrix, candidates), dtype=np.intp)
+    n = ids.size
     orders = np.empty((users.size, len(kinds), n), dtype=ids.dtype)
     shuffled = [g for g, kind in enumerate(kinds) if kind is RankerKind.RANDOM_BASELINE]
     greedy = [g for g in range(len(kinds)) if g not in shuffled]
@@ -166,28 +166,28 @@ def rank_orders(
     per_batch = max(1, BATCH_ELEMS // (max(1, len(greedy)) * n * n))
     for lo in range(0, users.size if greedy else 0, per_batch):
         batch = users[lo : lo + per_batch]
-        block = _greedy_batch([kinds[g] for g in greedy], matrix, batch, k, cands)
+        block = _greedy_batch([kinds[g] for g in greedy], matrix, batch, k, ids)
         orders[lo : lo + per_batch, greedy] = correct_orders(block, matrix, batch)
     if not (np.sort(orders, axis=-1) == ids).all():
         raise DomainError("ranking contains duplicate services")
     return orders
 
 
-def _greedy_batch(kinds, matrix, batch, k, cands) -> np.ndarray:
-    """Uncorrected greedy order of each batch user for each CloudRank kind,
-    as a (users, kinds, n) array of candidate ids, read off the kind-major
-    [cloudrank2, cloudrank1] block of tables. The batch's arrays are freed on
-    return, before the next batch is built."""
-    n = len(cands)
+def _greedy_batch(kinds, matrix, batch, k, ids) -> np.ndarray:
+    """Uncorrected greedy order of each batch user for each CloudRank kind
+    over the candidate id array `ids`, as a (users, kinds, n) array of ids,
+    read off the kind-major [cloudrank2, cloudrank1] block of tables. The
+    batch's arrays are freed on return, before the next batch is built."""
+    n = ids.size
     sims = similarity_block(matrix, batch)
     nbrs = top_neighbors(np.arange(matrix.num_users), sims, batch, k)
-    block = _preference_block(matrix, batch, nbrs, cands)
+    block = _preference_block(matrix, batch, nbrs, ids)
     slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
     if not slots.all():
         block[0] *= block[1]  # cloudrank2's table: confidences * values
     lo, hi = slots.min(), slots.max() + 1
     positions = greedy_orders(block[lo:hi].reshape(-1, n, n)).reshape(hi - lo, len(batch), n)
-    return np.array(cands)[positions[slots - lo].transpose(1, 0, 2)]
+    return ids[positions[slots - lo].transpose(1, 0, 2)]
 
 
 def rank(

@@ -5,17 +5,19 @@ observed: (concordant - discordant) / (N(N-1)/2), with ties counting toward
 neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
 
-A service pair can only count toward the similarity of u and v if the active
-user u observed both services, so `similarity_block` enumerates just each
-active user's own pairs: its cost is O(U * sum of n_u^2) in the active users'
-observed counts n_u rather than O(U * S^2) per user in the number of
-services. Reading only the columns some active user observed, it indexes
-the active users' n_u(n_u-1)/2 pairs out of one triangle of the largest n_u
-and builds every user's signs on them in cache-sized chunks of CHUNK_ELEMS
-elements, never a (U, S, S) tensor; one product with a (pairs x active)
-matrix of the active users' own signs then sums each active user's segment
-into a (U, active) block. `top_neighbors` picks every active user's
-neighbours from it with one lexsort.
+`similarity_block` sorts each active user b's observed services by b's value
+and packs every other user v's values on them, in that order, down to the
+services both observed: a (c, U * B) array with c the largest overlap. A pair
+of slots i > j then has b's value rising or tied, so one comparison of a
+chunk of slot rows against all c slots, a (rows, c, U * B) array summed in a
+float32 product with sign(i - j), gives concordant - discordant for every
+(v, b) at once. The pairs inside one of b's tie groups were counted there
+too and are subtracted after; untied data has none. A chunk holds at most
+CHUNK_ELEMS elements (one slot row if that is larger), so each of its sums
+is an integer of magnitude at most max(CHUNK_ELEMS, c): exact in float32 for
+any overlap below 2^24 services, and so is the float64 total. The cost is
+O(c^2 * U * B) comparisons, never a (U, S, S) tensor. `top_neighbors` picks
+every active user's neighbours from the block with one lexsort.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
 
-# User x pair elements `similarity_block` builds at once: 256 KB of float64.
+# Comparisons `similarity_block` makes at once: 32 KB of bools.
 CHUNK_ELEMS = 1 << 15
 
 
@@ -40,40 +42,52 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     batch = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in batch.tolist():
         matrix._check_user(u)
-    union = np.flatnonzero(matrix.observed_mask[batch].any(axis=0))  # the services a pair can use
-    mask, values = matrix.observed_mask[:, union], matrix.values[:, union]
-    # The active users' own service pairs, one segment each: a user with c
-    # observed services owns the pairs (before[q], after[q]) of its observed
-    # list for q < c(c-1)/2, as the row-major lower triangle lists the pairs
-    # of 0..c-1 first; one triangle of the largest c serves every user.
-    owner_rows, cols = np.nonzero(mask[batch])
-    counts = np.bincount(owner_rows, minlength=batch.size)
-    sizes = counts * (counts - 1) // 2
-    after, before = np.tril_indices(int(counts.max(initial=0)), k=-1)
-    owner = np.repeat(np.arange(batch.size), sizes)
-    q = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    base = (np.cumsum(counts) - counts)[owner]
-    first, second = cols[base + before[q]], cols[base + after[q]]
-    active = batch[owner]
-    sign_own = np.sign(values[active, first] - values[active, second])
-    # Concordant - discordant is a dot product of +-1/0 signs. A chunk holds
-    # at most CHUNK_ELEMS < 2^24 pairs, so each of its products is an exact
-    # integer even in float32, and so is the float64 total: the result is
-    # bit-identical to counting the pairs one by one.
-    cd = np.zeros((matrix.num_users, batch.size))
-    step = max(1, CHUNK_ELEMS // max(matrix.num_users, batch.size))
-    for lo in range(0, first.size, step):
-        hi = min(lo + step, first.size)
-        diff = values[:, first[lo:hi]]
-        diff -= values[:, second[lo:hi]]
-        # NaN compares false both ways, so pairs v did not observe sign to 0
-        signs = np.subtract(diff > 0, diff < 0, dtype=np.float32)
-        weights = np.zeros((hi - lo, batch.size), dtype=np.float32)
-        weights[np.arange(hi - lo), owner[lo:hi]] = sign_own[lo:hi]
-        cd += signs @ weights
-    maskf = mask.astype(float)  # overlaps can pass 2^24 under MAX_CELLS: not float32
-    common = maskf @ maskf[batch].T
-    pairs = common * (common - 1) / 2.0
+    width, own_cells = matrix.num_users * batch.size, (batch, np.arange(batch.size))
+    own = matrix.values[batch]
+    order = np.argsort(own, axis=1, kind="stable")  # ascending, NaN (unobserved) last
+    own = np.sort(own, axis=1)
+    counts = np.count_nonzero(own == own, axis=1)
+    n = int(counts.max(initial=0))
+    own = own[:, :n]
+    # every user's values in each b's order, NaN where either did not observe;
+    # b's own row too, which would widen c to n. take, unlike [:, order],
+    # returns them C-contiguous as (U, B, n), the order the packing reads.
+    values = matrix.values.take(order[:, :n], axis=1)
+    values[:, own != own] = np.nan
+    values[own_cells] = np.nan
+    # pack row (v, b) to its `common` shared services, in b's order: both
+    # masks list row (v, b)'s entries in order and hold common[v, b] of them
+    seen = values == values
+    common = np.count_nonzero(seen, axis=2)
+    c = int(common.max(initial=0))
+    packed = np.full((c, width), np.nan)
+    packed.T[np.arange(c) < common.reshape(width, 1)] = values[seen]
+    # NaN compares false both ways, so slots past a row's overlap count 0.
+    # anti[i, j] = sign(i - j): row i is ramp[c - 1 - i :][:c], an O(c) view
+    ramp = np.sign(np.arange(c - 1, -c, -1, dtype=np.float32))
+    item = ramp.itemsize
+    anti = np.ndarray((c, c), ramp.dtype, ramp, max(c - 1, 0) * item, (-item, item))
+    cd = np.zeros(width)
+    step = max(1, CHUNK_ELEMS // max(1, c * width))
+    for lo in range(0, c, step):
+        above = packed[lo : lo + step, None] > packed
+        cd += anti[lo : lo + step].reshape(-1) @ above.reshape(-1, width)
+    cd = cd.reshape(common.shape)
+    # b's tied pairs (p, p - d), d <= p - its tie group's start, count 0
+    pos = np.arange(n)
+    new = np.ones(own.shape, dtype=bool)
+    new[:, 1:] = own[:, 1:] != own[:, :-1]
+    ties = pos - np.maximum.accumulate(pos * new, axis=1)
+    for d in range(1, int(ties.max(initial=0)) + 1):
+        b, p = np.nonzero(ties >= d)  # b ascending: each b's pairs are one run
+        diff = values[:, b, p] - values[:, b, p - d]
+        runs = np.flatnonzero(np.diff(b, prepend=-1))
+        signs = np.subtract(diff > 0, diff < 0, dtype=float)
+        cd[:, b[runs]] -= np.add.reduceat(signs, runs, axis=1)
+    # b against itself: every untied pair of its own is concordant
+    common[own_cells] = counts
+    pairs = common * (common - 1) / 2
+    cd[own_cells] = pairs[own_cells] - ties.sum(axis=1)
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 

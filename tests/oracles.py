@@ -12,6 +12,12 @@ codes)` triple of one slice of `preference_stack`'s output.
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
 
+`similarity_block` packs each user pair's common services in the active
+user's order and counts concordant minus discordant pairs with one
+comparison per chunk of slots; `oracle_similarity_block` is the method it
+replaced: it enumerates each active user's own service pairs and signs every
+user's values on them.
+
 Neighbour selection, the observed-order correction and tau scoring run over
 a whole similarity block or (users, kinds, n) stack of rankings; the
 `oracle_select_neighbors`, `oracle_correct_observed_order` and
@@ -46,7 +52,7 @@ from qosrank.errors import (
     DuplicateKeyError,
     ParseError,
 )
-from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix
+from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix, as_int
 from qosrank.preference import candidate_ids, preference_stack
 from qosrank.ranker import TIE_TOLERANCE
 from qosrank.similarity import similarity_block, top_neighbors
@@ -230,6 +236,43 @@ def oracle_preference_table(
     for arr in (values, confidences, provenance):
         np.fill_diagonal(arr, 0)
     return values, confidences, provenance
+
+
+def oracle_similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
+    """`similarity_block` by enumerating each active user's own service pairs:
+    a user with c observed services owns the pairs (before[q], after[q]) of
+    its observed list for q < c(c-1)/2, as the row-major lower triangle lists
+    the pairs of 0..c-1 first. Every user's signs on those pairs, times the
+    owner's, sum to concordant - discordant in chunks of 2^15 user x pair
+    elements; each chunk's float32 product is an exact integer."""
+    batch = np.array([as_int(u, "user") for u in users], dtype=np.intp)
+    for u in batch.tolist():
+        matrix._check_user(u)
+    union = np.flatnonzero(matrix.observed_mask[batch].any(axis=0))
+    mask, values = matrix.observed_mask[:, union], matrix.values[:, union]
+    owner_rows, cols = np.nonzero(mask[batch])
+    counts = np.bincount(owner_rows, minlength=batch.size)
+    sizes = counts * (counts - 1) // 2
+    after, before = np.tril_indices(int(counts.max(initial=0)), k=-1)
+    owner = np.repeat(np.arange(batch.size), sizes)
+    q = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = (np.cumsum(counts) - counts)[owner]
+    first, second = cols[base + before[q]], cols[base + after[q]]
+    active = batch[owner]
+    sign_own = np.sign(values[active, first] - values[active, second])
+    cd = np.zeros((matrix.num_users, batch.size))
+    step = max(1, (1 << 15) // max(matrix.num_users, batch.size))
+    for lo in range(0, first.size, step):
+        hi = min(lo + step, first.size)
+        diff = values[:, first[lo:hi]] - values[:, second[lo:hi]]
+        signs = np.subtract(diff > 0, diff < 0, dtype=np.float32)  # NaN: 0
+        weights = np.zeros((hi - lo, batch.size), dtype=np.float32)
+        weights[np.arange(hi - lo), owner[lo:hi]] = sign_own[lo:hi]
+        cd += signs @ weights
+    maskf = mask.astype(float)
+    common = maskf @ maskf[batch].T
+    pairs = common * (common - 1) / 2.0
+    return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
 def oracle_select_neighbors(users, sims, k: int) -> tuple[tuple[int, float], ...]:

@@ -390,6 +390,7 @@ def test_candidate_outside_matrix_rejected(kind, bad):
     [
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, [0, 1.5, 2]), "candidate service 1.5"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, ["a", 1]), "candidate service 'a'"),
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, [1, True]), "candidate service True"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0.7, 2, range(3)), "user 0.7"),
         (lambda m: rank_orders(tuple(RankerKind), m, [1, np.float64(0.0)], 2, range(3)),
          f"user {np.float64(0.0)!r}"),
