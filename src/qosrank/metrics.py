@@ -5,7 +5,8 @@ value: concordant and discordant pairs between the predicted order and the
 truth-value order give tau in [-1, 1], and accuracy = (tau + 1) / 2 is the
 headline number in [0, 1]. Rankings with fewer than two evaluable services
 are unscoreable and excluded from aggregates. `tau_scores` scores a whole
-stack of rankings at once from bool comparisons.
+stack of rankings at once with `similarity.concordance`, the kernel that
+also counts user similarity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .similarity import concordance
 
 
 @dataclass(frozen=True)
@@ -48,31 +50,23 @@ class ExperimentReport:
     summaries: tuple[SummaryRow, ...]
 
 
-# Upper bound on the rows x evaluable^2 comparisons `tau_scores` holds at once.
-SCORE_ELEMS = 1 << 18
-
-
 def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kendall tau and evaluated pairs of each row of `truth`, the withheld
     values of a ranking's services in predicted order, NaN where a service
     has none; tau is NaN in rows with fewer than two evaluable services.
 
     Rows are compacted to their evaluable values and NaN-padded, which
-    compares false both ways. cd is an exact integer sum of bool comparisons,
-    so tau = cd / pairs is bit-identical to counting the pairs one by one.
+    compares false both ways. cd is an exact integer count, so tau =
+    cd / pairs is bit-identical to counting the pairs one by one.
     """
     evaluable = ~np.isnan(truth)
     p = evaluable.sum(axis=1)
     width = int(p.max(initial=0))
     keep = np.argsort(~evaluable, axis=1, kind="stable")[:, :width]  # evaluable first
     vals = np.take_along_axis(truth, keep, axis=1)
-    upper = np.triu(np.ones((width, width), dtype=bool), 1)
-    cd = np.empty(len(vals), dtype=np.int64)
-    step = max(1, SCORE_ELEMS // max(1, width * width))
-    for lo in range(0, len(vals), step):
-        # better[r, i, j]: i beats j in truth; i < j is concordant, i > j discordant
-        better = vals[lo : lo + step, :, None] > vals[lo : lo + step, None, :]
-        cd[lo : lo + step] = 2 * (better & upper).sum(axis=(1, 2)) - better.sum(axis=(1, 2))
+    # best first, so a pair i < j is concordant when truth falls from i to j;
+    # 0.0 - keeps a zero count +0.0, so a tau of 0 is written as 0.0
+    cd = 0.0 - concordance(np.ascontiguousarray(vals.T))
     pairs = p * (p - 1) // 2
     tau = np.divide(cd, pairs, out=np.full(len(vals), np.nan), where=pairs > 0)
     return tau, pairs

@@ -5,46 +5,28 @@ j. It is explicit (confidence 1) when the active user observed both services,
 implicit when inferred from neighbors who observed both (confidence is the
 similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
-renormalized over the pair-specific neighbor subset. `preference_stack`
+renormalized over the pair-specific neighbor subset. `preference_block`
 builds a batch's tables from the neighbours' rows alone, in place in one
 [confidences, values] block, with one stacked product per array for the
-users of each neighbour count.
+users of each neighbour count. Which pairs are explicit, implicit or
+unknown is not stored: the confidences and the user's own observations
+tell them apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .matrix import QoSMatrix, as_int
+from .matrix import QoSMatrix
 
 
-def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
-    """The distinct candidate service ids, ascending.
-
-    Raises DomainError for an empty set or an id not an integer in [0, num_services).
-    """
-    cands = tuple(candidates)
-    if not {*map(type, cands)} <= {int}:  # plain ints need no conversion
-        cands = [as_int(c, "candidate service") for c in cands]
-    cands = tuple(sorted(set(cands)))
-    if not cands:
-        raise DomainError("candidate set must be non-empty")
-    if cands[0] < 0 or cands[-1] >= matrix.num_services:
-        bad = cands[0] if cands[0] < 0 else cands[-1]
-        raise DomainError(f"candidate service {bad} outside [0, {matrix.num_services})")
-    return cands
-
-
-def preference_stack(
-    matrix: QoSMatrix, users, neighbors, cands: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (len(users), n, n) values, confidences and provenance codes of
-    each user's table over the same n candidates `cands`, as `candidate_ids`
-    returns them; read-only. Values are antisymmetric, confidences symmetric,
-    codes 0 (unknown), 1 (implicit) or 2 (explicit); diagonals are 0. users
-    are valid ids and neighbors[b] is users[b]'s (ids, similarities) pair of
-    arrays with positive similarities, as `top_neighbors` returns them.
+def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
+    """Each user's table over the same n candidate ids `cands`, ascending
+    and distinct, as one writable (2, len(users), n, n) block
+    [confidences, values]. Values are antisymmetric, confidences symmetric;
+    diagonals are 0. users are valid ids and neighbors[b] is users[b]'s
+    (ids, similarities) pair of arrays with positive similarities, as
+    `top_neighbors` returns them.
 
     Only the union of the batch's neighbour rows is read, gathered once.
     Users with the same neighbour count share one stacked product per array;
@@ -52,21 +34,6 @@ def preference_stack(
     b equals the table of users[b] built on its own, bit for bit. Agrees with
     the per-pair reference in tests/oracles.py up to summation order.
     """
-    users, n = np.asarray(users, dtype=np.intp), len(cands)
-    confidences, values = _preference_block(matrix, users, neighbors, cands)
-    # 2 where the user observed both services, else 1 where the confidence
-    # is positive: some neighbour covers the pair, as similarities are > 0
-    own = matrix.observed_mask[np.ix_(users, cands)]
-    provenance = np.add(confidences > 0, own[:, :, None] & own[:, None, :], dtype=np.int8)
-    provenance.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
-    for arr in (values, confidences, provenance):
-        arr.setflags(write=False)
-    return values, confidences, provenance
-
-
-def _preference_block(matrix, users, neighbors, cands) -> np.ndarray:
-    """`preference_stack`'s [confidences, values] as one writable block;
-    `cands` may be the candidate ids already as an intp array."""
     users = np.asarray(users, dtype=np.intp)
     cols, n = np.asarray(cands, dtype=np.intp), len(cands)
     read = np.zeros(matrix.num_users, dtype=bool)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matrix import QoSMatrix, as_int
-from .preference import _preference_block, candidate_ids
+from .preference import preference_block
 from .seeding import derive_rng
 from .similarity import similarity_block, top_neighbors
 
@@ -39,14 +39,11 @@ class RankerKind(Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Strict total order over a candidate set, best first."""
+    """User `active`'s ranking of a candidate set, best first, as `rank`
+    returns it."""
 
     active: int
     order: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.order)) != len(self.order):
-            raise DomainError("ranking contains duplicate services")
 
 
 # Preference sums within this tolerance of the round's maximum count as tied.
@@ -134,6 +131,23 @@ def correct_orders(orders: np.ndarray, matrix: QoSMatrix, users: np.ndarray) -> 
     return fixed
 
 
+def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
+    """The distinct candidate service ids, ascending.
+
+    Raises DomainError for an empty set or an id not an integer in [0, num_services).
+    """
+    cands = tuple(candidates)
+    if not {*map(type, cands)} <= {int}:  # plain ints need no conversion
+        cands = [as_int(c, "candidate service") for c in cands]
+    cands = tuple(sorted(set(cands)))
+    if not cands:
+        raise DomainError("candidate set must be non-empty")
+    if cands[0] < 0 or cands[-1] >= matrix.num_services:
+        bad = cands[0] if cands[0] < 0 else cands[-1]
+        raise DomainError(f"candidate service {bad} outside [0, {matrix.num_services})")
+    return cands
+
+
 def rank_orders(
     kinds: tuple[RankerKind, ...],
     matrix: QoSMatrix,
@@ -151,8 +165,12 @@ def rank_orders(
     A batch holds at most BATCH_ELEMS greedy table elements, and at least one
     user. Every ranking equals the one the user gets alone. The random
     baseline shuffles the candidates seeded by (seed, u). Raises DomainError
-    if a row is not a permutation of the candidates.
+    for a neighbourhood size k that is not an integer >= 0, whatever the
+    kinds, and if a row is not a permutation of the candidates.
     """
+    k = as_int(k, "neighborhood size")
+    if k < 0:
+        raise DomainError(f"neighborhood size must be >= 0, got {k}")
     users = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in users.tolist():
         matrix._check_user(u)
@@ -180,8 +198,8 @@ def _greedy_batch(kinds, matrix, batch, k, ids) -> np.ndarray:
     batch's arrays are freed on return, before the next batch is built."""
     n = ids.size
     sims = similarity_block(matrix, batch)
-    nbrs = top_neighbors(np.arange(matrix.num_users), sims, batch, k)
-    block = _preference_block(matrix, batch, nbrs, ids)
+    nbrs = top_neighbors(sims, batch, k)
+    block = preference_block(matrix, batch, nbrs, ids)
     slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
     if not slots.all():
         block[0] *= block[1]  # cloudrank2's table: confidences * values

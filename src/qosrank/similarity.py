@@ -8,27 +8,48 @@ two services are uninformative and score 0.
 `similarity_block` sorts each active user b's observed services by b's value
 and packs every other user v's values on them, in that order, down to the
 services both observed: a (c, U * B) array with c the largest overlap. A pair
-of slots i > j then has b's value rising or tied, so one comparison of a
-chunk of slot rows against all c slots, a (rows, c, U * B) array summed in a
-float32 product with sign(i - j), gives concordant - discordant for every
-(v, b) at once. The pairs inside one of b's tie groups were counted there
-too and are subtracted after; untied data has none. A chunk holds at most
-CHUNK_ELEMS elements (one slot row if that is larger), so each of its sums
-is an integer of magnitude at most max(CHUNK_ELEMS, c): exact in float32 for
-any overlap below 2^24 services, and so is the float64 total. The cost is
-O(c^2 * U * B) comparisons, never a (U, S, S) tensor. `top_neighbors` picks
-every active user's neighbours from the block with one lexsort.
+of slots i > j then has b's value rising or tied, so `concordance` of the
+packed array gives concordant - discordant for every (v, b) at once. The
+pairs inside one of b's tie groups were counted there too and are subtracted
+after; untied data has none. The cost is O(c^2 * U * B) comparisons, never a
+(U, S, S) tensor. `metrics.tau_scores` counts a ranking's agreement with
+withheld truth with the same `concordance`. `top_neighbors` picks every
+active user's neighbours from the block with one stable sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .matrix import QoSMatrix, as_int
 
-# Comparisons `similarity_block` makes at once: 32 KB of bools.
+# Comparisons `concordance` makes at once: 32 KB of bools.
 CHUNK_ELEMS = 1 << 15
+
+
+def concordance(packed: np.ndarray) -> np.ndarray:
+    """Sum over slot pairs i > j of sign(packed[i] - packed[j]), for each
+    column of the (c, width) array `packed`, as float64. NaN compares false
+    both ways, so a pair with a NaN counts 0.
+
+    One comparison of a chunk of slot rows against all c slots, a
+    (rows, c, width) bool array, is summed in a float32 product with
+    sign(i - j). A chunk holds at most CHUNK_ELEMS elements (one slot row if
+    that is larger), so each of its sums is an integer of magnitude at most
+    max(CHUNK_ELEMS, c): exact in float32 for any c below 2^24, and so is the
+    float64 total, which is bit-identical to counting the pairs one by one.
+    """
+    c, width = packed.shape
+    # anti[i, j] = sign(i - j): row i is ramp[c - 1 - i :][:c], an O(c) view
+    ramp = np.sign(np.arange(c - 1, -c, -1, dtype=np.float32))
+    item = ramp.itemsize
+    anti = np.ndarray((c, c), ramp.dtype, ramp, max(c - 1, 0) * item, (-item, item))
+    total = np.zeros(width)
+    step = max(1, CHUNK_ELEMS // max(1, c * width))
+    for lo in range(0, c, step):
+        above = packed[lo : lo + step, None] > packed
+        total += anti[lo : lo + step].reshape(-1) @ above.reshape(-1, width)
+    return total
 
 
 def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
@@ -62,17 +83,8 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     c = int(common.max(initial=0))
     packed = np.full((c, width), np.nan)
     packed.T[np.arange(c) < common.reshape(width, 1)] = values[seen]
-    # NaN compares false both ways, so slots past a row's overlap count 0.
-    # anti[i, j] = sign(i - j): row i is ramp[c - 1 - i :][:c], an O(c) view
-    ramp = np.sign(np.arange(c - 1, -c, -1, dtype=np.float32))
-    item = ramp.itemsize
-    anti = np.ndarray((c, c), ramp.dtype, ramp, max(c - 1, 0) * item, (-item, item))
-    cd = np.zeros(width)
-    step = max(1, CHUNK_ELEMS // max(1, c * width))
-    for lo in range(0, c, step):
-        above = packed[lo : lo + step, None] > packed
-        cd += anti[lo : lo + step].reshape(-1) @ above.reshape(-1, width)
-    cd = cd.reshape(common.shape)
+    # slots past a row's overlap are NaN, so they count 0
+    cd = concordance(packed).reshape(common.shape)
     # b's tied pairs (p, p - d), d <= p - its tie group's start, count 0
     pos = np.arange(n)
     new = np.ones(own.shape, dtype=bool)
@@ -91,18 +103,15 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
-def top_neighbors(
-    ids: np.ndarray, sims: np.ndarray, active, k: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each column b of the (len(ids), B) block `sims`: the ids and
-    similarities of the at-most-k entries with the largest strictly positive
-    similarity, active[b] excluded, sorted descending; equal similarities
-    break toward the smaller id. One lexsort orders the whole block."""
-    k = as_int(k, "neighborhood size")
-    if k < 0:
-        raise DomainError(f"neighborhood size must be >= 0, got {k}")
-    sims = np.where(ids[:, None] == np.asarray(active)[None, :], 0.0, sims)
-    order = np.lexsort((np.broadcast_to(ids[:, None], sims.shape), -sims), axis=0)[:k]
+def top_neighbors(sims: np.ndarray, active, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each column b of the (num_users, B) block `sims`: the user ids
+    (row indices) and similarities of the at-most-k rows with the largest
+    strictly positive similarity, row active[b] excluded, sorted descending;
+    equal similarities break toward the smaller id, as the sort is stable.
+    One sort orders the whole block; k is an int >= 0."""
+    rows = np.arange(len(sims))[:, None]
+    sims = np.where(rows == np.asarray(active)[None, :], 0.0, sims)
+    order = np.argsort(-sims, axis=0, kind="stable")[:k]
     top = np.take_along_axis(sims, order, axis=0)
     counts = (top > 0.0).sum(axis=0).tolist()
-    return [(ids[order[:c, b]], top[:c, b]) for b, c in enumerate(counts)]
+    return [(order[:c, b], top[:c, b]) for b, c in enumerate(counts)]

@@ -1,13 +1,15 @@
 """Reference implementations that check the shipped vectorised paths.
 
-`preference_stack` computes every pair of a batch's tables at once with
-matrix products. The functions here compute one pair at a time straight from
-the definitions, and `checked_preference` asserts that the two agree on the
-same inputs. `oracle_preference_table` builds one user's table with the same
-products on 2-d arrays, so a stacked table can be checked against it bit for
-bit. A user's neighbours are an `(ids, sims)` pair of arrays, as
-`top_neighbors` returns them, and a table is the `(values, confidences,
-codes)` triple of one slice of `preference_stack`'s output.
+`preference_block` computes every pair of a batch's tables at once with
+matrix products. `preference_stack` here adds the provenance codes that the
+shipped block does not store, and the functions below compute one pair at a
+time straight from the definitions; `checked_preference` asserts that the
+two agree on the same inputs. `oracle_preference_table` builds one user's
+table with the same products on 2-d arrays, so a stacked table can be
+checked against it bit for bit. A user's neighbours are an `(ids, sims)`
+pair of arrays, as `top_neighbors` returns them, and a table is the
+`(values, confidences, codes)` triple of one slice of `preference_stack`'s
+output.
 
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
@@ -53,8 +55,8 @@ from qosrank.errors import (
     ParseError,
 )
 from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix, as_int
-from qosrank.preference import candidate_ids, preference_stack
-from qosrank.ranker import TIE_TOLERANCE
+from qosrank.preference import preference_block
+from qosrank.ranker import TIE_TOLERANCE, candidate_ids
 from qosrank.similarity import similarity_block, top_neighbors
 
 # provenance codes of a preference table
@@ -143,7 +145,27 @@ def preference_value(matrix: QoSMatrix, u: int, nbrs, i: int, j: int) -> Prefere
 def top_k(matrix: QoSMatrix, u: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """u's Top-k neighbours (ids, sims): `top_neighbors` over u's column of
     `similarity_block`, a batch of one."""
-    return top_neighbors(np.arange(matrix.num_users), similarity_block(matrix, (u,)), [u], k)[0]
+    return top_neighbors(similarity_block(matrix, (u,)), [u], k)[0]
+
+
+def preference_stack(
+    matrix: QoSMatrix, users, neighbors, cands: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (len(users), n, n) values, confidences and provenance codes
+    of each user's table over the n candidates `cands`, as `candidate_ids`
+    returns them; read-only. The values and confidences are
+    `preference_block`'s, the codes are UNKNOWN, IMPLICIT or EXPLICIT, and
+    diagonals are 0."""
+    users, n = np.asarray(users, dtype=np.intp), len(cands)
+    confidences, values = preference_block(matrix, users, neighbors, cands)
+    # explicit where the user observed both services, else implicit where the
+    # confidence is positive: some neighbour covers the pair, as similarities are > 0
+    own = matrix.observed_mask[np.ix_(users, cands)]
+    provenance = np.add(confidences > 0, own[:, :, None] & own[:, None, :], dtype=np.int8)
+    provenance.reshape(-1, n * n)[:, :: n + 1] = UNKNOWN  # the diagonals
+    for arr in (values, confidences, provenance):
+        arr.setflags(write=False)
+    return values, confidences, provenance
 
 
 def one_table(matrix: QoSMatrix, u: int, nbrs, candidates):

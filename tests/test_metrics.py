@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qosrank import metrics
+from qosrank import similarity
 from qosrank.errors import DomainError
 from qosrank.metrics import ScoreRow, aggregate, tau_scores, write_rows_csv, write_summary_csv
 from qosrank.seeding import derive_rng
@@ -176,14 +176,15 @@ def test_csv_round_trip_precision(tmp_path):
     assert header == "density,kind,mean_tau,std_tau,mean_accuracy,trials"
 
 
-@pytest.mark.parametrize("score_elems", [1, 40, None])
-def test_tau_scores_match_oracle_bit_for_bit(monkeypatch, score_elems):
+@pytest.mark.parametrize("chunk_elems", [1, 40, None])
+def test_tau_scores_match_oracle_bit_for_bit(monkeypatch, chunk_elems):
     # rows of one stack with different evaluable counts (so the compacted
     # rows are padded), 4 truth levels (ties), and rows with 0 and 1
-    # evaluable services that stay unscoreable; score_elems cuts the rows
-    # into chunks of 1 and of a few
-    if score_elems is not None:
-        monkeypatch.setattr(metrics, "SCORE_ELEMS", score_elems)
+    # evaluable services that stay unscoreable; chunk_elems cuts the
+    # comparisons into chunks of one slot row and of a few, None keeps
+    # similarity.CHUNK_ELEMS
+    if chunk_elems is not None:
+        monkeypatch.setattr(similarity, "CHUNK_ELEMS", chunk_elems)
     rng = derive_rng(2718)
     for _ in range(40):
         rows, n = int(rng.integers(3, 9)), int(rng.integers(2, 12))
@@ -202,5 +203,6 @@ def test_tau_scores_match_oracle_bit_for_bit(monkeypatch, score_elems):
                 assert pairs[r] == 0 and np.isnan(taus[r]) and got is None
             else:
                 assert (float(taus[r]), int(pairs[r])) == want
+                assert taus[r].tobytes() == np.float64(want[0]).tobytes()  # +0.0, not -0.0
                 assert (got.tau, got.evaluated_pairs) == want
                 assert got.accuracy == (want[0] + 1) / 2

@@ -5,7 +5,8 @@ import pytest
 
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
-from qosrank.preference import candidate_ids, preference_stack
+from qosrank.preference import preference_block
+from qosrank.ranker import candidate_ids
 from qosrank.similarity import similarity_block, top_neighbors
 
 from conftest import random_sparse_matrix
@@ -23,6 +24,7 @@ from oracles import (
     pair_matrix,
     pair_neighborhood,
     pair_weights,
+    preference_stack,
     preference_sum,
     preference_value,
     table_value,
@@ -321,7 +323,7 @@ def test_uncovered_pairs_are_positive_zero_on_negative_values(rng):
         m = QoSMatrix(-random_sparse_matrix(rng, users, services, 0.35).values - 0.01)
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
-        nbrs = top_neighbors(np.arange(users), similarity_block(m, batch), batch, trial % 6)
+        nbrs = top_neighbors(similarity_block(m, batch), batch, trial % 6)
         members = [members_of(pair) for pair in nbrs]
         values, confidences, provenance = assert_slices_match_oracle(m, batch, members, cands)
         unknown = provenance == 0
@@ -353,22 +355,23 @@ def test_mixed_neighbour_counts_shared_neighbours_and_candidate_subset(rng):
 
 
 def test_one_user_stack_memory_bounded():
-    # one user of a 300 x 400 matrix over all 400 candidates: the outputs
-    # take 2.7 MB and the denominators 1.3 MB; the stage reads only the
-    # neighbours' rows. Peak measured at 6.16 MB before the neighbour-row
-    # gather and unmasked divide, 5.9 MB with a separate array per product,
-    # 4.6 MB with the products written into one block
+    # one user of a 300 x 400 matrix over all 400 candidates: the
+    # [confidences, values] block takes 2.6 MB and the denominators 1.3 MB;
+    # the stage reads only the neighbours' rows. Peak measured at 6.16 MB
+    # before the neighbour-row gather and unmasked divide, 5.9 MB with a
+    # separate array per product, 4.6 MB with the products written into one
+    # block, 4.47 MB for `preference_block` itself, which ranking runs
     rng = np.random.default_rng(20260810)
     values = -rng.uniform(0.0, 1.0, (300, 400))
     values[rng.uniform(size=values.shape) > 0.3] = np.nan
     m = QoSMatrix(values)
-    nbrs = top_neighbors(np.arange(300), similarity_block(m, [0]), [0], 10)
+    nbrs = top_neighbors(similarity_block(m, [0]), [0], 10)
     cands = candidate_ids(m, range(400))
     tracemalloc.start()
     try:
-        stack = preference_stack(m, [0], nbrs, cands)
+        block = preference_block(m, [0], nbrs, cands)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(nbrs[0][0]) == 10 and stack[0].shape == (1, 400, 400)
+    assert len(nbrs[0][0]) == 10 and block.shape == (2, 1, 400, 400)
     assert peak <= 5 * 2**20

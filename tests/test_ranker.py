@@ -332,11 +332,6 @@ def test_rank_determinism(rng):
         assert a == b
 
 
-def test_ranking_rejects_duplicates():
-    with pytest.raises(DomainError):
-        Ranking(active=0, order=(1, 1, 2))
-
-
 @pytest.mark.parametrize("batch_elems", [1, 1 << 40])
 def test_rank_users_matches_rank_per_user(rng, monkeypatch, batch_elems):
     # one-user batches, then every user in one batch: both equal `rank` alone
@@ -405,6 +400,27 @@ def test_non_integral_ids_and_k_rejected(call, named):
     # a bare ValueError / TypeError
     m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
     with pytest.raises(DomainError, match=f"{re.escape(named)} is not an integer"):
+        call(m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: rank_orders((RankerKind.RANDOM_BASELINE,), m, [0], 2.9, range(3)),
+         "neighborhood size 2.9 is not an integer"),
+        (lambda m: rank_orders((RankerKind.RANDOM_BASELINE,), m, [0], -5, range(3)),
+         "neighborhood size must be >= 0, got -5"),
+        (lambda m: rank(RankerKind.RANDOM_BASELINE, m, 0, -5, range(3)),
+         "neighborhood size must be >= 0, got -5"),
+        (lambda m: rank_orders(tuple(RankerKind), m, [0, 1], -1, range(3)),
+         "neighborhood size must be >= 0, got -1"),
+    ],
+)
+def test_k_checked_for_every_kind(call, message):
+    # before: the random baseline, which reads no neighbours, ranked with
+    # any k; only the CloudRank kinds checked it, once per batch
+    m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
+    with pytest.raises(DomainError, match=re.escape(message)):
         call(m)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qosrank import similarity
-from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix
 from qosrank.similarity import similarity_block, top_neighbors
 
@@ -46,9 +45,10 @@ def sim(matrix, u, v):
     return float(similarity_block(matrix, (u,))[v, 0])
 
 
-def select(ids, sims, active, k):
-    """The Top-k members ((user, similarity), ...) of one column."""
-    return members_of(top_neighbors(np.asarray(ids), np.asarray(sims)[:, None], [active], k)[0])
+def select(sims, active, k):
+    """The Top-k members ((user, similarity), ...) of one column of
+    similarities, indexed by user id."""
+    return members_of(top_neighbors(np.asarray(sims)[:, None], [active], k)[0])
 
 
 def test_identical_ordering_gives_one():
@@ -236,7 +236,7 @@ def test_row_three_users():
     m = matrix_of([0.1, 0.2], [0.3, 0.4], [0.5, 0.1])
     column = similarity_block(m, (1,))[:, 0]
     assert len(column) == 3
-    assert 1 not in [v for v, _ in select(range(3), column, 1, 3)]
+    assert 1 not in [v for v, _ in select(column, 1, 3)]
 
 
 def test_row_isolated_user_all_zero():
@@ -248,28 +248,34 @@ def test_row_isolated_user_all_zero():
 
 
 def test_select_neighbors_example():
-    assert select([1, 2, 3, 4], [0.9, 0.5, -0.2, 0.7], 0, 2) == ((1, 0.9), (4, 0.7))
+    # the active user's own entry (1.0) is never a neighbour
+    assert select([1.0, 0.9, 0.5, -0.2, 0.7], 0, 2) == ((1, 0.9), (4, 0.7))
 
 
 def test_select_neighbors_filters_nonpositive():
-    assert select([1, 2, 3], [-0.5, 0.0, -1.0], 0, 5) == ()
+    assert select([1.0, -0.5, 0.0, -1.0], 0, 5) == ()
 
 
 def test_select_neighbors_k_zero():
-    assert select([1], [0.9], 0, 0) == ()
+    assert select([1.0, 0.9], 0, 0) == ()
 
 
 def test_select_neighbors_tie_breaks_to_smaller_id():
-    nbrs = select([5, 2, 9], [0.5, 0.5, 0.5], 0, 2)
-    assert [v for v, _ in nbrs] == [2, 5]
+    # users 2, 5 and 9 tie behind user 7: the cut falls inside the tie, and
+    # a sort that reverses equal entries would keep 9
+    sims = np.zeros(10)
+    sims[[9, 5, 2]], sims[7] = 0.5, 0.9
+    assert [v for v, _ in select(sims, 0, 3)] == [7, 2, 5]
+    # a tie group long enough for an unstable sort to reorder it
+    assert [v for v, _ in select(np.full(300, 0.5), 0, 299)] == list(range(1, 300))
 
 
 def test_neighborhood_is_prefix_of_sorted_positive_list(rng):
     m = random_sparse_matrix(rng, 10, 8, 0.7)
     column = similarity_block(m, (0,))[:, 0]
-    full = select(range(10), column, 0, 9)
+    full = select(column, 0, 9)
     for k in range(len(full) + 1):
-        assert select(range(10), column, 0, k) == full[:k]
+        assert select(column, 0, k) == full[:k]
     assert all(s > 0 for _, s in full)
     sims = [s for _, s in full]
     assert sims == sorted(sims, reverse=True)
@@ -287,22 +293,20 @@ def test_top_neighbors_match_oracle(rng):
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         block = similarity_block(m, batch)
         for k in (0, 1, 3, users + 2):
-            got = top_neighbors(np.arange(users), block, batch, k)
+            got = top_neighbors(block, batch, k)
             for b, ((ids, sims), u) in enumerate(zip(got, batch)):
                 column = similarity_block(m, (u,))[:, 0]
                 assert column.tobytes() == block[:, b].tobytes()
                 others = np.delete(np.arange(users), u)
                 want = oracle_select_neighbors(others, np.delete(column, u), k)
                 assert tuple(zip(ids.tolist(), sims.tolist())) == want
-                assert select(range(users), column, u, k) == want
+                assert select(column, u, k) == want
 
 
 def test_top_neighbors_excludes_active_and_breaks_ties_by_id():
     sims = np.array([[1.0, 0.5], [0.5, 1.0], [0.5, 0.5], [-0.2, 0.0]])
-    got = top_neighbors(np.arange(4), sims, [0, 1], 9)
+    got = top_neighbors(sims, [0, 1], 9)
     assert [(ids.tolist(), s.tolist()) for ids, s in got] == [
         ([1, 2], [0.5, 0.5]),
         ([0, 2], [0.5, 0.5]),
     ]
-    with pytest.raises(DomainError, match=">= 0"):
-        top_neighbors(np.arange(4), sims, [0, 1], -1)
