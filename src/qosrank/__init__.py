@@ -43,9 +43,7 @@ from .matrix import (
 )
 from .metrics import (
     ExperimentReport,
-    ScoreRow,
     SummaryRow,
-    aggregate,
 )
 from .ranker import (
     RankerKind,

@@ -7,7 +7,8 @@ correction) and returns a (users, kinds, n) array of candidate ids, each row
 equal to ranking that user alone. The split is scored from that array
 without building a `Ranking`: one gather of the withheld values in
 predicted order, one `tau_scores` call over every row, and column 0 for the
-top-1 QoS.
+top-1 QoS, each stored as the split's slice of the `ExperimentReport`'s
+(density, trial, user, kind) arrays, unscoreable entries included.
 
 All randomness is derived from the config seed plus trial/user indices, so
 reports are reproducible byte for byte; evaluating users in parallel would
@@ -29,7 +30,7 @@ from .matrix import (
     MetricOrientation, QoSMatrix, SplitSpec, as_float, as_int, load_matrix, read_json,
     split_train_test,
 )
-from .metrics import ExperimentReport, ScoreRow, aggregate, tau_scores
+from .metrics import ExperimentReport, tau_scores
 from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
 
@@ -174,19 +175,17 @@ def build_matrix(config: ExperimentConfig) -> QoSMatrix:
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[ExperimentReport, list[QoSPerformanceRow]]:
-    """Score every (density, kind, user, trial) cell of the config."""
+    """Score every (density, trial, user, kind) entry of the config."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
 
-    rows: list[ScoreRow] = []
-    top1: dict[tuple[float, str], list[float]] = {
-        (d, k.value): [] for d in config.densities for k in config.kinds
-    }
+    shape = (len(config.densities), len(config.trial_seeds), len(active), len(config.kinds))
+    taus, pairs, top1 = np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape)
 
-    for density in config.densities:
+    for d, density in enumerate(config.densities):
         dkey = _density_key(density)
-        for trial_seed in config.trial_seeds:
+        for t, trial_seed in enumerate(config.trial_seeds):
             split_seed = int(
                 derive_rng(config.seed, _SPLIT_STREAM, trial_seed, dkey).integers(2**63)
             )
@@ -201,27 +200,20 @@ def run_experiment(
             # withheld values in predicted order, NaN where a service has none
             withheld = truth.values[np.array(active)[:, None, None], orders]
             scores = tau_scores(withheld.reshape(-1, orders.shape[-1]))
-            taus, pairs = (a.reshape(orders.shape[:2]).tolist() for a in scores)
-            for user, user_taus, user_pairs in zip(active, taus, pairs):
-                for kind, tau, evaluated in zip(config.kinds, user_taus, user_pairs):
-                    if evaluated:  # 0 pairs: fewer than two evaluable services
-                        rows.append(
-                            ScoreRow(density, kind.value, user, tau, (tau + 1) / 2, evaluated)
-                        )
-            for kind, top in zip(config.kinds, withheld[:, :, 0].T):
-                top1[(density, kind.value)].extend(top[~np.isnan(top)].tolist())
+            taus[d, t], pairs[d, t] = (a.reshape(orders.shape[:2]) for a in scores)
+            top1[d, t] = withheld[:, :, 0]
 
-    report = aggregate(rows)
+    kinds = tuple(k.value for k in config.kinds)
+    report = ExperimentReport(
+        config.densities, config.trial_seeds, active, kinds, taus, pairs, top1
+    )
     sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
-    qos_rows = [
-        QoSPerformanceRow(
-            density=d,
-            kind=k,
-            mean_top1_qos=sign * float(np.mean(vals)) if vals else float("nan"),
-            samples=len(vals),
-        )
-        for (d, k), vals in sorted(top1.items())
-    ]
+    qos_rows = []
+    for density, kind, index in report.cells():
+        top = report.top1[index]  # by trial, then user
+        top = top[~np.isnan(top)]
+        mean = sign * float(top.mean()) if top.size else float("nan")
+        qos_rows.append(QoSPerformanceRow(density, kind, mean, top.size))
     return report, qos_rows
 
 

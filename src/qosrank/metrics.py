@@ -4,34 +4,25 @@ A prediction is scored only over the services that have a withheld truth
 value: concordant and discordant pairs between the predicted order and the
 truth-value order give tau in [-1, 1], and accuracy = (tau + 1) / 2 is the
 headline number in [0, 1]. Rankings with fewer than two evaluable services
-are unscoreable and excluded from aggregates. `tau_scores` scores a whole
-stack of rankings at once with `similarity.concordance`, the kernel that
-also counts user similarity.
+are unscoreable: tau NaN and 0 pairs. `tau_scores` scores a whole stack of
+rankings at once with `similarity.concordance`, the kernel that also counts
+user similarity.
+
+An `ExperimentReport` keeps an experiment's scores as (density, trial, user,
+kind) arrays; its `cells` order sets the order of every output row.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .similarity import concordance
-
-
-@dataclass(frozen=True)
-class ScoreRow:
-    """One scored (user, density, kind) cell of an experiment."""
-
-    density: float
-    kind: str
-    user: int
-    tau: float
-    accuracy: float
-    evaluated_pairs: int
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,55 @@ class SummaryRow:
     trials: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    rows: tuple[ScoreRow, ...]
-    summaries: tuple[SummaryRow, ...]
+    """An experiment's scores, each array shaped (densities, trials, users,
+    kinds) along the axes in config order. `taus` is NaN and `pairs` 0 where
+    the user withheld fewer than two services (unscoreable); `top1` is the
+    withheld value of each ranking's first service, NaN where it has none.
+    `summaries` hold each (density, kind) cell's mean tau, population
+    deviation and mean accuracy over its scored entries, in `cells` order,
+    with `trials` the number of entries; a cell with none has no summary.
+    """
+
+    densities: tuple[float, ...]
+    trial_seeds: tuple[int, ...]
+    users: tuple[int, ...]
+    kinds: tuple[str, ...]
+    taus: np.ndarray
+    pairs: np.ndarray
+    top1: np.ndarray
+    summaries: tuple[SummaryRow, ...] = field(init=False)
+
+    def __post_init__(self):
+        summaries = []
+        for density, kind, index in self.cells():
+            _, taus, accuracy, _ = self.scored(index)
+            if taus.size:
+                tau_stats = float(taus.mean()), float(taus.std()), float(accuracy.mean())
+                summaries.append(SummaryRow(density, kind, *tau_stats, taus.size))
+        if not summaries:
+            raise DomainError("nothing to score: no active user withheld two or more services")
+        object.__setattr__(self, "summaries", tuple(summaries))
+
+    def cells(self) -> list[tuple[float, str, tuple]]:
+        """Each (density, kind) cell in output order, density ascending then
+        kind name, with the index of its (trials, users) slice of an array."""
+        return sorted(
+            ((density, kind, np.s_[d, :, :, k])
+             for d, density in enumerate(self.densities)
+             for k, kind in enumerate(self.kinds)),
+            key=lambda cell: cell[:2],
+        )
+
+    def scored(self, index: tuple) -> tuple[np.ndarray, ...]:
+        """User ids, taus, accuracies and pairs of a cell's scored entries,
+        ordered by user and then by trial in config order."""
+        pairs = self.pairs[index].T
+        keep = pairs > 0
+        users = np.broadcast_to(np.array(self.users)[:, None], keep.shape)
+        taus = self.taus[index].T[keep]
+        return users[keep], taus, (taus + 1) / 2, pairs[keep]
 
 
 def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,42 +108,15 @@ def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tau, pairs
 
 
-def aggregate(rows: Sequence[ScoreRow]) -> ExperimentReport:
-    """Group scored rows into per-(density, kind) means and deviations.
-
-    Standard deviation is the population deviation over the rows of a cell;
-    `trials` in each summary row is the number of scored rows it averages.
-    """
-    if not rows:
-        raise DomainError("cannot aggregate an empty row set")
-    ordered = sorted(rows, key=lambda r: (r.density, r.kind, r.user))
-    cells: dict[tuple[float, str], list[ScoreRow]] = {}
-    for row in ordered:
-        cells.setdefault((row.density, row.kind), []).append(row)
-    summaries = []
-    for (density, kind), cell in sorted(cells.items()):
-        taus = np.array([r.tau for r in cell])
-        accs = np.array([r.accuracy for r in cell])
-        summaries.append(
-            SummaryRow(
-                density=density,
-                kind=kind,
-                mean_tau=float(taus.mean()),
-                std_tau=float(taus.std()),
-                mean_accuracy=float(accs.mean()),
-                trials=len(cell),
-            )
-        )
-    return ExperimentReport(rows=tuple(ordered), summaries=tuple(summaries))
-
-
 def write_rows_csv(report: ExperimentReport, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["density", "kind", "user_id", "tau", "accuracy", "evaluated_pairs"])
-        for r in report.rows:
-            writer.writerow(
-                [repr(r.density), r.kind, r.user, repr(r.tau), repr(r.accuracy), r.evaluated_pairs]
+        for density, kind, index in report.cells():
+            users, taus, accuracy, pairs = report.scored(index)
+            writer.writerows(
+                zip(repeat(repr(density)), repeat(kind), users.tolist(),
+                    map(repr, taus.tolist()), map(repr, accuracy.tolist()), pairs.tolist())
             )
 
 

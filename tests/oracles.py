@@ -25,6 +25,11 @@ a whole similarity block or (users, kinds, n) stack of rankings; the
 `oracle_select_neighbors`, `oracle_correct_observed_order` and
 `oracle_kendall_tau` references handle one row or one ranking at a time.
 
+`run_experiment` keeps an experiment's scores as (density, trial, user,
+kind) arrays and summarises them one (density, kind) cell at a time;
+`ScoreRow` and `aggregate` are the method it replaced: one frozen row per
+scored entry, sorted by density, kind and user, then grouped into cells.
+
 `greedy_orders` runs a stack of a few tables through a 1-d loop per table
 that skips the tie compare when the argmax is position 0;
 `oracle_greedy_orders` is the loop it replaced: one 1-d loop that takes a
@@ -41,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -55,6 +61,7 @@ from qosrank.errors import (
     ParseError,
 )
 from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix, as_int
+from qosrank.metrics import SummaryRow
 from qosrank.preference import preference_block
 from qosrank.ranker import TIE_TOLERANCE, candidate_ids
 from qosrank.similarity import similarity_block, top_neighbors
@@ -337,6 +344,53 @@ def oracle_kendall_tau(order, truth_row) -> tuple[float, int] | None:
     concordant_minus_discordant = int(signs[~np.tri(p, dtype=bool)].sum())
     pairs = p * (p - 1) // 2
     return concordant_minus_discordant / pairs, pairs
+
+
+@dataclass(frozen=True)
+class ScoreRow:
+    """One scored (user, density, kind) cell of an experiment."""
+
+    density: float
+    kind: str
+    user: int
+    tau: float
+    accuracy: float
+    evaluated_pairs: int
+
+
+@dataclass(frozen=True)
+class ReferenceReport:
+    rows: tuple[ScoreRow, ...]
+    summaries: tuple[SummaryRow, ...]
+
+
+def aggregate(rows: Sequence[ScoreRow]) -> ReferenceReport:
+    """Group scored rows into per-(density, kind) means and deviations.
+
+    Standard deviation is the population deviation over the rows of a cell;
+    `trials` in each summary row is the number of scored rows it averages.
+    """
+    if not rows:
+        raise DomainError("cannot aggregate an empty row set")
+    ordered = sorted(rows, key=lambda r: (r.density, r.kind, r.user))
+    cells: dict[tuple[float, str], list[ScoreRow]] = {}
+    for row in ordered:
+        cells.setdefault((row.density, row.kind), []).append(row)
+    summaries = []
+    for (density, kind), cell in sorted(cells.items()):
+        taus = np.array([r.tau for r in cell])
+        accs = np.array([r.accuracy for r in cell])
+        summaries.append(
+            SummaryRow(
+                density=density,
+                kind=kind,
+                mean_tau=float(taus.mean()),
+                std_tau=float(taus.std()),
+                mean_accuracy=float(accs.mean()),
+                trials=len(cell),
+            )
+        )
+    return ReferenceReport(rows=tuple(ordered), summaries=tuple(summaries))
 
 
 def oracle_greedy_orders(effective: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -186,11 +187,30 @@ def test_evaluate_golden_summary(workspace, capsys):
     )
     assert code == 0
     assert (out_dir / "summary.csv").read_bytes() == GOLDEN.read_bytes()
+    # the per-entry rows and top-1 QoS, pinned by digest
+    digests = {
+        "report.csv": "8f8926c7c422a79ecc2d2e6513641f4dc5f8971e3fa71c048992d4e5cf420ce5",
+        "qos_performance.csv": "dd27a582d933f90fa87ab8e9b6101fddb7c6374ded3c81b8737080da9b30e9aa",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
     # the golden run itself shows cloudrank beating random by >= 0.1
     rows = [line.split(",") for line in GOLDEN.read_text().splitlines()[1:]]
     acc = {(r[0], r[1]): float(r[4]) for r in rows}
     for density in ("0.1", "0.3"):
         assert acc[(density, "cloudrank2")] >= acc[(density, "random-baseline")] + 0.1
+
+
+def test_evaluate_nothing_scoreable_exits_one(workspace, capsys):
+    # at density 1.0 every active user keeps all its services in training
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["densities"] = [1.0]
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out = workspace / "out"
+    code, _, err = run(["evaluate", "--config", workspace / "experiment.json", "--out", out], capsys)
+    assert code == 1
+    assert err == "qosrank: nothing to score: no active user withheld two or more services\n"
+    assert not out.exists()
 
 
 def test_evaluate_missing_dataset_exits_two(tmp_path, capsys):

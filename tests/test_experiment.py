@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,12 @@ from qosrank.experiment import (
     run_experiment,
 )
 from qosrank.matrix import MetricOrientation, SplitSpec, split_train_test
-from qosrank.metrics import ScoreRow, aggregate
+from qosrank.metrics import write_rows_csv
 from qosrank.ranker import RankerKind, rank
 from qosrank.seeding import derive_rng
 
 from conftest import CONFIG_DIR, committed_scenario
-from oracles import oracle_kendall_tau
+from oracles import ScoreRow, aggregate, oracle_kendall_tau
 
 ALL_KINDS = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
 
@@ -64,19 +66,24 @@ def test_cloudrank_beats_random():
 
 def test_summary_recomputable_from_rows():
     report, _ = run_experiment(small_config(trial_seeds=(0, 1)))
+    assert report.taus.shape == (2, 2, 10, 3)  # densities, trials, users, kinds
     for s in report.summaries:
-        cell = [r for r in report.rows if (r.density, r.kind) == (s.density, s.kind)]
-        assert s.mean_tau == pytest.approx(np.mean([r.tau for r in cell]), abs=1e-9)
-        assert s.mean_accuracy == pytest.approx(
-            np.mean([r.accuracy for r in cell]), abs=1e-9
-        )
+        d, k = report.densities.index(s.density), report.kinds.index(s.kind)
+        scored = report.pairs[d, :, :, k] > 0
+        cell = report.taus[d, :, :, k][scored]
+        assert np.isnan(report.taus[d, :, :, k][~scored]).all()
+        assert s.mean_tau == pytest.approx(np.mean(cell), abs=1e-9)
+        assert s.mean_accuracy == pytest.approx(np.mean((cell + 1) / 2), abs=1e-9)
         assert s.trials == len(cell)
 
 
 def test_run_deterministic():
     a_report, a_qos = run_experiment(small_config(trial_seeds=(3, 4)))
     b_report, b_qos = run_experiment(small_config(trial_seeds=(3, 4)))
-    assert a_report == b_report
+    for name in ("taus", "pairs", "top1"):
+        a, b = getattr(a_report, name), getattr(b_report, name)
+        assert a.tobytes() == b.tobytes()
+    assert a_report.summaries == b_report.summaries
     assert a_qos == b_qos
 
 
@@ -168,7 +175,7 @@ def test_dataset_config(tmp_path):
     }
     config = config_from_dict(raw, base_dir=tmp_path)
     report, _ = run_experiment(config)
-    assert report.rows
+    assert report.summaries
 
 
 def per_ranking_reference(config):
@@ -215,26 +222,36 @@ def test_split_scoring_matches_per_ranking_reference(tmp_path):
         services = rng.choice(8, size=size, replace=False).tolist()
         lines += [f"{u},{s},{float(rng.integers(0, 3))!r}" for s in services]
     (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    axes = [
+        {"densities": [0.2, 0.5], "kinds": ["cloudrank2", "random-baseline", "cloudrank1"],
+         "trials": 4},
+        # config order differs from output order on every axis
+        {"densities": [0.3, 0.05, 0.2], "kinds": ["random", "cloudrank2", "cloudrank1"],
+         "trial_seeds": [9, 2, 5]},
+    ]
     # a smaller-is-better dataset ranks the negated values, and reports
     # top-1 QoS in its own units: positive, as the file's values are
-    for orientation in MetricOrientation:
+    for orientation, axis in itertools.product(MetricOrientation, axes):
         config = config_from_dict(
             {
                 "dataset": "data.csv",
                 "orientation": orientation.value,
-                "densities": [0.2, 0.5],
-                "kinds": ["cloudrank2", "random-baseline", "cloudrank1"],
                 "k_neighbors": 3,
                 "active_users": 7,
-                "trials": 4,
+                **axis,
             },
             base_dir=tmp_path,
         )
         report, qos_rows = run_experiment(config)
         want_report, want_top1 = per_ranking_reference(config)
-        assert report == want_report
-        assert not any(r.user in (0, 1) for r in report.rows)
-        assert len({r.evaluated_pairs for r in report.rows}) >= 3
+        assert report.summaries == want_report.summaries
+        write_rows_csv(report, tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text().splitlines()[1:] == [
+            f"{r.density!r},{r.kind},{r.user},{r.tau!r},{r.accuracy!r},{r.evaluated_pairs}"
+            for r in want_report.rows
+        ]
+        assert not report.pairs[:, :, :2].any()  # users 0 and 1 are unscoreable
+        assert len(np.unique(report.pairs[report.pairs > 0])) >= 3
         got_top1 = [(q.density, q.kind, q.mean_top1_qos, q.samples) for q in qos_rows if q.samples]
         assert sorted(got_top1) == [row for row in want_top1 if row[3]]
         assert any(q.mean_top1_qos > 0 for q in qos_rows)

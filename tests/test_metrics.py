@@ -6,7 +6,7 @@ import pytest
 
 from qosrank import similarity
 from qosrank.errors import DomainError
-from qosrank.metrics import ScoreRow, aggregate, tau_scores, write_rows_csv, write_summary_csv
+from qosrank.metrics import ExperimentReport, tau_scores, write_rows_csv, write_summary_csv
 from qosrank.seeding import derive_rng
 
 from oracles import oracle_kendall_tau
@@ -106,19 +106,18 @@ def test_random_ranking_calibration():
     assert -0.05 <= float(np.mean(taus)) <= 0.05
 
 
-def row(density, kind, user, tau):
-    return ScoreRow(
-        density=density,
-        kind=kind,
-        user=user,
-        tau=tau,
-        accuracy=(tau + 1) / 2,
-        evaluated_pairs=10,
+def report_of(densities, kinds, taus, pairs=10):
+    """A report from (densities, trials, users, kinds) taus; NaN is unscoreable."""
+    taus = np.asarray(taus, dtype=float)
+    trials, users = taus.shape[1:3]
+    return ExperimentReport(
+        tuple(densities), tuple(range(trials)), tuple(range(users)), tuple(kinds),
+        taus, np.where(np.isnan(taus), 0, pairs), np.full(taus.shape, np.nan),
     )
 
 
 def test_aggregate_single_row():
-    report = aggregate([row(0.1, "cloudrank1", 0, 0.4)])
+    report = report_of((0.1,), ("cloudrank1",), [[[[0.4]]]])
     assert len(report.summaries) == 1
     s = report.summaries[0]
     assert s.mean_tau == 0.4
@@ -127,51 +126,47 @@ def test_aggregate_single_row():
 
 
 def test_aggregate_mean():
-    report = aggregate([row(0.1, "x", 0, 0.2), row(0.1, "x", 1, 0.6)])
+    report = report_of((0.1,), ("x",), [[[[0.2], [0.6]]]])
     assert report.summaries[0].mean_tau == pytest.approx(0.4)
 
 
 def test_aggregate_groups_and_orders_cells():
-    rows = [
-        row(0.3, "b", 0, 0.1),
-        row(0.1, "b", 0, 0.2),
-        row(0.1, "a", 0, 0.3),
-    ]
-    report = aggregate(rows)
+    # kinds (b, a) at densities (0.3, 0.1); (0.3, a) has no scored entry
+    report = report_of((0.3, 0.1), ("b", "a"), [[[[0.1, np.nan]]], [[[0.2, 0.3]]]])
     labels = [(s.density, s.kind) for s in report.summaries]
     assert labels == [(0.1, "a"), (0.1, "b"), (0.3, "b")]
 
 
 def test_aggregate_consistency_with_rows():
     rng = derive_rng(99)
-    rows = [
-        row(d, k, u, float(rng.uniform(-1, 1)))
-        for d in (0.1, 0.2)
-        for k in ("a", "b")
-        for u in range(50)
-    ]
-    report = aggregate(rows)
-    for s in report.summaries:
-        cell = [r.tau for r in report.rows if (r.density, r.kind) == (s.density, s.kind)]
+    taus = rng.uniform(-1, 1, (2, 3, 50, 2))
+    taus[rng.uniform(size=taus.shape) < 0.2] = np.nan
+    report = report_of((0.1, 0.2), ("a", "b"), taus)
+    for (density, kind, index), s in zip(report.cells(), report.summaries, strict=True):
+        assert (s.density, s.kind) == (density, kind)
+        cell = taus[index][~np.isnan(taus[index])]
         assert s.mean_tau == pytest.approx(float(np.mean(cell)), abs=1e-9)
         assert s.std_tau == pytest.approx(float(np.std(cell)), abs=1e-9)
+        assert s.trials == cell.size
 
 
 def test_aggregate_empty_rejected():
-    with pytest.raises(DomainError):
-        aggregate([])
+    with pytest.raises(DomainError, match="no active user withheld two or more services"):
+        report_of((0.1, 0.2), ("a",), np.full((2, 3, 4, 1), np.nan))
 
 
 def test_csv_round_trip_precision(tmp_path):
-    rows = [row(0.1, "a", u, 0.1 + 1e-12 * u) for u in range(3)]
-    report = aggregate(rows)
+    # two trials of three users: rows go by user, then by trial
+    taus = 0.1 + 1e-12 * np.arange(6).reshape(1, 2, 3, 1)
+    report = report_of((0.1,), ("a",), taus)
     write_rows_csv(report, tmp_path / "rows.csv")
     write_summary_csv(report, tmp_path / "summary.csv")
     lines = (tmp_path / "rows.csv").read_text().splitlines()
     assert lines[0] == "density,kind,user_id,tau,accuracy,evaluated_pairs"
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "0", "1", "1", "2", "2"]
     # repr round-trip: parsing the CSV back reproduces the exact floats
     parsed = [float(line.split(",")[3]) for line in lines[1:]]
-    assert parsed == [r.tau for r in report.rows]
+    assert parsed == taus[0, :, :, 0].T.ravel().tolist()
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert header == "density,kind,mean_tau,std_tau,mean_accuracy,trials"
 
