@@ -10,9 +10,7 @@ QoS matrices under different placement policies.
 from .allocsim import (
     AllocationPlan,
     AllocPolicy,
-    Host,
     Scenario,
-    VirtualMachine,
     allocate,
     load_scenario,
     synth_matrix,
@@ -36,7 +34,6 @@ from .experiment import (
 from .matrix import (
     MetricOrientation,
     QoSMatrix,
-    SplitSpec,
     load_matrix,
     save_matrix,
     split_train_test,

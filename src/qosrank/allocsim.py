@@ -30,30 +30,6 @@ from .matrix import MAX_CELLS, QoSMatrix, as_float, as_int, read_json
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
-class Host:
-    id: int
-    mips_capacity: float
-    ram: float  # MB
-    bw: float  # Mbps
-
-    def __post_init__(self):
-        if min(self.mips_capacity, self.ram, self.bw) <= 0:
-            raise ConfigError(f"host {self.id}: capacities must be > 0")
-
-
-@dataclass(frozen=True)
-class VirtualMachine:
-    id: int
-    requested_mips: float
-    requested_ram: float
-    requested_bw: float
-
-    def __post_init__(self):
-        if min(self.requested_mips, self.requested_ram, self.requested_bw) <= 0:
-            raise ConfigError(f"vm {self.id}: requests must be > 0")
-
-
 class AllocPolicy(Enum):
     ROUND_ROBIN = "round-robin"
     BEST_FIT_DECREASING = "best-fit-decreasing"
@@ -76,70 +52,67 @@ class AllocationPlan:
     throughput: dict[int, float] = field(default_factory=dict)
 
 
-def _need(vm: VirtualMachine) -> tuple[float, float, float]:
-    """`vm`'s (mips, ram, bw) request as float64 values, as the capacities are kept."""
-    return float(vm.requested_mips), float(vm.requested_ram), float(vm.requested_bw)
+def _triples(rows: Sequence, what: str, noun: str) -> list[tuple[float, float, float]]:
+    """Each row's (mips, ram, bw) as float64 values; ConfigError naming the
+    position of a row that is not three numbers or has one <= 0 or NaN."""
+    triples = []
+    for i, row in enumerate(rows):
+        try:
+            mips, ram, bw = row
+            positive = mips > 0 and ram > 0 and bw > 0  # TypeError for a string
+            triples.append((float(mips), float(ram), float(bw)))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{what} {i}: {noun} must be three numbers, got {row!r}") from None
+        if not positive:
+            raise ConfigError(f"{what} {i}: {noun} must be > 0")
+    return triples
 
 
 def allocate(
-    hosts: Sequence[Host], vms: Sequence[VirtualMachine], policy: AllocPolicy
+    hosts: Sequence[Sequence[float]], vms: Sequence[Sequence[float]], policy: AllocPolicy
 ) -> AllocationPlan:
     """Place VMs on hosts under the given policy.
 
-    round-robin: VM k starts probing at host k mod H and walks forward
-    cyclically to the first host with room. best-fit-decreasing: VMs sorted
-    by requested mips descending, each placed on the feasible host leaving
-    the least remaining mips (ties to the smaller host id). A VM fits only
-    if all three capacity dimensions hold, so no host is ever oversubscribed.
-    VMs that fit nowhere are reported in `unplaced`; if nothing at all could
-    be placed, AllocationError lists every offender.
+    hosts[h] is host h's (mips, ram, bw) capacity and vms[k] is VM k's
+    (mips, ram, bw) request; ids are positions. round-robin: VM k starts
+    probing at host k mod H and walks forward cyclically to the first host
+    with room. best-fit-decreasing: VMs sorted by requested mips descending
+    (ties to the smaller id), each placed on the feasible host leaving the
+    least remaining mips (ties to the smaller host id). A VM fits only if all
+    three capacity dimensions hold, so no host is ever oversubscribed. VMs
+    that fit nowhere are reported in `unplaced`; if nothing at all could be
+    placed, AllocationError lists every offender.
     """
-    if not hosts or not vms:
+    if not isinstance(policy, AllocPolicy):
+        raise ConfigError(f"unknown allocation policy {policy!r}")
+    if not len(hosts) or not len(vms):
         raise DomainError("allocate requires at least one host and one VM")
-    if len({h.id for h in hosts}) != len(hosts):
-        raise DomainError("duplicate host ids")
-    if len({v.id for v in vms}) != len(vms):
-        raise DomainError("duplicate VM ids")
-    free = {h.id: (float(h.mips_capacity), float(h.ram), float(h.bw)) for h in hosts}
-    host_order = [h.id for h in hosts]
-
-    def fits(host_id: int, need: tuple[float, float, float]) -> bool:
-        mips, ram, bw = free[host_id]
-        return mips >= need[0] and ram >= need[1] and bw >= need[2]
-
-    def place(host_id: int, vm: VirtualMachine, need: tuple[float, float, float]) -> None:
-        mips, ram, bw = free[host_id]
-        free[host_id] = (mips - need[0], ram - need[1], bw - need[2])
-        vm_to_host[vm.id] = host_id
-
+    free = _triples(hosts, "host", "capacities")
+    needs = _triples(vms, "vm", "requests")
+    first_fit = policy is AllocPolicy.ROUND_ROBIN
+    order = range(len(vms))
+    if not first_fit:  # on the mips as given: two ints past 2**53 may tie as float64
+        order = sorted(order, key=lambda k: (-vms[k][0], k))
     vm_to_host: dict[int, int] = {}
     unplaced: list[int] = []
-
-    if policy is AllocPolicy.ROUND_ROBIN:
-        for k, vm in enumerate(vms):
-            need = _need(vm)
-            for step in range(len(host_order)):
-                host_id = host_order[(k + step) % len(host_order)]
-                if fits(host_id, need):
-                    place(host_id, vm, need)
+    for k in order:
+        mips, ram, bw = needs[k]
+        best = best_left = None
+        for step in range(len(free)):
+            h = (k + step) % len(free) if first_fit else step
+            room = free[h]
+            if room[0] >= mips and room[1] >= ram and room[2] >= bw:
+                left = room[0] - mips
+                if best is None or left < best_left:
+                    best, best_left = h, left
+                if first_fit:
                     break
-            else:
-                unplaced.append(vm.id)
-    elif policy is AllocPolicy.BEST_FIT_DECREASING:
-        for vm in sorted(vms, key=lambda v: (-v.requested_mips, v.id)):
-            need, best_id, best_left = _need(vm), None, None
-            for host_id in host_order:
-                if not fits(host_id, need):
-                    continue
-                left = free[host_id][0] - need[0]
-                if best_left is None or left < best_left:
-                    best_id, best_left = host_id, left
-            if best_id is None:
-                unplaced.append(vm.id)
-            else:
-                place(best_id, vm, need)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled policy {policy}")
+        if best is None:
+            unplaced.append(k)
+        else:
+            room = free[best]
+            free[best] = (best_left, room[1] - ram, room[2] - bw)
+            vm_to_host[k] = best
 
     if not vm_to_host:
         raise AllocationError(sorted(unplaced))
@@ -167,6 +140,9 @@ class Scenario:
             raise ConfigError("host count and user count must be > 0")
         if not self.vm_specs:
             raise ConfigError("a scenario needs at least one VM")
+        if not (self.host_mips > 0 and self.host_ram > 0 and self.host_bw > 0):
+            raise ConfigError("host capacities must be > 0")
+        _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_users * self.num_services > MAX_CELLS:
@@ -204,14 +180,10 @@ def synth_matrix(
     whose VM could not be placed have no observations. Deterministic for a
     fixed seed.
     """
-    hosts = [
-        Host(id=i, mips_capacity=scenario.host_mips, ram=scenario.host_ram, bw=scenario.host_bw)
-        for i in range(scenario.host_count)
-    ]
-    vms = [VirtualMachine(k, *spec) for k, spec in enumerate(scenario.vm_specs)]
-    plan = allocate(hosts, vms, policy or scenario.policy)
+    hosts = [(scenario.host_mips, scenario.host_ram, scenario.host_bw)] * scenario.host_count
+    plan = allocate(hosts, scenario.vm_specs, policy or scenario.policy)
     response_time = {
-        k: scenario.cloudlet_lengths[k] / vms[k].requested_mips for k in sorted(plan.vm_to_host)
+        k: scenario.cloudlet_lengths[k] / scenario.vm_specs[k][0] for k in sorted(plan.vm_to_host)
     }
     throughput = {k: 1.0 / rt for k, rt in response_time.items()}
     plan = replace(plan, response_time=response_time, throughput=throughput)

@@ -18,6 +18,7 @@ produce identical output since every cell owns its seed stream.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,12 +28,13 @@ import numpy as np
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, synth_matrix
 from .errors import ConfigError
 from .matrix import (
-    MetricOrientation, QoSMatrix, SplitSpec, as_float, as_int, load_matrix, read_json,
-    split_train_test,
+    MetricOrientation, QoSMatrix, as_float, as_int, load_matrix, read_json, split_train_test,
 )
 from .metrics import ExperimentReport, tau_scores
 from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
+
+log = logging.getLogger(__name__)
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
@@ -175,7 +177,8 @@ def build_matrix(config: ExperimentConfig) -> QoSMatrix:
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[ExperimentReport, list[QoSPerformanceRow]]:
-    """Score every (density, trial, user, kind) entry of the config."""
+    """Score every (density, trial, user, kind) entry of the config; a
+    (density, kind) cell with no scored entry is logged as a warning."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
@@ -192,8 +195,7 @@ def run_experiment(
             random_seed = int(
                 derive_rng(config.seed, _RANDOM_STREAM, trial_seed, dkey).integers(2**63)
             )
-            spec = SplitSpec(density=density, seed=split_seed, active_users=active)
-            train, truth = split_train_test(matrix, spec)
+            train, truth = split_train_test(matrix, density, split_seed, active)
             orders = rank_orders(
                 config.kinds, train, active, config.k_neighbors, candidates, seed=random_seed
             )
@@ -210,6 +212,8 @@ def run_experiment(
     sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
     qos_rows = []
     for density, kind, index in report.cells():
+        if not report.pairs[index].any():
+            log.warning("density %r kind %s: nothing to score in any trial", density, kind)
         top = report.top1[index]  # by trial, then user
         top = top[~np.isnan(top)]
         mean = sign * float(top.mean()) if top.size else float("nan")

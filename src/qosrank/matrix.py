@@ -17,10 +17,9 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -175,27 +174,6 @@ class QoSMatrix:
             f"QoSMatrix({self.num_users} users x {self.num_services} services, "
             f"{self.num_entries} observations)"
         )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Parameters of a seeded train/truth split.
-
-    density: fraction of each active user's observations kept for training,
-    in (0, 1]. Every active user keeps ceil(density * row_size) entries, so
-    nobody is left with an empty training row at density > 0.
-    """
-
-    density: float
-    seed: int
-    active_users: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0.0 < self.density <= 1.0:
-            raise ConfigError(f"density {self.density} outside (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        object.__setattr__(self, "active_users", tuple(sorted(set(self.active_users))))
 
 
 def _fill_grid(
@@ -416,25 +394,33 @@ def save_matrix(matrix: QoSMatrix, path: str | Path) -> None:
             writer.writerow([user, service, repr(value)])
 
 
-def split_train_test(matrix: QoSMatrix, spec: SplitSpec) -> tuple[QoSMatrix, QoSMatrix]:
+def split_train_test(
+    matrix: QoSMatrix, density: float, seed: int, active_users: Iterable[int]
+) -> tuple[QoSMatrix, QoSMatrix]:
     """Partition active users' observations into train and withheld truth.
 
-    Each active user keeps ceil(density * |row|) seeded-random observations in
-    the training matrix; the removed ones land in the truth matrix. Rows of
+    Each active user keeps ceil(density * |row|) seeded-random observations
+    in the training matrix, so nobody is left with an empty training row at a
+    density in (0, 1]; the removed ones land in the truth matrix. Rows of
     non-active users are copied to train unchanged. Active users with no
-    observations are skipped with a logged warning. Deterministic for a fixed
-    (matrix, spec) pair.
+    observations are skipped with a logged warning. Deterministic for fixed
+    arguments; the order and repeats of `active_users` do not matter.
     """
+    if not 0.0 < density <= 1.0:
+        raise ConfigError(f"density {density} outside (0, 1]")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     train = np.array(matrix.values)
     truth = np.full_like(train, np.nan)
-    for user in spec.active_users:
+    # each user once: a repeat would overwrite its truth with the NaN left in train
+    for user in sorted(set(active_users)):
         matrix._check_user(user)
         observed = np.flatnonzero(matrix.observed_mask[user])
         if observed.size == 0:
             log.warning("split: active user %d has no observations, skipped", user)
             continue
-        keep = math.ceil(spec.density * observed.size)
-        rng = derive_rng(spec.seed, user)
+        keep = math.ceil(density * observed.size)
+        rng = derive_rng(seed, user)
         perm = rng.permutation(observed.size)
         removed = observed[perm[keep:]]
         truth[user, removed] = train[user, removed]

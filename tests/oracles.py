@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from qosrank.allocsim import AllocationPlan, AllocPolicy, VirtualMachine
+from qosrank.allocsim import AllocationPlan, AllocPolicy
 from qosrank.errors import (
     AllocationError,
     BadValueError,
@@ -524,45 +524,39 @@ def oracle_allocate(hosts, vms, policy: AllocPolicy) -> AllocationPlan:
     """`allocate` with each host's free (mips, ram, bw) as a float64 vector."""
     if not hosts or not vms:
         raise DomainError("allocate requires at least one host and one VM")
-    if len({h.id for h in hosts}) != len(hosts):
-        raise DomainError("duplicate host ids")
-    if len({v.id for v in vms}) != len(vms):
-        raise DomainError("duplicate VM ids")
-    free = {h.id: np.array([h.mips_capacity, h.ram, h.bw], dtype=float) for h in hosts}
-    host_order = [h.id for h in hosts]
+    free = [np.array(h, dtype=float) for h in hosts]
 
-    def fits(host_id: int, vm: VirtualMachine) -> bool:
-        need = (vm.requested_mips, vm.requested_ram, vm.requested_bw)
-        return bool((free[host_id] >= need).all())
+    def fits(h: int, k: int) -> bool:
+        return bool((free[h] >= vms[k]).all())
 
-    def place(host_id: int, vm: VirtualMachine) -> None:
-        free[host_id] -= (vm.requested_mips, vm.requested_ram, vm.requested_bw)
-        vm_to_host[vm.id] = host_id
+    def place(h: int, k: int) -> None:
+        free[h] -= vms[k]
+        vm_to_host[k] = h
 
     vm_to_host: dict[int, int] = {}
     unplaced: list[int] = []
     if policy is AllocPolicy.ROUND_ROBIN:
-        for k, vm in enumerate(vms):
-            for step in range(len(host_order)):
-                host_id = host_order[(k + step) % len(host_order)]
-                if fits(host_id, vm):
-                    place(host_id, vm)
+        for k in range(len(vms)):
+            for step in range(len(hosts)):
+                h = (k + step) % len(hosts)
+                if fits(h, k):
+                    place(h, k)
                     break
             else:
-                unplaced.append(vm.id)
+                unplaced.append(k)
     else:
-        for vm in sorted(vms, key=lambda v: (-v.requested_mips, v.id)):
-            best_id, best_left = None, None
-            for host_id in host_order:
-                if not fits(host_id, vm):
+        for k in sorted(range(len(vms)), key=lambda k: (-vms[k][0], k)):
+            best, best_left = None, None
+            for h in range(len(hosts)):
+                if not fits(h, k):
                     continue
-                left = float(free[host_id][0] - vm.requested_mips)
+                left = float(free[h][0] - vms[k][0])
                 if best_left is None or left < best_left:
-                    best_id, best_left = host_id, left
-            if best_id is None:
-                unplaced.append(vm.id)
+                    best, best_left = h, left
+            if best is None:
+                unplaced.append(k)
             else:
-                place(best_id, vm)
+                place(best, k)
     if not vm_to_host:
         raise AllocationError(sorted(unplaced))
     return AllocationPlan(vm_to_host=vm_to_host, unplaced=tuple(sorted(unplaced)))

@@ -237,26 +237,24 @@ def test_c08_allocation_invariants():
     # capacity safety across random instances, both policies
     for _ in range(50):
         hosts = [
-            _host(i, float(rng.integers(500, 2000)), float(rng.integers(512, 4096)),
+            _host(float(rng.integers(500, 2000)), float(rng.integers(512, 4096)),
                   float(rng.integers(100, 1000)))
-            for i in range(int(rng.integers(2, 5)))
+            for _ in range(int(rng.integers(2, 5)))
         ]
         vms = [
-            _vm(k, float(rng.integers(50, 900)), float(rng.integers(64, 2048)),
+            _vm(float(rng.integers(50, 900)), float(rng.integers(64, 2048)),
                 float(rng.integers(10, 500)))
-            for k in range(int(rng.integers(2, 12)))
+            for _ in range(int(rng.integers(2, 12)))
         ]
         for policy in AllocPolicy:
             try:
                 plan = allocate(hosts, vms, policy)
             except AllocationError:
                 continue
-            by_vm = {v.id: v for v in vms}
-            for h in hosts:
-                resident = [by_vm[v] for v, hid in plan.vm_to_host.items() if hid == h.id]
-                ok = ok and sum(v.requested_mips for v in resident) <= h.mips_capacity
-                ok = ok and sum(v.requested_ram for v in resident) <= h.ram
-                ok = ok and sum(v.requested_bw for v in resident) <= h.bw
+            for h, capacity in enumerate(hosts):
+                resident = [vms[k] for k, hid in plan.vm_to_host.items() if hid == h]
+                for dim in range(3):
+                    ok = ok and sum(v[dim] for v in resident) <= capacity[dim]
     # exact reciprocal identity and policy ordering on the default scenario
     scenario = committed_scenario()
     means = {}
@@ -317,13 +315,9 @@ def test_c10_evaluate_is_byte_deterministic(tmp_path):
     _report(10, "evaluate output is byte-identical across runs", ok)
 
 
-def _host(i, mips, ram, bw):
-    from qosrank.allocsim import Host
-
-    return Host(id=i, mips_capacity=mips, ram=ram, bw=bw)
+def _host(mips, ram, bw):
+    return (mips, ram, bw)
 
 
-def _vm(k, mips, ram, bw):
-    from qosrank.allocsim import VirtualMachine
-
-    return VirtualMachine(id=k, requested_mips=mips, requested_ram=ram, requested_bw=bw)
+def _vm(mips, ram, bw):
+    return (mips, ram, bw)

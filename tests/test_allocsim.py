@@ -8,9 +8,7 @@ import pytest
 from qosrank.allocsim import (
     AllocationPlan,
     AllocPolicy,
-    Host,
     Scenario,
-    VirtualMachine,
     allocate,
     load_scenario,
     scenario_from_dict,
@@ -26,12 +24,12 @@ from conftest import CONFIG_DIR, committed_scenario
 from oracles import oracle_allocate
 
 
-def host(i, mips, ram=10000.0, bw=10000.0):
-    return Host(id=i, mips_capacity=mips, ram=ram, bw=bw)
+def host(mips, ram=10000.0, bw=10000.0):
+    return (mips, ram, bw)
 
 
-def vm(i, mips, ram=1.0, bw=1.0):
-    return VirtualMachine(id=i, requested_mips=mips, requested_ram=ram, requested_bw=bw)
+def vm(mips, ram=1.0, bw=1.0):
+    return (mips, ram, bw)
 
 
 def small_scenario(vm_mips, lengths, host_count=1, host_mips=10000.0):
@@ -66,15 +64,15 @@ def random_fixture(seed, load=0.7):
 
 
 def test_best_fit_single_host_overflow():
-    plan = allocate([host(0, 1000.0)], [vm(0, 600.0), vm(1, 500.0)], AllocPolicy.BEST_FIT_DECREASING)
+    plan = allocate([host(1000.0)], [vm(600.0), vm(500.0)], AllocPolicy.BEST_FIT_DECREASING)
     assert plan.vm_to_host == {0: 0}
     assert plan.unplaced == (1,)
 
 
 def test_best_fit_second_host_takes_overflow():
     plan = allocate(
-        [host(0, 1000.0), host(1, 1000.0)],
-        [vm(0, 600.0), vm(1, 500.0)],
+        [host(1000.0), host(1000.0)],
+        [vm(600.0), vm(500.0)],
         AllocPolicy.BEST_FIT_DECREASING,
     )
     assert plan.vm_to_host == {0: 0, 1: 1}
@@ -83,8 +81,8 @@ def test_best_fit_second_host_takes_overflow():
 
 def test_best_fit_decreasing_hand_simulation():
     plan = allocate(
-        [host(0, 1000.0), host(1, 1000.0)],
-        [vm(0, 700.0), vm(1, 300.0), vm(2, 300.0)],
+        [host(1000.0), host(1000.0)],
+        [vm(700.0), vm(300.0), vm(300.0)],
         AllocPolicy.BEST_FIT_DECREASING,
     )
     # 700 -> host0, then 300 -> host0 (remaining 0 is minimal), 300 -> host1
@@ -92,15 +90,15 @@ def test_best_fit_decreasing_hand_simulation():
 
 
 def test_round_robin_cycles_hosts():
-    hosts = [host(i, 1000.0) for i in range(3)]
-    vms = [vm(k, 100.0) for k in range(7)]
+    hosts = [host(1000.0)] * 3
+    vms = [vm(100.0)] * 7
     plan = allocate(hosts, vms, AllocPolicy.ROUND_ROBIN)
     assert plan.vm_to_host == {k: k % 3 for k in range(7)}
 
 
 def test_round_robin_skips_full_hosts():
-    hosts = [host(0, 100.0), host(1, 1000.0)]
-    vms = [vm(0, 90.0), vm(1, 500.0), vm(2, 90.0)]
+    hosts = [host(100.0), host(1000.0)]
+    vms = [vm(90.0), vm(500.0), vm(90.0)]
     plan = allocate(hosts, vms, AllocPolicy.ROUND_ROBIN)
     # vm2 starts at host 0 (2 mod 2) which has 10 mips left, walks to host 1
     assert plan.vm_to_host[2] == 1
@@ -110,47 +108,39 @@ def test_capacity_never_exceeded_any_dimension():
     rng = derive_rng(12)
     for trial in range(30):
         hosts = [
-            Host(
-                id=i,
-                mips_capacity=float(rng.integers(500, 2000)),
-                ram=float(rng.integers(1000, 4000)),
-                bw=float(rng.integers(100, 500)),
-            )
-            for i in range(int(rng.integers(2, 5)))
+            (float(rng.integers(500, 2000)), float(rng.integers(1000, 4000)),
+             float(rng.integers(100, 500)))
+            for _ in range(int(rng.integers(2, 5)))
         ]
         vms = [
-            VirtualMachine(
-                id=k,
-                requested_mips=float(rng.integers(50, 900)),
-                requested_ram=float(rng.integers(100, 2000)),
-                requested_bw=float(rng.integers(10, 300)),
-            )
-            for k in range(int(rng.integers(3, 12)))
+            (float(rng.integers(50, 900)), float(rng.integers(100, 2000)),
+             float(rng.integers(10, 300)))
+            for _ in range(int(rng.integers(3, 12)))
         ]
         for policy in AllocPolicy:
             try:
                 plan = allocate(hosts, vms, policy)
             except AllocationError:
                 continue
-            by_vm = {v.id: v for v in vms}
-            for h in hosts:
-                resident = [by_vm[v] for v, hid in plan.vm_to_host.items() if hid == h.id]
-                assert sum(v.requested_mips for v in resident) <= h.mips_capacity
-                assert sum(v.requested_ram for v in resident) <= h.ram
-                assert sum(v.requested_bw for v in resident) <= h.bw
+            for h, capacity in enumerate(hosts):
+                resident = [vms[k] for k, hid in plan.vm_to_host.items() if hid == h]
+                for dim in range(3):
+                    assert sum(v[dim] for v in resident) <= capacity[dim]
 
 
 def test_allocation_error_when_nothing_fits():
     with pytest.raises(AllocationError) as err:
-        allocate([host(0, 100.0)], [vm(0, 500.0), vm(1, 900.0)], AllocPolicy.ROUND_ROBIN)
+        allocate([host(100.0)], [vm(500.0), vm(900.0)], AllocPolicy.ROUND_ROBIN)
     assert err.value.offenders == [0, 1]
 
 
 def test_allocate_requires_inputs():
     with pytest.raises(DomainError):
-        allocate([], [vm(0, 10.0)], AllocPolicy.ROUND_ROBIN)
+        allocate([], [vm(10.0)], AllocPolicy.ROUND_ROBIN)
     with pytest.raises(DomainError):
-        allocate([host(0, 10.0)], [], AllocPolicy.ROUND_ROBIN)
+        allocate([host(10.0)], [], AllocPolicy.ROUND_ROBIN)
+    with pytest.raises(ConfigError, match="unknown allocation policy 'round-robin'"):
+        allocate([host(10.0)], [vm(1.0)], "round-robin")
 
 
 def oracle_fixture(seed):
@@ -162,13 +152,10 @@ def oracle_fixture(seed):
     size = int if step == 1 else (lambda k: int(k) * step)
     first = rng.integers(4, 13, 3)
     hosts = [
-        Host(i, *(size(k) for k in (rng.integers(4, 13, 3) if rng.random() < 0.3 else first)))
-        for i in range(int(rng.integers(1, 5)))
+        tuple(size(k) for k in (rng.integers(4, 13, 3) if rng.random() < 0.3 else first))
+        for _ in range(int(rng.integers(1, 5)))
     ]
-    vms = [
-        VirtualMachine(k, *(size(u) for u in rng.integers(1, 5, 3)))
-        for k in range(int(rng.integers(1, 16)))
-    ]
+    vms = [tuple(size(u) for u in rng.integers(1, 5, 3)) for _ in range(int(rng.integers(1, 16)))]
     return hosts, vms
 
 
@@ -177,14 +164,11 @@ def oracle_fixture(seed):
 # leftovers on identical hosts, int-typed capacities and requests, and an int
 # request that fits only as float64: 2**53 + 1 rounds to the host's 2**53.
 HAND_FIXTURES = [
-    ([Host(0, 1.5, 1.5, 1.5)], [VirtualMachine(k, m, m, m) for k, m in enumerate([0.75, 0.5, 0.25])]),
-    ([Host(0, 0.3, 1.0, 1.0)], [VirtualMachine(0, 0.1, 0.1, 0.1), VirtualMachine(1, 0.2, 0.1, 0.1)]),
-    ([host(i, 1.0) for i in range(3)], [vm(k, 0.5) for k in range(5)]),
-    (
-        [Host(i, 1000, 2048, 1000) for i in range(2)],
-        [VirtualMachine(k, 250, 512, 100 * k + 1) for k in range(9)],
-    ),
-    ([Host(0, 2**53, 1, 1)], [VirtualMachine(0, 2**53 + 1, 1, 1), VirtualMachine(1, 1, 1, 1)]),
+    ([(1.5, 1.5, 1.5)], [(m, m, m) for m in (0.75, 0.5, 0.25)]),
+    ([(0.3, 1.0, 1.0)], [(0.1, 0.1, 0.1), (0.2, 0.1, 0.1)]),
+    ([host(1.0)] * 3, [vm(0.5)] * 5),
+    ([(1000, 2048, 1000)] * 2, [(250, 512, 100 * k + 1) for k in range(9)]),
+    ([(2**53, 1, 1)], [(2**53 + 1, 1, 1), (1, 1, 1)]),
 ]
 
 
@@ -317,17 +301,25 @@ def test_scenario_rejects_bad_policy(tmp_path):
 
 
 def test_write_plan_csv(tmp_path):
-    plan = allocate([host(0, 1000.0)], [vm(0, 100.0), vm(1, 200.0)], AllocPolicy.ROUND_ROBIN)
+    plan = allocate([host(1000.0)], [vm(100.0), vm(200.0)], AllocPolicy.ROUND_ROBIN)
     path = tmp_path / "plan.csv"
     write_plan_csv(plan, path)
     assert path.read_text() == "vm_id,host_id\n0,0\n1,0\n"
 
 
 def test_capacity_validation():
-    with pytest.raises(ConfigError):
-        Host(id=0, mips_capacity=0.0, ram=1.0, bw=1.0)
-    with pytest.raises(ConfigError):
-        VirtualMachine(id=0, requested_mips=-5.0, requested_ram=1.0, requested_bw=1.0)
+    for policy in AllocPolicy:
+        with pytest.raises(ConfigError, match=r"^host 1: capacities must be > 0$"):
+            allocate([host(10.0), host(0.0)], [vm(1.0)], policy)
+        with pytest.raises(ConfigError, match=r"^vm 2: requests must be > 0$"):
+            allocate([host(10.0)], [vm(1.0), vm(1.0), vm(-5.0)], policy)
+        with pytest.raises(ConfigError, match=r"^vm 0: requests must be > 0$"):
+            allocate([host(10.0)], [vm(1.0, float("nan"))], policy)
+        for bad in [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), ("1", 1.0, 1.0), None]:
+            with pytest.raises(ConfigError, match=r"^vm 1: requests must be three numbers"):
+                allocate([host(10.0)], [vm(1.0), bad], policy)
+            with pytest.raises(ConfigError, match=r"^host 0: capacities must be three numbers"):
+                allocate([bad], [vm(1.0)], policy)
     lengths = committed_scenario().cloudlet_lengths
     with pytest.raises(ConfigError):
         replace(committed_scenario(), cloudlet_lengths=(0.0,) + lengths[1:])
@@ -345,6 +337,9 @@ def test_capacity_validation():
         ({"cloudlet_lengths": (1000.0,) * 29 + (-1.0,)}, "cloudlet lengths must be > 0"),
         ({"noise_amplitude": -0.1}, "noise amplitude must be >= 0"),
         ({"user_factor_range": (1.2, 0.8)}, "user_factor_range must be two finite numbers"),
+        ({"host_mips": 0.0}, "host capacities must be > 0"),
+        ({"vm_specs": ((150.0, 0.0, 100.0),) + ((150.0, 512.0, 100.0),) * 29},
+         "vm 0: requests must be > 0"),
     ],
 )
 def test_scenario_built_in_python_is_checked(override, message):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qosrank.experiment import (
     load_config,
     run_experiment,
 )
-from qosrank.matrix import MetricOrientation, SplitSpec, split_train_test
+from qosrank.matrix import MetricOrientation, split_train_test
 from qosrank.metrics import write_rows_csv
 from qosrank.ranker import RankerKind, rank
 from qosrank.seeding import derive_rng
@@ -45,6 +46,21 @@ def test_summary_covers_every_cell():
         (d, k.value) for d in (0.1, 0.3) for k in ALL_KINDS
     }
     assert {(q.density, q.kind) for q in qos_rows} == cells
+
+
+def test_density_with_nothing_scored_is_logged(caplog):
+    # at density 1.0 no active user withholds anything; the summary leaves
+    # the density out, so a warning names each of its cells
+    kinds = (RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
+    config = small_config(densities=(1.0, 0.5), kinds=kinds, active_users=6, trial_seeds=(7, 8, 9))
+    with caplog.at_level(logging.WARNING, logger="qosrank.experiment"):
+        report, qos_rows = run_experiment(config)
+    assert [r.getMessage() for r in caplog.records if r.name == "qosrank.experiment"] == [
+        f"density 1.0 kind {kind}: nothing to score in any trial"
+        for kind in ("cloudrank2", "random-baseline")
+    ]
+    assert {s.density for s in report.summaries} == {0.5}
+    assert [q.samples for q in qos_rows if q.density == 1.0] == [0, 0]
 
 
 def test_random_kind_calibrates_to_half():
@@ -192,8 +208,7 @@ def per_ranking_reference(config):
         for trial in config.trial_seeds:
             split = derive_rng(config.seed, experiment._SPLIT_STREAM, trial, dkey)
             shuffle = derive_rng(config.seed, experiment._RANDOM_STREAM, trial, dkey)
-            spec = SplitSpec(density=density, seed=int(split.integers(2**63)), active_users=active)
-            train, truth = split_train_test(matrix, spec)
+            train, truth = split_train_test(matrix, density, int(split.integers(2**63)), active)
             seed = int(shuffle.integers(2**63))
             for user in active:
                 observed = np.flatnonzero(truth.observed_mask[user]).tolist()

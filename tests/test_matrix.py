@@ -19,7 +19,6 @@ from qosrank import matrix as matrix_module
 from qosrank.matrix import (
     MetricOrientation,
     QoSMatrix,
-    SplitSpec,
     load_matrix,
     save_matrix,
     split_train_test,
@@ -134,7 +133,7 @@ def test_built_matrices_are_read_only(tmp_path, rng):
     path = tmp_path / "m.csv"
     save_matrix(random_sparse_matrix(rng, 4, 5, 0.6), path)
     built = [load_matrix(path, MetricOrientation.LARGER_IS_BETTER)]
-    built += split_train_test(built[0], SplitSpec(density=0.5, seed=3, active_users=(0, 1)))
+    built += split_train_test(built[0], 0.5, 3, (0, 1))
     for m in built:
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
@@ -170,13 +169,12 @@ def test_observed_set_unknown_user():
     # matrix is a DomainError, not an IndexError
     m = QoSMatrix(np.array([[1.0]]))
     with pytest.raises(DomainError, match="unknown user 3"):
-        split_train_test(m, SplitSpec(density=0.5, seed=0, active_users=(0, 3)))
+        split_train_test(m, 0.5, 0, (0, 3))
 
 
 def test_split_density_one_is_identity(rng):
     m = random_sparse_matrix(rng, 5, 6, 0.6)
-    spec = SplitSpec(density=1.0, seed=3, active_users=(0, 1, 2, 3, 4))
-    train, truth = split_train_test(m, spec)
+    train, truth = split_train_test(m, 1.0, 3, (0, 1, 2, 3, 4))
     assert train == m
     assert truth.num_entries == 0
 
@@ -184,8 +182,7 @@ def test_split_density_one_is_identity(rng):
 def test_split_retained_count_is_ceil():
     entries = [(0, s, float(s + 1)) for s in range(10)]
     m = oracle_from_entries(2, 10, entries + [(1, 0, 1.0)])
-    spec = SplitSpec(density=0.3, seed=1, active_users=(0,))
-    train, truth = split_train_test(m, spec)
+    train, truth = split_train_test(m, 0.3, 1, (0,))
     assert len(observed(train, 0)) == 3
     assert len(observed(truth, 0)) == 7
 
@@ -193,8 +190,7 @@ def test_split_retained_count_is_ceil():
 def test_split_partition_property(rng):
     m = random_sparse_matrix(rng, 8, 10, 0.7)
     active = (0, 2, 5)
-    spec = SplitSpec(density=0.4, seed=9, active_users=active)
-    train, truth = split_train_test(m, spec)
+    train, truth = split_train_test(m, 0.4, 9, active)
     for u in range(m.num_users):
         original = observed(m, u)
         kept = observed(train, u)
@@ -213,34 +209,43 @@ def test_split_partition_property(rng):
 
 def test_split_deterministic(rng):
     m = random_sparse_matrix(rng, 7, 9, 0.5)
-    spec = SplitSpec(density=0.5, seed=42, active_users=tuple(range(7)))
-    a_train, a_truth = split_train_test(m, spec)
-    b_train, b_truth = split_train_test(m, spec)
+    a_train, a_truth = split_train_test(m, 0.5, 42, range(7))
+    b_train, b_truth = split_train_test(m, 0.5, 42, range(7))
     assert a_train == b_train
     assert a_truth == b_truth
 
 
 def test_split_different_seed_differs(rng):
     m = random_sparse_matrix(rng, 7, 9, 0.9)
-    a, _ = split_train_test(m, SplitSpec(0.5, 1, tuple(range(7))))
-    b, _ = split_train_test(m, SplitSpec(0.5, 2, tuple(range(7))))
+    a, _ = split_train_test(m, 0.5, 1, range(7))
+    b, _ = split_train_test(m, 0.5, 2, range(7))
     assert a != b
 
 
 def test_split_skips_empty_active_user(caplog):
     m = oracle_from_entries(2, 3, [(0, 0, 1.0)])
-    spec = SplitSpec(density=0.5, seed=0, active_users=(0, 1))
     with caplog.at_level(logging.WARNING):
-        train, truth = split_train_test(m, spec)
+        train, truth = split_train_test(m, 0.5, 0, (0, 1))
     assert "no observations" in caplog.text
     assert observed(train, 1) == set()
 
 
 def test_split_spec_rejects_bad_density():
-    with pytest.raises(ConfigError):
-        SplitSpec(density=0.0, seed=1, active_users=(0,))
-    with pytest.raises(ConfigError):
-        SplitSpec(density=1.5, seed=1, active_users=(0,))
+    m = QoSMatrix(np.array([[1.0, 2.0]]))
+    for density in (0.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match=r"outside \(0, 1\]"):
+            split_train_test(m, density, 1, (0,))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        split_train_test(m, 0.5, -1, (0,))
+
+
+def test_split_ignores_order_and_repeats_of_active_users(rng):
+    # a repeated user split twice would lose its truth to the NaN its first
+    # pass left in train
+    m = random_sparse_matrix(rng, 8, 10, 0.7)
+    train, truth = split_train_test(m, 0.4, 9, (0, 2, 5))
+    for active in [(5, 0, 2), (2, 5, 5, 0, 2), [5, 2, 0, 0]]:
+        assert split_train_test(m, 0.4, 9, active) == (train, truth)
 
 
 def test_matrix_rejects_infinite_values():

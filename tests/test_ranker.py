@@ -8,7 +8,7 @@ import pytest
 
 from qosrank import ranker
 from qosrank.errors import DomainError
-from qosrank.matrix import QoSMatrix, SplitSpec, split_train_test
+from qosrank.matrix import QoSMatrix, split_train_test
 from qosrank.ranker import RankerKind, Ranking, correct_orders, greedy_orders, rank, rank_orders
 from qosrank.similarity import similarity_block
 
@@ -437,8 +437,7 @@ def test_split_batch_memory_bounded(rng):
     values = rng.uniform(0.1, 2.0, (300, 400))
     values[rng.uniform(size=values.shape) > 0.3] = np.nan
     active = tuple(range(8))
-    spec = SplitSpec(density=0.3, seed=1, active_users=active)
-    train, _ = split_train_test(QoSMatrix(values), spec)
+    train, _ = split_train_test(QoSMatrix(values), 0.3, 1, active)
     kinds = (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2)
     tracemalloc.start()
     try:
