@@ -27,7 +27,6 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
-    QoSPerformanceRow,
     load_config,
     run_experiment,
 )
@@ -40,6 +39,7 @@ from .matrix import (
 )
 from .metrics import (
     ExperimentReport,
+    QoSPerformanceRow,
     SummaryRow,
 )
 from .ranker import (

@@ -18,6 +18,7 @@ conditions between users and the same services.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import MAX_CELLS, QoSMatrix, as_float, as_int, read_json
+from .matrix import MAX_CELLS, QoSMatrix, as_float, as_int, as_list, read_json
 from .seeding import derive_rng
 
 
@@ -136,13 +137,34 @@ class Scenario:
     user_factor_range: tuple[float, float]
 
     def __post_init__(self):
+        # every value is type-checked and stored as a float here, named by its
+        # scenario JSON key, so one built in Python is checked as one read from JSON
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        as_int(self.host_count, "hosts.count", ConfigError)
+        for dim in ("mips", "ram", "bw"):
+            store(f"host_{dim}", as_float(getattr(self, f"host_{dim}"), f"hosts.{dim}"))
+        if not as_list(self.vm_specs, "vms"):
+            raise ConfigError("a scenario needs at least one VM")
+        _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
+        store("vm_specs", tuple(
+            (as_float(mips, "vms.mips"), as_float(ram, "vms.ram"), as_float(bw, "vms.bw"))
+            for mips, ram, bw in self.vm_specs
+        ))
+        lengths = as_list(self.cloudlet_lengths, "cloudlets")
+        store("cloudlet_lengths", tuple(as_float(x, "cloudlet length") for x in lengths))
+        if not isinstance(self.policy, AllocPolicy):
+            raise ConfigError(f"unknown allocation policy {self.policy!r}")
+        as_int(self.num_users, "num_users", ConfigError)
+        as_int(self.seed, "seed", ConfigError)
+        store("noise_amplitude", as_float(self.noise_amplitude, "noise_amplitude"))
+        factors = as_list(self.user_factor_range, "user_factor_range")
+        store("user_factor_range", tuple(as_float(x, "user_factor_range") for x in factors))
         if self.host_count <= 0 or self.num_users <= 0:
             raise ConfigError("host count and user count must be > 0")
-        if not self.vm_specs:
-            raise ConfigError("a scenario needs at least one VM")
         if not (self.host_mips > 0 and self.host_ram > 0 and self.host_bw > 0):
             raise ConfigError("host capacities must be > 0")
-        _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_users * self.num_services > MAX_CELLS:
@@ -154,6 +176,12 @@ class Scenario:
             raise ConfigError("need one cloudlet length per VM")
         if min(self.cloudlet_lengths) <= 0:
             raise ConfigError("cloudlet lengths must be > 0")
+        for k, length in enumerate(self.cloudlet_lengths):
+            rt = length / self.vm_specs[k][0]  # as `synth_matrix` computes it
+            if not (rt > 0 and math.isfinite(1.0 / rt)):
+                raise ConfigError(
+                    f"vm {k}: response time {rt!r} must be > 0 with a finite throughput"
+                )
         if not 0.0 <= self.noise_amplitude:
             raise ConfigError("noise amplitude must be >= 0")
         factors = self.user_factor_range
@@ -219,26 +247,18 @@ def scenario_from_dict(raw: dict) -> Scenario:
     """Parse a decoded scenario; other keys, such as `contention`, are ignored."""
     try:
         hosts = raw["hosts"]
-        vms = raw["vms"]
-        lengths = raw["cloudlets"]
         return Scenario(
-            host_count=as_int(hosts["count"], "hosts.count", ConfigError),
-            host_mips=as_float(hosts["mips"], "hosts.mips"),
-            host_ram=as_float(hosts["ram"], "hosts.ram"),
-            host_bw=as_float(hosts["bw"], "hosts.bw"),
-            vm_specs=tuple(
-                (as_float(v["mips"], "vms.mips"), as_float(v["ram"], "vms.ram"),
-                 as_float(v["bw"], "vms.bw"))
-                for v in vms
-            ),
-            cloudlet_lengths=tuple(as_float(x, "cloudlet length") for x in lengths),
+            host_count=hosts["count"],
+            host_mips=hosts["mips"],
+            host_ram=hosts["ram"],
+            host_bw=hosts["bw"],
+            vm_specs=tuple((v["mips"], v["ram"], v["bw"]) for v in as_list(raw["vms"], "vms")),
+            cloudlet_lengths=raw["cloudlets"],
             policy=AllocPolicy.parse(raw["policy"]),
-            num_users=as_int(raw["num_users"], "num_users", ConfigError),
-            seed=as_int(raw["seed"], "seed", ConfigError),
-            noise_amplitude=as_float(raw.get("noise_amplitude", 0.02), "noise_amplitude"),
-            user_factor_range=tuple(
-                as_float(x, "user_factor_range") for x in raw.get("user_factor_range", (0.8, 1.2))
-            ),
+            num_users=raw["num_users"],
+            seed=raw["seed"],
+            noise_amplitude=raw.get("noise_amplitude", 0.02),
+            user_factor_range=raw.get("user_factor_range", [0.8, 1.2]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc

@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .allocsim import AllocPolicy, load_scenario, synth_matrix, write_plan_csv
 from .errors import AllocationError, ConfigError, DataError, DomainError, QosRankError
-from .experiment import build_matrix, load_config, run_experiment, write_qos_performance_csv
+from .experiment import build_matrix, load_config, run_experiment
 from .matrix import save_matrix
-from .metrics import write_rows_csv, write_summary_csv
+from .metrics import write_report
 from .ranker import RankerKind, rank
 
 EXIT_OK = 0
@@ -68,12 +68,9 @@ def cmd_rank(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
-    report, qos_rows = run_experiment(config)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_rows_csv(report, out / "report.csv")
-    write_summary_csv(report, out / "summary.csv")
-    write_qos_performance_csv(qos_rows, out / "qos_performance.csv")
+    report = run_experiment(config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_report(report, args.out)
     for s in report.summaries:
         print(
             f"density={s.density} kind={s.kind} mean_accuracy={s.mean_accuracy:.4f} "

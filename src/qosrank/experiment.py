@@ -8,7 +8,9 @@ equal to ranking that user alone. The split is scored from that array
 without building a `Ranking`: one gather of the withheld values in
 predicted order, one `tau_scores` call over every row, and column 0 for the
 top-1 QoS, each stored as the split's slice of the `ExperimentReport`'s
-(density, trial, user, kind) arrays, unscoreable entries included.
+(density, trial, user, kind) arrays, unscoreable entries included. The
+report reduces them to its summaries and top-1 QoS rows, and
+`metrics.write_report` writes it.
 
 All randomness is derived from the config seed plus trial/user indices, so
 reports are reproducible byte for byte; evaluating users in parallel would
@@ -17,24 +19,21 @@ produce identical output since every cell owns its seed stream.
 
 from __future__ import annotations
 
-import csv
-import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, synth_matrix
 from .errors import ConfigError
 from .matrix import (
-    MetricOrientation, QoSMatrix, as_float, as_int, load_matrix, read_json, split_train_test,
+    MAX_CELLS, MetricOrientation, QoSMatrix, as_float, as_int, as_list, load_matrix, read_json,
+    split_train_test,
 )
 from .metrics import ExperimentReport, tau_scores
 from .ranker import RankerKind, rank_orders
 from .seeding import derive_rng
-
-log = logging.getLogger(__name__)
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
@@ -43,18 +42,6 @@ _SPLIT_STREAM = 2
 def _density_key(density: float) -> int:
     """Seed key of a density: the density in thousandths, rounded."""
     return int(round(density * 1000))
-
-
-@dataclass(frozen=True)
-class QoSPerformanceRow:
-    """Mean withheld QoS of each user's top-ranked service, in the dataset's
-    own units: a smaller-is-better dataset's mean is negated back from the
-    matrix's larger-is-better values. A scenario's is its matrix's mean."""
-
-    density: float
-    kind: str
-    mean_top1_qos: float
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -91,18 +78,29 @@ class ExperimentConfig:
                 f"ranker kind {repeated[0]!r} is listed more than once "
                 "(\"random\" is an alias of \"random-baseline\")"
             )
-        if not self.trial_seeds:
+        if self.k_neighbors < 0:
+            raise ConfigError("k_neighbors must be >= 0")
+        if self.active_users <= 0:
+            raise ConfigError("active_users must be > 0")
+        seeds = self.trial_seeds
+        if not seeds:
             raise ConfigError("at least one trial is required")
+        trials = len(seeds) if not isinstance(seeds, range) else (
+            -((seeds.start - seeds.stop) // seeds.step)  # len() overflows past sys.maxsize
+        )
+        shape = (len(self.densities), trials, self.active_users, len(self.kinds))
+        if math.prod(shape) > MAX_CELLS:  # the cells of run_experiment's arrays
+            raise ConfigError(
+                "{} densities x {} trials x {} active users x {} kinds is over the "
+                "{}-cell limit".format(*shape, MAX_CELLS)
+            )
+        object.__setattr__(self, "trial_seeds", tuple(self.trial_seeds))  # `trials` passes a range
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
         if len(set(self.trial_seeds)) < len(self.trial_seeds):
             # a repeated trial seed would score the same splits twice
             seed = next(s for s in self.trial_seeds if self.trial_seeds.count(s) > 1)
             raise ConfigError(f"trial seed {seed} is listed more than once")
-        if self.k_neighbors < 0:
-            raise ConfigError("k_neighbors must be >= 0")
-        if self.active_users <= 0:
-            raise ConfigError("active_users must be > 0")
         if (self.dataset is None) == (self.scenario is None):
             raise ConfigError("config needs exactly one of dataset or scenario")
         # a key that cannot take effect is rejected, not silently ignored
@@ -140,17 +138,21 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
         dataset = Path(base_dir / raw["dataset"]) if "dataset" in raw else None
         seed = as_int(raw.get("seed", 0), "seed", ConfigError)
         if "trial_seeds" in raw:
-            trial_seeds = tuple(as_int(s, "trial seed", ConfigError) for s in raw["trial_seeds"])
+            trial_seeds = tuple(
+                as_int(s, "trial seed", ConfigError)
+                for s in as_list(raw["trial_seeds"], "trial_seeds")
+            )
         else:
             trials = as_int(raw.get("trials", 100), "trials", ConfigError)
-            trial_seeds = tuple(seed + i for i in range(trials))
+            trial_seeds = range(seed, seed + trials)  # sized before any tuple is built
+        densities = as_list(raw["densities"], "densities")
         try:
-            densities = tuple(as_float(d, "density") for d in raw["densities"])
+            densities = tuple(as_float(d, "density") for d in densities)
         except ConfigError:
-            raise ConfigError(f"densities must be numbers, got {raw['densities']}") from None
+            raise ConfigError(f"densities must be numbers, got {densities}") from None
         return ExperimentConfig(
             densities=densities,
-            kinds=tuple(RankerKind.parse(k) for k in raw["kinds"]),
+            kinds=tuple(RankerKind.parse(k) for k in as_list(raw["kinds"], "kinds")),
             k_neighbors=as_int(raw.get("k_neighbors", 10), "k_neighbors", ConfigError),
             active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),
             trial_seeds=trial_seeds,
@@ -174,17 +176,16 @@ def build_matrix(config: ExperimentConfig) -> QoSMatrix:
     return synth_matrix(config.scenario, config.policy)[0]
 
 
-def run_experiment(
-    config: ExperimentConfig,
-) -> tuple[ExperimentReport, list[QoSPerformanceRow]]:
-    """Score every (density, trial, user, kind) entry of the config; a
-    (density, kind) cell with no scored entry is logged as a warning."""
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Score every (density, trial, user, kind) entry of the config."""
     matrix = build_matrix(config)
     candidates = matrix.observed_services()
     active = tuple(range(min(config.active_users, matrix.num_users)))
 
     shape = (len(config.densities), len(config.trial_seeds), len(active), len(config.kinds))
     taus, pairs, top1 = np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape)
+    # -1.0 turns a smaller-is-better dataset's negated values back into its units
+    sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
 
     for d, density in enumerate(config.densities):
         dkey = _density_key(density)
@@ -203,29 +204,7 @@ def run_experiment(
             withheld = truth.values[np.array(active)[:, None, None], orders]
             scores = tau_scores(withheld.reshape(-1, orders.shape[-1]))
             taus[d, t], pairs[d, t] = (a.reshape(orders.shape[:2]) for a in scores)
-            top1[d, t] = withheld[:, :, 0]
+            top1[d, t] = sign * withheld[:, :, 0]
 
     kinds = tuple(k.value for k in config.kinds)
-    report = ExperimentReport(
-        config.densities, config.trial_seeds, active, kinds, taus, pairs, top1
-    )
-    sign = -1.0 if config.orientation is MetricOrientation.SMALLER_IS_BETTER else 1.0
-    qos_rows = []
-    for density, kind, index in report.cells():
-        if not report.pairs[index].any():
-            log.warning("density %r kind %s: nothing to score in any trial", density, kind)
-        top = report.top1[index]  # by trial, then user
-        top = top[~np.isnan(top)]
-        mean = sign * float(top.mean()) if top.size else float("nan")
-        qos_rows.append(QoSPerformanceRow(density, kind, mean, top.size))
-    return report, qos_rows
-
-
-def write_qos_performance_csv(
-    qos_rows: Sequence[QoSPerformanceRow], path: str | Path
-) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["density", "kind", "mean_top1_qos", "samples"])
-        for r in qos_rows:
-            writer.writerow([repr(r.density), r.kind, repr(r.mean_top1_qos), r.samples])
+    return ExperimentReport(config.densities, config.trial_seeds, active, kinds, taus, pairs, top1)

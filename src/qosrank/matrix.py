@@ -70,6 +70,13 @@ def as_float(value, what: str) -> float:
     raise ConfigError(f"{what} {value!r} is not a finite number")
 
 
+def as_list(value, what: str) -> list | tuple:
+    """`value` if it is a list or tuple; ConfigError naming it otherwise."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise ConfigError(f"{what} must be a list, got {value!r}")
+
+
 def read_json(path: Path, what: str):
     """The decoded JSON file at `path`; ConfigError naming it as `what` if unreadable."""
     try:

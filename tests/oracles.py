@@ -25,7 +25,7 @@ a whole similarity block or (users, kinds, n) stack of rankings; the
 `oracle_select_neighbors`, `oracle_correct_observed_order` and
 `oracle_kendall_tau` references handle one row or one ranking at a time.
 
-`run_experiment` keeps an experiment's scores as (density, trial, user,
+`ExperimentReport` keeps an experiment's scores as (density, trial, user,
 kind) arrays and summarises them one (density, kind) cell at a time;
 `ScoreRow` and `aggregate` are the method it replaced: one frozen row per
 scored entry, sorted by density, kind and user, then grouped into cells.

@@ -206,7 +206,7 @@ def test_c06_ranking_quality_ordering():
         scenario=committed_scenario(),
     )
     start = time.perf_counter()
-    report, _ = run_experiment(config)
+    report = run_experiment(config)
     elapsed = time.perf_counter() - start
     acc = {(s.density, s.kind): s.mean_accuracy for s in report.summaries}
     ok = elapsed < 60.0
@@ -278,10 +278,10 @@ def test_c09_allocation_improves_top1_qos():
         seed=7,
         scenario=committed_scenario(),
     )
-    _, qos_bf = run_experiment(ExperimentConfig(**base))
-    _, qos_rr = run_experiment(
+    qos_bf = run_experiment(ExperimentConfig(**base)).qos_performance
+    qos_rr = run_experiment(
         ExperimentConfig(**base, policy=AllocPolicy.ROUND_ROBIN)
-    )
+    ).qos_performance
     ok = True
     detail = []
     for b, r in zip(qos_bf, qos_rr):

@@ -340,6 +340,20 @@ def test_capacity_validation():
         ({"host_mips": 0.0}, "host capacities must be > 0"),
         ({"vm_specs": ((150.0, 0.0, 100.0),) + ((150.0, 512.0, 100.0),) * 29},
          "vm 0: requests must be > 0"),
+        # types, named by the scenario JSON key: a bare TypeError, a scenario
+        # that failed only in synth_matrix and a bool read as 1 before
+        ({"host_mips": "1"}, "hosts.mips '1' is not a finite number"),
+        ({"num_users": 2.5}, "num_users 2.5 is not an integer"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"host_count": True}, "hosts.count True is not an integer"),
+        ({"vm_specs": ((150.0, 512.0, True),) * 30}, "vms.bw True is not a finite number"),
+        ({"cloudlet_lengths": (1000.0,) * 29 + (float("inf"),)},
+         "cloudlet length inf is not a finite number"),
+        ({"user_factor_range": 1.0}, "user_factor_range must be a list, got 1.0"),
+        ({"policy": "round-robin"}, "unknown allocation policy 'round-robin'"),
+        # 5e-324 / mips underflows to a response time of 0.0
+        ({"cloudlet_lengths": (1000.0,) * 3 + (5e-324,) * 27},
+         r"vm 3: response time 0\.0 must be > 0 with a finite throughput"),
     ],
 )
 def test_scenario_built_in_python_is_checked(override, message):

@@ -326,6 +326,16 @@ CORRECT_OBSERVED_REJECTED = (
         ({"orientation": "smaller-is-better"}, "orientation applies only to a dataset"),
         # a repeated trial seed used to score its splits twice
         ({"trial_seeds": [0, 0, 1]}, "trial seed 0 is listed more than once"),
+        # a list key given a scalar: "cloudrank2" was read as kinds 'c', 'l',
+        # ..., "12" as cloudlet lengths '1' and '2', and 5 not at all
+        ({"densities": "0.1"}, "densities must be a list, got '0.1'"),
+        ({"kinds": "cloudrank2"}, "kinds must be a list, got 'cloudrank2'"),
+        ({"trial_seeds": 5}, "trial_seeds must be a list, got 5"),
+        ({"scenario": {"vms": {"mips": 150.0, "ram": 512.0, "bw": 100.0}}},
+         "vms must be a list, got {'mips': 150.0, 'ram': 512.0, 'bw': 100.0}"),
+        ({"scenario": {"cloudlets": "12"}}, "cloudlets must be a list, got '12'"),
+        ({"scenario": {"user_factor_range": "0.8, 1.2"}},
+         "user_factor_range must be a list, got '0.8, 1.2'"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
@@ -439,6 +449,75 @@ def test_simulate_bad_scenario_values_exit_one(workspace, capsys, override, mess
     assert err.startswith("qosrank: ") and message in err
     assert "Traceback" not in err
     assert not (workspace / "sim").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_underflowing_response_time_exits_one(workspace, capsys, command):
+    # every length / mips is 0.0, which used to end in a ZeroDivisionError
+    # traceback from the throughput 1 / response time
+    scenario = json.loads((workspace / "scenario.json").read_text())
+    scenario["cloudlets"] = [5e-324] * len(scenario["vms"])
+    (workspace / "scenario.json").write_text(json.dumps(scenario))
+    flag, path = {
+        "simulate": ("--scenario", "scenario.json"), "evaluate": ("--config", "experiment.json")
+    }[command]
+    code, _, err = run([command, flag, workspace / path, "--out", workspace / "out"], capsys)
+    assert code == 1
+    assert err == "qosrank: vm 0: response time 0.0 must be > 0 with a finite throughput\n"
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"trials": 10**8}, "2 densities x 100000000 trials x 10 active users x 3 kinds is over "
+         "the 50000000-cell limit"),
+        # 0 active users make the product 0, so they are rejected before it
+        ({"trials": 10**8, "active_users": 0}, "active_users must be > 0"),
+        # len() of this many trials overflows
+        ({"trials": 2**63}, f"2 densities x {2**63} trials x 10 active users x 3 kinds is over "
+         "the 50000000-cell limit"),
+    ],
+)
+def test_cells_over_the_limit_exit_one_before_allocating(workspace, override, message):
+    # 10**8 trials used to build a 10**8-entry seed tuple, then three
+    # (2, 10**8, 10, 3) arrays; the child's address space is capped so that
+    # such a build ends in a MemoryError, not in exhausting the host
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import qosrank
+
+    config = json.loads((workspace / "experiment.json").read_text())
+    del config["trial_seeds"]
+    config.update(override)
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(qosrank.__file__).resolve().parents[1])
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, pythonpath)),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "qosrank", "evaluate", "--config",
+         str(workspace / "experiment.json"), "--out", str(workspace / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"qosrank: {message}\n"
+    assert not (workspace / "out").exists()
 
 
 def test_simulate_allocation_failure_exits_three(tmp_path, capsys):

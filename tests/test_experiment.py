@@ -15,7 +15,7 @@ from qosrank.experiment import (
     run_experiment,
 )
 from qosrank.matrix import MetricOrientation, split_train_test
-from qosrank.metrics import write_rows_csv
+from qosrank.metrics import write_report
 from qosrank.ranker import RankerKind, rank
 from qosrank.seeding import derive_rng
 
@@ -40,12 +40,12 @@ def small_config(**overrides):
 
 
 def test_summary_covers_every_cell():
-    report, qos_rows = run_experiment(small_config())
+    report = run_experiment(small_config())
     cells = {(s.density, s.kind) for s in report.summaries}
     assert cells == {
         (d, k.value) for d in (0.1, 0.3) for k in ALL_KINDS
     }
-    assert {(q.density, q.kind) for q in qos_rows} == cells
+    assert {(q.density, q.kind) for q in report.qos_performance} == cells
 
 
 def test_density_with_nothing_scored_is_logged(caplog):
@@ -53,26 +53,26 @@ def test_density_with_nothing_scored_is_logged(caplog):
     # the density out, so a warning names each of its cells
     kinds = (RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)
     config = small_config(densities=(1.0, 0.5), kinds=kinds, active_users=6, trial_seeds=(7, 8, 9))
-    with caplog.at_level(logging.WARNING, logger="qosrank.experiment"):
-        report, qos_rows = run_experiment(config)
-    assert [r.getMessage() for r in caplog.records if r.name == "qosrank.experiment"] == [
+    with caplog.at_level(logging.WARNING, logger="qosrank.metrics"):
+        report = run_experiment(config)
+    assert [r.getMessage() for r in caplog.records if r.name == "qosrank.metrics"] == [
         f"density 1.0 kind {kind}: nothing to score in any trial"
         for kind in ("cloudrank2", "random-baseline")
     ]
     assert {s.density for s in report.summaries} == {0.5}
-    assert [q.samples for q in qos_rows if q.density == 1.0] == [0, 0]
+    assert [q.samples for q in report.qos_performance if q.density == 1.0] == [0, 0]
 
 
 def test_random_kind_calibrates_to_half():
     config = small_config(kinds=(RankerKind.RANDOM_BASELINE,), trial_seeds=tuple(range(10)))
-    report, _ = run_experiment(config)
+    report = run_experiment(config)
     for s in report.summaries:
         assert s.trials >= 100
         assert s.mean_accuracy == pytest.approx(0.5, abs=0.05)
 
 
 def test_cloudrank_beats_random():
-    report, _ = run_experiment(small_config())
+    report = run_experiment(small_config())
     by_cell = {(s.density, s.kind): s for s in report.summaries}
     for d in (0.1, 0.3):
         random_acc = by_cell[(d, "random-baseline")].mean_accuracy
@@ -81,7 +81,7 @@ def test_cloudrank_beats_random():
 
 
 def test_summary_recomputable_from_rows():
-    report, _ = run_experiment(small_config(trial_seeds=(0, 1)))
+    report = run_experiment(small_config(trial_seeds=(0, 1)))
     assert report.taus.shape == (2, 2, 10, 3)  # densities, trials, users, kinds
     for s in report.summaries:
         d, k = report.densities.index(s.density), report.kinds.index(s.kind)
@@ -94,13 +94,13 @@ def test_summary_recomputable_from_rows():
 
 
 def test_run_deterministic():
-    a_report, a_qos = run_experiment(small_config(trial_seeds=(3, 4)))
-    b_report, b_qos = run_experiment(small_config(trial_seeds=(3, 4)))
+    a_report = run_experiment(small_config(trial_seeds=(3, 4)))
+    b_report = run_experiment(small_config(trial_seeds=(3, 4)))
     for name in ("taus", "pairs", "top1"):
         a, b = getattr(a_report, name), getattr(b_report, name)
         assert a.tobytes() == b.tobytes()
     assert a_report.summaries == b_report.summaries
-    assert a_qos == b_qos
+    assert a_report.qos_performance == b_report.qos_performance
 
 
 def test_config_from_json_files():
@@ -190,7 +190,7 @@ def test_dataset_config(tmp_path):
         "trials": 2,
     }
     config = config_from_dict(raw, base_dir=tmp_path)
-    report, _ = run_experiment(config)
+    report = run_experiment(config)
     assert report.summaries
 
 
@@ -257,10 +257,11 @@ def test_split_scoring_matches_per_ranking_reference(tmp_path):
             },
             base_dir=tmp_path,
         )
-        report, qos_rows = run_experiment(config)
+        report = run_experiment(config)
+        qos_rows = report.qos_performance
         want_report, want_top1 = per_ranking_reference(config)
         assert report.summaries == want_report.summaries
-        write_rows_csv(report, tmp_path / "report.csv")
+        write_report(report, tmp_path)
         assert (tmp_path / "report.csv").read_text().splitlines()[1:] == [
             f"{r.density!r},{r.kind},{r.user},{r.tau!r},{r.accuracy!r},{r.evaluated_pairs}"
             for r in want_report.rows

@@ -6,7 +6,7 @@ import pytest
 
 from qosrank import similarity
 from qosrank.errors import DomainError
-from qosrank.metrics import ExperimentReport, tau_scores, write_rows_csv, write_summary_csv
+from qosrank.metrics import ExperimentReport, tau_scores, write_report
 from qosrank.seeding import derive_rng
 
 from oracles import oracle_kendall_tau
@@ -159,9 +159,8 @@ def test_csv_round_trip_precision(tmp_path):
     # two trials of three users: rows go by user, then by trial
     taus = 0.1 + 1e-12 * np.arange(6).reshape(1, 2, 3, 1)
     report = report_of((0.1,), ("a",), taus)
-    write_rows_csv(report, tmp_path / "rows.csv")
-    write_summary_csv(report, tmp_path / "summary.csv")
-    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    write_report(report, tmp_path)
+    lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "density,kind,user_id,tau,accuracy,evaluated_pairs"
     assert [line.split(",")[2] for line in lines[1:]] == ["0", "0", "1", "1", "2", "2"]
     # repr round-trip: parsing the CSV back reproduces the exact floats
@@ -169,6 +168,10 @@ def test_csv_round_trip_precision(tmp_path):
     assert parsed == taus[0, :, :, 0].T.ravel().tolist()
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert header == "density,kind,mean_tau,std_tau,mean_accuracy,trials"
+    # no ranking's first service was withheld: a cell's row has 0 samples
+    assert (tmp_path / "qos_performance.csv").read_text().splitlines() == [
+        "density,kind,mean_top1_qos,samples", "0.1,a,nan,0"
+    ]
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 40, None])
