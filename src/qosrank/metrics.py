@@ -120,20 +120,14 @@ def tau_scores(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values of a ranking's services in predicted order, NaN where a service
     has none; tau is NaN in rows with fewer than two evaluable services.
 
-    Rows are compacted to their evaluable values and NaN-padded, which
-    compares false both ways. cd is an exact integer count, so tau =
-    cd / pairs is bit-identical to counting the pairs one by one.
+    cd is an exact integer count, so tau = cd / pairs is bit-identical to
+    counting the pairs one by one.
     """
-    evaluable = ~np.isnan(truth)
-    p = evaluable.sum(axis=1)
-    width = int(p.max(initial=0))
-    keep = np.argsort(~evaluable, axis=1, kind="stable")[:, :width]  # evaluable first
-    vals = np.take_along_axis(truth, keep, axis=1)
+    cd, p = concordance(truth)
+    pairs = p * (p - 1) // 2
     # best first, so a pair i < j is concordant when truth falls from i to j;
     # 0.0 - keeps a zero count +0.0, so a tau of 0 is written as 0.0
-    cd = 0.0 - concordance(np.ascontiguousarray(vals.T))
-    pairs = p * (p - 1) // 2
-    tau = np.divide(cd, pairs, out=np.full(len(vals), np.nan), where=pairs > 0)
+    tau = np.divide(0.0 - cd, pairs, out=np.full(len(truth), np.nan), where=pairs > 0)
     return tau, pairs
 
 

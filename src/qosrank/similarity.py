@@ -6,40 +6,49 @@ neither side while the denominator stays N(N-1)/2. Pairs sharing fewer than
 two services are uninformative and score 0.
 
 `similarity_block` sorts each active user b's observed services by b's value
-and packs every other user v's values on them, in that order, down to the
-services both observed: a (c, U * B) array with c the largest overlap. A pair
-of slots i > j then has b's value rising or tied, so `concordance` of the
-packed array gives concordant - discordant for every (v, b) at once. The
-pairs inside one of b's tie groups were counted there too and are subtracted
-after; untied data has none. The cost is O(c^2 * U * B) comparisons, never a
-(U, S, S) tensor. `metrics.tau_scores` counts a ranking's agreement with
-withheld truth with the same `concordance`. `top_neighbors` picks every
-active user's neighbours from the block with one stable sort.
+and lays every user v's values on them, in that order, NaN where either did
+not observe: one row per (v, b). `concordance` packs each row down to its
+values, a (c, U * B) array with c the largest overlap. A pair of slots
+i > j then has b's value rising or tied, so the count gives concordant -
+discordant for every (v, b) at once. The pairs inside one of b's tie groups
+were counted there too: each group is counted again as rows of its own and
+subtracted, at a cost set by the groups' own sizes; untied data has none.
+The cost is O(c^2 * U * B) comparisons, never a (U, S, S) tensor.
+`metrics.tau_scores` counts a ranking's agreement with withheld truth with
+the same `concordance`. `top_neighbors` picks every active user's neighbours
+from the block with one stable sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrix import QoSMatrix, as_int
+from .matrix import QoSMatrix
 
 # Comparisons `concordance` makes at once: 32 KB of bools.
 CHUNK_ELEMS = 1 << 15
 
 
-def concordance(packed: np.ndarray) -> np.ndarray:
-    """Sum over slot pairs i > j of sign(packed[i] - packed[j]), for each
-    column of the (c, width) array `packed`, as float64. NaN compares false
-    both ways, so a pair with a NaN counts 0.
+def concordance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the (width, m) array `rows`, NaN where it has no
+    value: the sum over its value pairs i > j, in row order, of
+    sign(value i - value j), as float64, and its count of values.
 
-    One comparison of a chunk of slot rows against all c slots, a
-    (rows, c, width) bool array, is summed in a float32 product with
-    sign(i - j). A chunk holds at most CHUNK_ELEMS elements (one slot row if
-    that is larger), so each of its sums is an integer of magnitude at most
-    max(CHUNK_ELEMS, c): exact in float32 for any c below 2^24, and so is the
-    float64 total, which is bit-identical to counting the pairs one by one.
+    Each row's values are packed to the front of a column of a (c, width)
+    array, c the largest count, NaN past the count; NaN compares false both
+    ways, so a pair with a NaN counts 0. One comparison of a chunk of slot
+    rows against all c slots, a (rows, c, width) bool array, is summed in a
+    float32 product with sign(i - j). A chunk holds at most CHUNK_ELEMS
+    elements (one slot row if that is larger), so each of its sums is an
+    integer of magnitude at most max(CHUNK_ELEMS, c): exact in float32 for
+    any c below 2^24, and so is the float64 total, which is bit-identical to
+    counting the pairs one by one.
     """
-    c, width = packed.shape
+    seen = rows == rows
+    counts = np.count_nonzero(seen, axis=1)
+    c, width = int(counts.max(initial=0)), len(rows)
+    packed = np.full((c, width), np.nan)
+    packed.T[np.arange(c) < counts[:, None]] = rows[seen]
     # anti[i, j] = sign(i - j): row i is ramp[c - 1 - i :][:c], an O(c) view
     ramp = np.sign(np.arange(c - 1, -c, -1, dtype=np.float32))
     item = ramp.itemsize
@@ -49,21 +58,20 @@ def concordance(packed: np.ndarray) -> np.ndarray:
     for lo in range(0, c, step):
         above = packed[lo : lo + step, None] > packed
         total += anti[lo : lo + step].reshape(-1) @ above.reshape(-1, width)
-    return total
+    return total, counts
 
 
 def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     """(num_users, len(users)) similarities: column b holds users[b]'s
-    similarity to every user, itself included.
+    similarity to every user, itself included. `users` are valid user ids,
+    as `ranker.rank_orders` checks them.
 
     Column b is bit-identical to computing users[b]'s column on its own:
     every sum below adds exact integers, so the batch changes no bit of the
     result.
     """
-    batch = np.array([as_int(u, "user") for u in users], dtype=np.intp)
-    for u in batch.tolist():
-        matrix._check_user(u)
-    width, own_cells = matrix.num_users * batch.size, (batch, np.arange(batch.size))
+    batch = np.asarray(users, dtype=np.intp)
+    shape, own_cells = (matrix.num_users, batch.size), (batch, np.arange(batch.size))
     own = matrix.values[batch]
     order = np.argsort(own, axis=1, kind="stable")  # ascending, NaN (unobserved) last
     own = np.sort(own, axis=1)
@@ -72,34 +80,32 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     own = own[:, :n]
     # every user's values in each b's order, NaN where either did not observe;
     # b's own row too, which would widen c to n. take, unlike [:, order],
-    # returns them C-contiguous as (U, B, n), the order the packing reads.
+    # returns them C-contiguous as (U, B, n), the rows `concordance` reads
     values = matrix.values.take(order[:, :n], axis=1)
     values[:, own != own] = np.nan
     values[own_cells] = np.nan
-    # pack row (v, b) to its `common` shared services, in b's order: both
-    # masks list row (v, b)'s entries in order and hold common[v, b] of them
-    seen = values == values
-    common = np.count_nonzero(seen, axis=2)
-    c = int(common.max(initial=0))
-    packed = np.full((c, width), np.nan)
-    packed.T[np.arange(c) < common.reshape(width, 1)] = values[seen]
-    # slots past a row's overlap are NaN, so they count 0
-    cd = concordance(packed).reshape(common.shape)
-    # b's tied pairs (p, p - d), d <= p - its tie group's start, count 0
-    pos = np.arange(n)
+    cd, common = (a.reshape(shape) for a in concordance(values.reshape(shape[0] * shape[1], n)))
+    # b's tied pairs count 0: each tie group of b's, as one row per user,
+    # is counted alone and taken off b's column; groups gathered by size in
+    # (m / 2, m] pad to at most twice their size
     new = np.ones(own.shape, dtype=bool)
     new[:, 1:] = own[:, 1:] != own[:, :-1]
-    ties = pos - np.maximum.accumulate(pos * new, axis=1)
-    for d in range(1, int(ties.max(initial=0)) + 1):
-        b, p = np.nonzero(ties >= d)  # b ascending: each b's pairs are one run
-        diff = values[:, b, p] - values[:, b, p - d]
-        runs = np.flatnonzero(np.diff(b, prepend=-1))
-        signs = np.subtract(diff > 0, diff < 0, dtype=float)
-        cd[:, b[runs]] -= np.add.reduceat(signs, runs, axis=1)
-    # b against itself: every untied pair of its own is concordant
+    starts = np.flatnonzero(new)  # b's groups in order, b's first at b * n
+    sizes = np.diff(starts, append=new.size)
+    m = 2
+    while m // 2 < sizes.max(initial=0):
+        pick = (sizes > m // 2) & (sizes <= m)
+        slots = np.minimum(starts[pick, None] + np.arange(m), new.size - 1)
+        group = values.reshape(shape[0], -1)[:, slots]  # (U, groups, m)
+        group[:, np.arange(m) >= sizes[pick, None]] = np.nan
+        tied, _ = concordance(group.reshape(-1, m))
+        np.subtract.at(cd.T, starts[pick] // n, tied.reshape(shape[0], -1).T)
+        m *= 2
+    # b against itself: every pair of its own outside a tie group is concordant
     common[own_cells] = counts
     pairs = common * (common - 1) / 2
-    cd[own_cells] = pairs[own_cells] - ties.sum(axis=1)
+    own_ties = np.bincount(starts // max(n, 1), sizes * (sizes - 1) / 2, minlength=batch.size)
+    cd[own_cells] = pairs[own_cells] - own_ties
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 

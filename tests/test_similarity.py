@@ -232,6 +232,29 @@ def test_row_memory_bounded_for_fully_observed_user(rng):
     assert peak < 2**20
 
 
+def test_memory_bounded_for_skewed_ties():
+    # user 0 observes all 3000 services of a 339 x 3000 matrix at 50%, with
+    # one 1000-service tie group and 500 tied pairs. Peak 28.4 MB when the
+    # tie correction gathered (users, pairs) values once per tie distance up
+    # to 999; 20.8 MB with each tie group counted as rows of its own
+    rng = np.random.default_rng(7)
+    values = rng.uniform(0.0, 1.0, (339, 3000))
+    values[rng.uniform(size=values.shape) > 0.5] = np.nan
+    values[0] = rng.permutation(3000)
+    values[0, :1000] = -1.0
+    values[0, 1000:2000] = 10000.0 + np.repeat(np.arange(500), 2)
+    m = QoSMatrix(values)
+    tracemalloc.start()
+    try:
+        column = similarity_block(m, (0,))[:, 0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    # 1000 * 999 / 2 + 500 of user 0's 3000 * 2999 / 2 pairs are tied
+    assert column[0] == (4498500 - 500000) / 4498500
+
+
 def test_row_three_users():
     m = matrix_of([0.1, 0.2], [0.3, 0.4], [0.5, 0.1])
     column = similarity_block(m, (1,))[:, 0]
