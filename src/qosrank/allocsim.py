@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import MAX_CELLS, QoSMatrix, as_float, as_int, as_list, read_json
+from .matrix import MAX_CELLS, MAX_QOS, QoSMatrix, as_float, as_int, as_list, read_json
 from .seeding import derive_rng
 
 
@@ -172,6 +172,11 @@ class Scenario:
                 f"{self.num_users} users x {self.num_services} services is over the "
                 f"{MAX_CELLS}-cell matrix limit"
             )
+        if self.host_count * self.num_services > MAX_CELLS:  # `allocate` probes them all
+            raise ConfigError(
+                f"{self.host_count} hosts x {self.num_services} VMs is over the "
+                f"{MAX_CELLS}-probe allocation limit"
+            )
         if len(self.cloudlet_lengths) != self.num_services:
             raise ConfigError("need one cloudlet length per VM")
         if min(self.cloudlet_lengths) <= 0:
@@ -182,12 +187,14 @@ class Scenario:
                 raise ConfigError(
                     f"vm {k}: response time {rt!r} must be > 0 with a finite throughput"
                 )
+            if rt == math.inf:
+                raise ConfigError(f"vm {k}: response time overflows to inf")
         if not 0.0 <= self.noise_amplitude:
             raise ConfigError("noise amplitude must be >= 0")
         factors = self.user_factor_range
-        if not (len(factors) == 2 and factors[0] <= factors[1]):
+        if not (len(factors) == 2 and 0 < factors[0] <= factors[1]):  # factors scale throughput
             raise ConfigError(
-                f"user_factor_range must be two finite numbers [lo, hi] with lo <= hi, "
+                f"user_factor_range must be two finite numbers [lo, hi] with 0 < lo <= hi, "
                 f"got {list(factors)}"
             )
 
@@ -226,7 +233,13 @@ def synth_matrix(
     noise = rng.normal(
         0.0, scenario.noise_amplitude * spread, size=(scenario.num_users, scenario.num_services)
     )
-    values = np.where(np.isnan(base), np.nan, base * factors[:, None] + noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.where(np.isnan(base), np.nan, base * factors[:, None] + noise)
+    if not (np.abs(values[:, ~np.isnan(base)]) <= MAX_QOS).all():
+        raise ConfigError(
+            f"noise_amplitude {scenario.noise_amplitude!r} and user_factor_range "
+            f"{list(scenario.user_factor_range)} make a QoS value over {MAX_QOS:.4g}"
+        )
     return QoSMatrix._own(values), plan
 
 

@@ -58,6 +58,26 @@ class ExperimentConfig:
     policy: AllocPolicy | None = None  # scenario only; overrides the scenario's policy
 
     def __post_init__(self):
+        # every field is converted and checked here, named by its config JSON
+        # key, so a config built in Python is checked as one read from JSON
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        densities = as_list(self.densities, "densities")
+        try:
+            store("densities", tuple(as_float(d, "density") for d in densities))
+        except ConfigError:
+            raise ConfigError(f"densities must be numbers, got {list(densities)}") from None
+        store("kinds", tuple(RankerKind.parse(k) for k in as_list(self.kinds, "kinds")))
+        for name in ("k_neighbors", "active_users", "seed"):
+            store(name, as_int(getattr(self, name), name, ConfigError))
+        if not isinstance(self.trial_seeds, range):  # `trials` passes a range
+            seeds = as_list(self.trial_seeds, "trial_seeds")
+            store("trial_seeds", tuple(as_int(s, "trial seed", ConfigError) for s in seeds))
+        if self.orientation is not None:
+            store("orientation", MetricOrientation.parse(self.orientation))
+        if self.policy is not None:
+            store("policy", AllocPolicy.parse(self.policy))
         if not self.densities:
             raise ConfigError("at least one density is required")
         for d in self.densities:
@@ -94,7 +114,7 @@ class ExperimentConfig:
                 "{} densities x {} trials x {} active users x {} kinds is over the "
                 "{}-cell limit".format(*shape, MAX_CELLS)
             )
-        object.__setattr__(self, "trial_seeds", tuple(self.trial_seeds))  # `trials` passes a range
+        store("trial_seeds", tuple(self.trial_seeds))
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
         if len(set(self.trial_seeds)) < len(self.trial_seeds):
@@ -121,6 +141,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     base_dir = base_dir or Path.cwd()
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
     try:
         if "correct_observed" in raw:
             raise ConfigError(
@@ -136,33 +158,24 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
                 else load_scenario(base_dir / ref)
             )
         dataset = Path(base_dir / raw["dataset"]) if "dataset" in raw else None
-        seed = as_int(raw.get("seed", 0), "seed", ConfigError)
+        seed = raw.get("seed", 0)
         if "trial_seeds" in raw:
-            trial_seeds = tuple(
-                as_int(s, "trial seed", ConfigError)
-                for s in as_list(raw["trial_seeds"], "trial_seeds")
-            )
+            trial_seeds = raw["trial_seeds"]
         else:
             trials = as_int(raw.get("trials", 100), "trials", ConfigError)
+            seed = as_int(seed, "seed", ConfigError)
             trial_seeds = range(seed, seed + trials)  # sized before any tuple is built
-        densities = as_list(raw["densities"], "densities")
-        try:
-            densities = tuple(as_float(d, "density") for d in densities)
-        except ConfigError:
-            raise ConfigError(f"densities must be numbers, got {densities}") from None
         return ExperimentConfig(
-            densities=densities,
-            kinds=tuple(RankerKind.parse(k) for k in as_list(raw["kinds"], "kinds")),
-            k_neighbors=as_int(raw.get("k_neighbors", 10), "k_neighbors", ConfigError),
-            active_users=as_int(raw.get("active_users", 20), "active_users", ConfigError),
+            densities=raw["densities"],
+            kinds=raw["kinds"],
+            k_neighbors=raw.get("k_neighbors", 10),
+            active_users=raw.get("active_users", 20),
             trial_seeds=trial_seeds,
             seed=seed,
             dataset=dataset,
-            orientation=(
-                MetricOrientation.parse(raw["orientation"]) if "orientation" in raw else None
-            ),
+            orientation=raw.get("orientation"),
             scenario=scenario,
-            policy=AllocPolicy.parse(raw["policy"]) if "policy" in raw else None,
+            policy=raw.get("policy"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

@@ -43,6 +43,10 @@ CSV_HEADER = ("user_id", "service_id", "qos_value")
 # WS-DREAM's 339 x 5825 response-time matrix is about 2M cells.
 MAX_CELLS = 50_000_000
 
+# Largest QoS magnitude a matrix holds. No sum the pipeline forms has more
+# than 2 * MAX_CELLS terms of at most this size, so none overflows.
+MAX_QOS = sys.float_info.max / (2 * MAX_CELLS)
+
 # Characters `load_matrix` reads from the file at a time; one read's lines
 # are parsed together, so this bounds the parse's temporaries however long
 # the file is.
@@ -125,8 +129,10 @@ class QoSMatrix:
     def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise ValueError("QoSMatrix expects a 2-d array")
-        if np.isinf(values).any():
-            raise BadValueError("infinite QoS value in matrix")
+        top = -float(np.fmin.reduce(values, None, initial=0.0))  # fmin and fmax skip NaN
+        top = max(top, float(np.fmax.reduce(values, None, initial=0.0)))
+        if top > MAX_QOS:
+            raise BadValueError(f"QoS value of magnitude {top!r} in matrix, over {MAX_QOS:.4g}")
         values.setflags(write=False)
         self._values = values
         mask = ~np.isnan(values)

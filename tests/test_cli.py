@@ -232,6 +232,9 @@ def test_evaluate_missing_dataset_exits_two(tmp_path, capsys):
         ("1,2,nan", "line 4: non-finite QoS value 'nan'"),
         (f"{10**30},2,0.5", f"line 4: user id {10**30}"),
         ("0,0,0.7", "line 4: duplicate entry for (0, 0)"),
+        # finite, but a sum of a few such values overflows: a RuntimeWarning
+        # and "ranking contains duplicate services" used to follow
+        ("1,2,-1e308", "QoS value of magnitude 1e+308 in matrix, over 1.798e+300"),
     ],
 )
 def test_evaluate_malformed_dataset_exits_two(tmp_path, capsys, row, message):
@@ -409,7 +412,13 @@ def test_simulate_deterministic(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "factor_range", [[0.8, 1.0, 1.2], [1.2, 0.8], ["a", "b"], [0.8, "Infinity"], 1.0]
+    "factor_range",
+    [
+        [0.8, 1.0, 1.2], [1.2, 0.8], ["a", "b"], [0.8, "Infinity"], 1.0,
+        # factors scale throughput: these used to exit 0 with negative or
+        # zero throughputs, or with values whose sums overflow
+        [-5, -1], [0.0, 1.2], [0.8, 1e308],
+    ],
 )
 def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_range):
     scenario = json.loads((workspace / "scenario.json").read_text())
@@ -434,6 +443,15 @@ def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_rang
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"num_users": 10**9}, "1000000000 users x 30 services is over the 50000000-cell"),
+        # used to end in an OverflowError traceback from the host list
+        ({"hosts": {"count": 2**63, "mips": 3600.0, "ram": 16384.0, "bw": 4000.0}},
+         f"{2**63} hosts x 30 VMs is over the 50000000-probe allocation limit"),
+        # used to exit 0 printing mean_response_time=inf
+        ({"vms": [{"mips": 1e-10, "ram": 512.0, "bw": 100.0}] * 30, "cloudlets": [1e308] * 30},
+         "vm 0: response time overflows to inf"),
+        # used to exit 2 as a data error: infinite QoS value in matrix
+        ({"noise_amplitude": 1e308},
+         "noise_amplitude 1e+308 and user_factor_range [0.8, 1.2] make a QoS value over"),
     ],
 )
 def test_simulate_bad_scenario_values_exit_one(workspace, capsys, override, message):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,35 @@ def test_config_validation():
         ExperimentConfig(densities=(0.1,), kinds=ALL_KINDS)  # neither source
     with pytest.raises(ConfigError):
         config_from_dict({"densities": [0.1], "kinds": ["nope"], "scenario": {}})
+
+
+@pytest.mark.parametrize(
+    "override, outcome",
+    [
+        # converted as config_from_dict converts them: a kind given as a
+        # string used to raise AttributeError when the config ran
+        ({"kinds": ("cloudrank2", "random")},
+         {"kinds": (RankerKind.CLOUDRANK2, RankerKind.RANDOM_BASELINE)}),
+        ({"policy": "round-robin", "densities": [0.1]},
+         {"policy": AllocPolicy.ROUND_ROBIN, "densities": (0.1,)}),
+        # each used to raise a bare TypeError
+        ({"k_neighbors": "3"}, "k_neighbors '3' is not an integer"),
+        ({"densities": ("0.1",)}, "densities must be numbers, got ['0.1']"),
+        ({"active_users": 2.5}, "active_users 2.5 is not an integer"),
+        ({"trial_seeds": (0.5,)}, "trial seed 0.5 is not an integer"),
+        # each used to be accepted
+        ({"seed": True}, "seed True is not an integer"),
+        ({"kinds": "cloudrank2"}, "kinds must be a list, got 'cloudrank2'"),
+        ({"policy": "first-fit"}, "unknown allocation policy 'first-fit'"),
+    ],
+)
+def test_config_built_in_python_checks_its_fields(override, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ConfigError, match=re.escape(outcome)):
+            small_config(**override)
+    else:
+        config = small_config(**override)
+        assert {name: getattr(config, name) for name in outcome} == outcome
 
 
 @pytest.mark.parametrize("densities", [(0.1, 0.1004), (0.3, 0.3), (0.2, 0.1, 0.2)])
