@@ -1,13 +1,14 @@
 """Seeded fuzz test: mutated configs, scenarios and datasets through the CLI.
 
-Each case is a mutated copy of a committed input: the experiment config
-(one trial, three active users), the scenario, or a small dataset with its
-config. A mutation swaps a value's type, replaces it with an edge value,
-deletes it, or truncates or doubles the file's bytes. All cases run through
-`cli.main` in one child process whose address space is capped at 2 GB, so
-that an input that asks for a huge allocation ends in a MemoryError instead
-of exhausting the machine. Every case must exit 0, 1, 2 or 3, and a case
-that exits non-zero must print exactly one `qosrank:` line on stderr.
+Each case is a mutated copy of one input: the committed experiment config
+(cut to one density, one trial and three active users), the committed
+scenario, or a small dataset or its config. A mutation swaps a value's
+type, replaces it with an edge value, deletes it, or truncates or doubles
+the file's bytes. All cases run through `cli.main` in one child process
+whose address space is capped at 2 GB, so that an input that asks for a
+huge allocation ends in a MemoryError instead of exhausting the machine.
+Every case must exit 0, 1, 2 or 3, and a case that exits non-zero must
+print exactly one `qosrank:` line on stderr.
 
 Run as a script, this module is that child: it reads a JSON list of argv
 lists on stdin and prints each case's exit code and stderr as JSON.
@@ -19,7 +20,6 @@ import contextlib
 import copy
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -84,24 +84,25 @@ def json_cases(doc, rng) -> list[tuple[str, bytes]]:
 
 
 def csv_cases(text: str, rng) -> list[tuple[str, bytes]]:
-    """Each field of a random data row set to each of CSV_FIELDS, each header
-    field misnamed, a row repeated, shortened and lengthened, then the byte
-    cases."""
+    """Each header field misnamed; each field of the first data row and of a
+    random one set to each of CSV_FIELDS; a row repeated, shortened and
+    lengthened; then the byte cases."""
     lines = text.splitlines()
 
     def edit(i: int, fields: list[str]) -> bytes:
         return ("\n".join(lines[:i] + [",".join(fields)] + lines[i + 1 :]) + "\n").encode()
 
+    def set_field(line: str, j: int, token: str) -> str:
+        return ",".join(token if k == j else f for k, f in enumerate(line.split(",")))
+
     cases = []
     for j in range(3):
-        header = lines[0].split(",")
-        header[j] = "x"
-        cases.append((f"header field {j} misnamed", edit(0, header)))
+        cases.append((f"header field {j} misnamed", edit(0, [set_field(lines[0], j, "x")])))
         for token in CSV_FIELDS:
-            i = int(rng.integers(1, len(lines)))
-            fields = lines[i].split(",")
-            fields[j] = token
-            cases.append((f"line {i + 1} field {j} <- {token!r}", edit(i, fields)))
+            # the first data row is user 0's, the user `rank` ranks
+            for i in (1, int(rng.integers(2, len(lines)))):
+                cases.append((f"line {i + 1} field {j} <- {token!r}",
+                              edit(i, [set_field(lines[i], j, token)])))
     i = int(rng.integers(1, len(lines)))
     cases += [
         (f"line {i + 1} repeated", edit(i, [lines[i] + "\n" + lines[i]])),
@@ -112,9 +113,9 @@ def csv_cases(text: str, rng) -> list[tuple[str, bytes]]:
 
 
 def base_inputs() -> dict[str, bytes]:
-    """The committed config cut to one density, one trial and three active users, the
-    committed scenario, an 8 x 6 dataset with 30 observations and its config,
-    by file name."""
+    """The committed config cut to one density, one trial and three active
+    users, the committed scenario, an 8 x 6 dataset with 30 observations and
+    its config, by file name."""
     config = json.loads((CONFIG_DIR / "default_experiment.json").read_text())
     # either trial key alone gives one trial, so deleting one stays quick
     config.update(
@@ -138,11 +139,15 @@ def base_inputs() -> dict[str, bytes]:
 
 def make_cases(root: Path) -> list[tuple[str, list[str]]]:
     """Each case's description and argv. The base inputs are written into
-    `root`; each case writes its mutated file there under a name of its own,
-    and a config that reads it where the mutated file is not one."""
+    `root`, and each case writes its mutated file there under a name of its
+    own; a mutated scenario or dataset gets a copy of its config that reads
+    it. A case runs `evaluate` or `rank`, or for a scenario `simulate`."""
     base = base_inputs()
     for name, content in base.items():
         (root / name).write_bytes(content)
+    readers = {
+        "scenario.json": ("experiment.json", "scenario"), "data.csv": ("data.json", "dataset")
+    }
     rng = np.random.default_rng(SEED)
     cases = []
     for name, content in base.items():
@@ -151,18 +156,18 @@ def make_cases(root: Path) -> list[tuple[str, list[str]]]:
         for i, (what, data) in enumerate(mutated):
             path, out = root / f"{i}_{name}", str(root / f"{i}_{name}_out")
             path.write_bytes(data)
-            if name == "scenario.json" and rng.integers(2):
-                argv = ["simulate", "--scenario", str(path), "--out", out]
-            else:
-                config = path
-                if name in ("scenario.json", "data.csv"):  # a config that reads it
-                    config = root / f"{i}_{name}.config.json"
-                    config_name = "experiment.json" if name == "scenario.json" else "data.json"
-                    doc = json.loads(base[config_name])
-                    doc["scenario" if name == "scenario.json" else "dataset"] = path.name
-                    config.write_text(json.dumps(doc))
-                argv = (["evaluate", "--config", str(config), "--out", out] if rng.integers(2)
-                        else ["rank", "--config", str(config), "--user", "0"])
+            config = path
+            if name in readers:
+                config_name, key = readers[name]
+                config = root / f"{i}_{name}.json"
+                config.write_text(json.dumps({**json.loads(base[config_name]), key: path.name}))
+            commands = [
+                ["evaluate", "--config", str(config), "--out", out],
+                ["rank", "--config", str(config), "--user", "0"],
+            ]
+            if name == "scenario.json":
+                commands.append(["simulate", "--scenario", str(path), "--out", out])
+            argv = commands[int(rng.integers(len(commands)))]
             cases.append((f"{name} case {i} ({argv[0]}): {what}", argv))
     return cases
 
@@ -218,7 +223,7 @@ def run_cases(argvs: list[list[str]]) -> list[tuple[int | None, str]]:
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
-        except BaseException:  # noqa: BLE001 - a MemoryError or SystemExit is a finding too
+        except (Exception, SystemExit):  # a MemoryError or an argparse exit is a finding too
             code = None
             err.write(traceback.format_exc())
         results.append((code, err.getvalue()))
