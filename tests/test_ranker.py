@@ -391,6 +391,8 @@ def test_candidate_outside_matrix_rejected(kind, bad):
          f"user {np.float64(0.0)!r}"),
         (lambda m: rank_orders((RankerKind.CLOUDRANK1,), m, [0.5], 2, range(3)), "user 0.5"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2.9, range(3)), "neighborhood size 2.9"),
+        # similarity_block trusts its ids: the batch that feeds it is checked first
+        (lambda m: rank_orders((RankerKind.CLOUDRANK2,), m, [1, 0.7], 2, range(3)), "user 0.7"),
         (lambda m: rank_orders((RankerKind.RANDOM_BASELINE,), m, [0.7], 2, range(3)), "user 0.7"),
     ],
 )
