@@ -115,13 +115,21 @@ class QoSMatrix:
     """
 
     def __init__(self, values: np.ndarray):
-        """A matrix over a copy of `values`, so the caller's array stays its own."""
-        self._adopt(np.array(values, dtype=float))
+        """A matrix over a copy of `values`, so the caller's array stays its
+        own; BadValueError for a value of magnitude over MAX_QOS."""
+        values = np.array(values, dtype=float)
+        top = -float(np.fmin.reduce(values, None, initial=0.0))  # fmin and fmax skip NaN
+        top = max(top, float(np.fmax.reduce(values, None, initial=0.0)))
+        if top > MAX_QOS:
+            raise BadValueError(f"QoS value of magnitude {top!r} in matrix, over {MAX_QOS:.4g}")
+        self._adopt(values)
 
     @classmethod
     def _own(cls, values: np.ndarray) -> "QoSMatrix":
-        """A matrix over a float64 array the package has just built and hands
-        over, without copying it; the array becomes read-only."""
+        """A matrix over a float64 array the package has just built from
+        values checked where they entered (a dataset row, a synthesized
+        value) and hands over, neither copied nor checked again; the array
+        becomes read-only."""
         matrix = cls.__new__(cls)
         matrix._adopt(values)
         return matrix
@@ -129,10 +137,6 @@ class QoSMatrix:
     def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise ValueError("QoSMatrix expects a 2-d array")
-        top = -float(np.fmin.reduce(values, None, initial=0.0))  # fmin and fmax skip NaN
-        top = max(top, float(np.fmax.reduce(values, None, initial=0.0)))
-        if top > MAX_QOS:
-            raise BadValueError(f"QoS value of magnitude {top!r} in matrix, over {MAX_QOS:.4g}")
         values.setflags(write=False)
         self._values = values
         mask = ~np.isnan(values)
@@ -252,29 +256,15 @@ def _content(lines: list[str]) -> list[str]:
     return [s for s in map(str.strip, lines) if s and s[0] != "#"]
 
 
-def _line_number(lines: list[str], start: int, k: int) -> int:
-    """File line (1-based) of the k-th content line from lines[start] on.
-
-    Cold: it only names the line of an error."""
-    for n in range(start, len(lines)):
-        if _content(lines[n : n + 1]):
-            if k == 0:
-                return n + 1
-            k -= 1
-    raise IndexError(k)
-
-
 def _parse_block(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
     """(user, service, value) records of stripped data rows, parsed by
     numpy's C reader.
 
     The reader accepts a subset of the number forms Python's int and float
-    accept (not `1_0`, for one) and gives the same values for them; a block
-    it rejects is parsed by `_parse_rows`. Raises for the first row the
-    format rejects, naming its file line `line_of(k)`: ParseError for a row
-    without exactly three fields, an id that is not a non-negative integer or
-    a value that is not a number, BadValueError for a non-finite value,
-    DataError for an id beyond int64.
+    accept (not `1_0`, for one) and gives the same values for them. A block
+    it rejects, or holding a row that one array check flags (a negative id,
+    a value that is not finite or over MAX_QOS), is parsed by `_parse_rows`,
+    which raises for the first row that breaks a rule.
     """
     if not rows:
         return np.empty(0, _ROW)
@@ -285,20 +275,22 @@ def _parse_block(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
             records = np.loadtxt(rows, _ROW, comments=None, delimiter=",", ndmin=1)
     except (ValueError, DeprecationWarning):
         return _parse_rows(rows, line_of)
-    negative = (records["user"] < 0) | (records["service"] < 0)
-    bad = np.flatnonzero(negative | ~np.isfinite(records["value"]))
-    if bad.size:
-        k = int(bad[0])
-        if negative[k]:
-            raise ParseError(f"line {line_of(k)}: negative id")
-        value = rows[k].split(",")[2].strip()
-        raise BadValueError(f"line {line_of(k)}: non-finite QoS value {value!r}")
+    in_range = np.abs(records["value"]) <= MAX_QOS  # False for NaN and infinities
+    if not (in_range.all() and records["user"].min() >= 0 and records["service"].min() >= 0):
+        return _parse_rows(rows, line_of)
     return records
 
 
 def _parse_rows(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
     """`_parse_block` one row at a time with Python's int and float, which
-    define the number forms the format accepts."""
+    define the number forms the format accepts.
+
+    The one home of the row rules. Raises for the first row that breaks one,
+    naming its file line `line_of(k)`: ParseError for a row without exactly
+    three fields, an id that is not a non-negative integer or a value that is
+    not a number, BadValueError for a value that is not finite or is over
+    MAX_QOS in magnitude, DataError for an id beyond int64.
+    """
     records = []
     for k, row in enumerate(rows):
         fields = [f.strip() for f in row.split(",")]
@@ -312,6 +304,10 @@ def _parse_rows(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
             raise ParseError(f"line {line_of(k)}: negative id")
         if not math.isfinite(value):
             raise BadValueError(f"line {line_of(k)}: non-finite QoS value {fields[2]!r}")
+        if abs(value) > MAX_QOS:
+            raise BadValueError(
+                f"line {line_of(k)}: QoS value {fields[2]!r} is over {MAX_QOS:.4g} in magnitude"
+            )
         if max(user, service) > _INT64_MAX:
             axis, big = ("user", user) if user > service else ("service", service)
             raise DataError(
@@ -326,9 +322,9 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     """Load a QoS matrix from CSV.
 
     Expected format: header `user_id,service_id,qos_value`, integer ids,
-    decimal values, `#` starting comment lines; blank lines and whitespace
-    around fields are ignored. Smaller-is-better values are negated here so
-    the returned matrix is canonical.
+    decimal values of magnitude at most MAX_QOS, `#` starting comment lines;
+    blank lines and whitespace around fields are ignored. Smaller-is-better
+    values are negated here so the returned matrix is canonical.
 
     The file is read READ_CHARS characters at a time, never whole, and each
     read's complete lines are parsed as one block by numpy's C reader into
@@ -337,47 +333,47 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     than "\\n") reaches the reader with no Python per line; any other read's
     lines are stripped and filtered one by one first. The checks are array
     operations. Python's int and float still define the accepted number
-    forms: a block the reader rejects is parsed row by row with them. Memory
-    is 24 bytes per row (48 while the blocks are joined) plus one read's
-    text and lines: a 36k-row plain file loads in 20 ms with a 3.1 MB
+    forms: a block the reader rejects or the checks flag is parsed row by
+    row with them, which names the first bad row. Memory is 24 bytes per
+    row (48 while the blocks are joined) plus one read's text and lines:
+    a 36k-row plain file loads in 20 ms with a 3.1 MB
     tracemalloc peak (2-vCPU host, Python 3.11, numpy 2.4; 23 ms with
     every read on the per-line path, about 84 ms with Python's int and float
     on every field).
 
     Raises ParseError, BadValueError or DuplicateKeyError naming the line on
     malformed input, DataError if the file is unreadable or an id implies a
-    grid of more than MAX_CELLS cells.
+    grid of more than MAX_CELLS cells. The read only counts content rows;
+    an error names its line by re-reading the file up to its row.
     """
     path = Path(path)
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            blocks, first = _blocks(fh), 0  # first: lines before the header's block
-            for lines, rows in blocks:
-                if rows:
-                    break
-                first += len(lines)
-            else:
-                raise ParseError("empty dataset: no header line found")
-            at = _line_number(lines, 0, 0)  # the block's lines up to the header
-            first += at
-            header = rows[0]
-            if tuple(f.strip() for f in header.split(",")) != CSV_HEADER:
-                raise ParseError(
-                    f"line {first}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-                )
-            parts, start = [], first  # the header's block gives at least one part
-            for lines, rows in itertools.chain([(lines[at:], rows[1:])], blocks):
-                parts.append(_parse_block(rows, lambda k: start + _line_number(lines, 0, k)))
-                start += len(lines)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    records = np.concatenate(parts)
-    users, services, values = records["user"], records["service"], records["value"]
 
     def line_of(i: int) -> int:
-        # cold: re-reads the file to name the line of an error
+        """File line (1-based) of content row i, the header being row 0."""
         with path.open(encoding="utf-8", newline="") as fh:
-            return _line_number([line for lines, _ in _blocks(fh) for line in lines], first, i)
+            lines = (line for block, _ in _blocks(fh) for line in block)
+            content = (n for n, line in enumerate(lines, 1) if _content([line]))
+            return next(itertools.islice(content, i, None))
+
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            parts, count = [], 0  # count: content rows so far, the header's included
+            for _, rows in _blocks(fh):
+                start, count = count, count + len(rows)
+                if start == 0 and rows:  # the header's block
+                    if tuple(f.strip() for f in rows[0].split(",")) != CSV_HEADER:
+                        raise ParseError(
+                            f"line {line_of(0)}: expected header {','.join(CSV_HEADER)!r}, "
+                            f"got {rows[0]!r}"
+                        )
+                    rows, start = rows[1:], 1
+                parts.append(_parse_block(rows, lambda k: line_of(start + k)))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    if not count:
+        raise ParseError("empty dataset: no header line found")
+    records = np.concatenate(parts)
+    users, services, values = records["user"], records["service"], records["value"]
 
     num_users = int(users.max()) + 1 if users.size else 0
     num_services = int(services.max()) + 1 if users.size else 0
@@ -385,13 +381,13 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
         axis, ids = ("user", users) if num_users > num_services else ("service", services)
         i = int(ids.argmax())
         raise DataError(
-            f"line {line_of(i)}: {axis} id {ids[i]} implies a {num_users} x {num_services} "
+            f"line {line_of(i + 1)}: {axis} id {ids[i]} implies a {num_users} x {num_services} "
             f"matrix, over the {MAX_CELLS}-cell limit"
         )
     if orientation is MetricOrientation.SMALLER_IS_BETTER:
         np.negative(values, out=values)
     grid = _fill_grid(
-        num_users, num_services, users, services, values, lambda i: f"line {line_of(i)}: "
+        num_users, num_services, users, services, values, lambda i: f"line {line_of(i + 1)}: "
     )
     return QoSMatrix._own(grid)
 

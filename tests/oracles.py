@@ -60,7 +60,7 @@ from qosrank.errors import (
     DuplicateKeyError,
     ParseError,
 )
-from qosrank.matrix import CSV_HEADER, MAX_CELLS, MetricOrientation, QoSMatrix, as_int
+from qosrank.matrix import CSV_HEADER, MAX_CELLS, MAX_QOS, MetricOrientation, QoSMatrix, as_int
 from qosrank.metrics import SummaryRow
 from qosrank.preference import preference_block
 from qosrank.ranker import TIE_TOLERANCE, candidate_ids
@@ -497,6 +497,10 @@ def oracle_load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSM
             raise ParseError(f"line {lineno}: negative id")
         if not math.isfinite(value):
             raise BadValueError(f"line {lineno}: non-finite QoS value {fields[2]!r}")
+        if abs(value) > MAX_QOS:
+            raise BadValueError(
+                f"line {lineno}: QoS value {fields[2]!r} is over {MAX_QOS:.4g} in magnitude"
+            )
         if orientation is MetricOrientation.SMALLER_IS_BETTER:
             value = -value
         entries.append((user, service, value))

@@ -234,7 +234,11 @@ def test_evaluate_missing_dataset_exits_two(tmp_path, capsys):
         ("0,0,0.7", "line 4: duplicate entry for (0, 0)"),
         # finite, but a sum of a few such values overflows: a RuntimeWarning
         # and "ranking contains duplicate services" used to follow
-        ("1,2,-1e308", "QoS value of magnitude 1e+308 in matrix, over 1.798e+300"),
+        pytest.param(
+            "1,2,-1e308",
+            "line 4: QoS value '-1e308' is over 1.798e+300 in magnitude",
+            id="1,2,-1e308-QoS value of magnitude 1e+308 in matrix, over 1.798e+300",
+        ),
     ],
 )
 def test_evaluate_malformed_dataset_exits_two(tmp_path, capsys, row, message):

@@ -253,6 +253,12 @@ def test_matrix_rejects_infinite_values():
         QoSMatrix(np.array([[1.0, math.inf]]))
 
 
+def test_matrix_rejects_caller_values_over_max_qos():
+    with pytest.raises(BadValueError, match=r"magnitude 1e\+308 in matrix, over 1.798e\+300"):
+        QoSMatrix(np.array([[1.0, np.nan], [-1e308, 2.0]]))
+    QoSMatrix(np.array([[matrix_module.MAX_QOS, -matrix_module.MAX_QOS]]))
+
+
 
 # --- block-wise loader: error paths and parity with the line-by-line oracle ---
 
@@ -437,6 +443,8 @@ BAD_ROWS = {
     "negative id beyond int64": (f"{-10**30},2,0.5", ParseError),
     "nan": ("1,2,nan", BadValueError),
     "infinite": ("1,2,-inf", BadValueError),
+    "over MAX_QOS": ("1,2,-1e308", BadValueError),
+    "over MAX_QOS, Python-parsed": ("1,2,1e30_1", BadValueError),
     "duplicate": ("0,0,0.25", DuplicateKeyError),
     "grid over MAX_CELLS": (f"1,{10**12},0.5", DataError),
     "id beyond int64": (f"{10**30},2,0.5", DataError),
@@ -551,7 +559,7 @@ def test_reader_deprecation_warning_counts_as_rejection(tmp_path, monkeypatch):
 SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
-@pytest.mark.parametrize("bad_row", ["1,x,0.5", "0,0,0.9"])
+@pytest.mark.parametrize("bad_row", ["1,x,0.5", "0,0,0.9", "1,1,-1e308"])
 @pytest.mark.parametrize("read_chars", [1, 2, 5, None])
 @pytest.mark.parametrize("sep", SEPARATORS)
 def test_load_line_breaks_match_oracle(tmp_path, monkeypatch, sep, read_chars, bad_row):
@@ -625,7 +633,7 @@ def test_plain_and_other_reads_match_oracle(tmp_path, monkeypatch, block, seed):
 # Bad rows of each kind a plain read can hold; the duplicate repeats "0,0".
 PLAIN_BAD_ROWS = [
     "1,2", "1,2,0.5,9", "x,2,0.5", "1,2,fast", "1,-2,0.5",
-    "-1,2,0.5", "1,2,nan", "1,2,-inf", "0,0,0.25",
+    "-1,2,0.5", "1,2,nan", "1,2,-inf", "0,0,0.25", "1,2,-1e308", "1,2,1e30_1",
 ]
 
 
@@ -633,8 +641,8 @@ PLAIN_BAD_ROWS = [
 @pytest.mark.parametrize("block", [1, 3, 7, None])
 @pytest.mark.parametrize("bad", PLAIN_BAD_ROWS)
 def test_plain_file_errors_match_oracle(tmp_path, monkeypatch, bad, block, where):
-    # a parse, negative-id, non-finite or duplicate row in a file whose every
-    # read is plain is named at the oracle's line
+    # a parse, negative-id, non-finite, over-MAX_QOS or duplicate row in a
+    # file whose every read is plain is named at the oracle's line
     if block is not None:
         monkeypatch.setattr(matrix_module, "READ_CHARS", ROW_CHARS * block)
     rows = [f"{u},{s},{0.01 * (u + s)!r}" for u in range(40) for s in range(30)]
