@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .allocsim import AllocPolicy, load_scenario, synth_matrix, write_plan_csv
@@ -55,6 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(out: Path):
+    """Create the output directory `out` for the block to write into; an
+    OSError on the way, such as `out` being a file, is a ConfigError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
+
+
 def cmd_rank(args) -> int:
     config = load_config(args.config)
     kind = RankerKind.parse(args.kind)
@@ -69,8 +81,8 @@ def cmd_rank(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report(report, args.out)
+    with _writing(args.out):
+        write_report(report, args.out)
     for s in report.summaries:
         print(
             f"density={s.density} kind={s.kind} mean_accuracy={s.mean_accuracy:.4f} "
@@ -84,12 +96,13 @@ def cmd_simulate(args) -> int:
     policy = AllocPolicy.parse(args.policy) if args.policy else scenario.policy
     matrix, plan = synth_matrix(scenario, policy)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix(matrix, out / f"qos_{policy.value}.csv")
-    write_plan_csv(plan, out / f"plan_{policy.value}.csv")
+    with _writing(out):
+        save_matrix(matrix, out / f"qos_{policy.value}.csv")
+        write_plan_csv(plan, out / f"plan_{policy.value}.csv")
     if plan.unplaced:
         print(f"warning: unplaced VMs {list(plan.unplaced)}", file=sys.stderr)
-    mean_rt = sum(plan.response_time.values()) / len(plan.response_time)
+    n = len(plan.response_time)
+    mean_rt = sum(rt / n for rt in plan.response_time.values())  # a sum of the times may overflow
     print(
         f"policy={policy.value} services={len(plan.response_time)} "
         f"unplaced={len(plan.unplaced)} mean_response_time={mean_rt:.4f}"

@@ -489,6 +489,40 @@ def test_underflowing_response_time_exits_one(workspace, capsys, command):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "path under a file"])
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_unwritable_out_exits_one(workspace, capsys, command, under_file):
+    # an --out that is a file or lies under one used to end in a
+    # FileExistsError or NotADirectoryError traceback, for evaluate only
+    # after the whole experiment had run
+    taken = workspace / "taken"
+    taken.write_text("x")
+    out = taken / "out" if under_file else taken
+    flag, path = {
+        "simulate": ("--scenario", "scenario.json"), "evaluate": ("--config", "experiment.json")
+    }[command]
+    code, _, err = run([command, flag, workspace / path, "--out", out], capsys)
+    assert code == 1
+    assert err.startswith(f"qosrank: cannot write output directory {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "x"
+
+
+def test_simulate_mean_response_time_of_huge_times_is_finite(workspace, capsys):
+    # every response time is 1e307, but their sum overflows: the mean used
+    # to print as inf
+    scenario = json.loads((workspace / "scenario.json").read_text())
+    scenario["cloudlets"] = [1e307] * len(scenario["vms"])
+    for vm in scenario["vms"]:
+        vm["mips"] = 1.0
+    (workspace / "huge.json").write_text(json.dumps(scenario))
+    code, out, _ = run(
+        ["simulate", "--scenario", workspace / "huge.json", "--out", workspace / "sim"], capsys
+    )
+    assert code == 0
+    assert float(out.rsplit("mean_response_time=", 1)[1]) == pytest.approx(1e307)
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
