@@ -62,7 +62,7 @@ def _triples(rows: Sequence, what: str, noun: str) -> list[tuple[float, float, f
             mips, ram, bw = row
             positive = mips > 0 and ram > 0 and bw > 0  # TypeError for a string
             triples.append((float(mips), float(ram), float(bw)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
             raise ConfigError(f"{what} {i}: {noun} must be three numbers, got {row!r}") from None
         if not positive:
             raise ConfigError(f"{what} {i}: {noun} must be > 0")

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .allocsim import AllocPolicy, load_scenario, synth_matrix, write_plan_csv
-from .errors import AllocationError, ConfigError, DataError, DomainError, QosRankError
+from .errors import AllocationError, ConfigError, DataError, QosRankError
 from .experiment import build_matrix, load_config, run_experiment
 from .matrix import save_matrix
 from .metrics import write_report
@@ -122,10 +122,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"qosrank: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, DomainError) as exc:
-        print(f"qosrank: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QosRankError as exc:  # pragma: no cover
+    except QosRankError as exc:  # ConfigError, DomainError
         print(f"qosrank: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,6 +37,12 @@ from .seeding import derive_rng
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
+# every key `config_from_dict` reads; any other key, misspelt or retired,
+# would be ignored silently and is rejected
+CONFIG_KEYS = (
+    "active_users", "dataset", "densities", "k_neighbors", "kinds", "orientation", "policy",
+    "scenario", "seed", "trial_seeds", "trials",
+)
 
 
 def _density_key(density: float) -> int:
@@ -143,12 +149,12 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
     base_dir = base_dir or Path.cwd()
     if not isinstance(raw, dict):
         raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
+    unknown = [key for key in raw if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {unknown[0]!r}: a config reads only {', '.join(CONFIG_KEYS)}"
+        )
     try:
-        if "correct_observed" in raw:
-            raise ConfigError(
-                "correct_observed must be trimmed from the config: the observed-order "
-                "correction is always applied"
-            )
         scenario = None
         if "scenario" in raw:
             ref = raw["scenario"]

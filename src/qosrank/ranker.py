@@ -197,8 +197,7 @@ def _greedy_batch(kinds, matrix, batch, k, ids) -> np.ndarray:
     read off the kind-major [cloudrank2, cloudrank1] block of tables. The
     batch's arrays are freed on return, before the next batch is built."""
     n = ids.size
-    sims = similarity_block(matrix, batch)
-    nbrs = top_neighbors(sims, batch, k)
+    nbrs = top_neighbors(similarity_block(matrix, batch), k)
     block = preference_block(matrix, batch, nbrs, ids)
     slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
     if not slots.all():

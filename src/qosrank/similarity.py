@@ -7,16 +7,18 @@ two services are uninformative and score 0.
 
 `similarity_block` sorts each active user b's observed services by b's value
 and lays every user v's values on them, in that order, NaN where either did
-not observe: one row per (v, b). `concordance` packs each row down to its
-values, a (c, U * B) array with c the largest overlap. A pair of slots
-i > j then has b's value rising or tied, so the count gives concordant -
-discordant for every (v, b) at once. The pairs inside one of b's tie groups
-were counted there too: each group is counted again as rows of its own and
-subtracted, at a cost set by the groups' own sizes; untied data has none.
+not observe: one row per (v, b), b's own row all NaN. `concordance` packs
+each row down to its values, a (c, U * B) array with c the largest overlap
+of b with another user. A pair of slots i > j then has b's value rising or
+tied, so the count gives concordant - discordant for every (v, b) at once.
+The pairs inside one of b's tie groups were counted there too: each group
+is counted again as rows of its own and subtracted, at a cost set by the
+groups' own sizes; untied data has none.
 The cost is O(c^2 * U * B) comparisons, never a (U, S, S) tensor.
 `metrics.tau_scores` counts a ranking's agreement with withheld truth with
 the same `concordance`. `top_neighbors` picks every active user's neighbours
-from the block with one stable sort.
+from the block with one stable sort; b's own entry is 0, and only strictly
+positive entries are picked, so no user is its own neighbour.
 """
 
 from __future__ import annotations
@@ -63,27 +65,27 @@ def concordance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     """(num_users, len(users)) similarities: column b holds users[b]'s
-    similarity to every user, itself included. `users` are valid user ids,
-    as `ranker.rank_orders` checks them.
+    similarity to every other user, and its own entry is 0. `users` are
+    valid user ids, as `ranker.rank_orders` checks them.
 
     Column b is bit-identical to computing users[b]'s column on its own:
     every sum below adds exact integers, so the batch changes no bit of the
     result.
     """
     batch = np.asarray(users, dtype=np.intp)
-    shape, own_cells = (matrix.num_users, batch.size), (batch, np.arange(batch.size))
+    shape = (matrix.num_users, batch.size)
     own = matrix.values[batch]
     order = np.argsort(own, axis=1, kind="stable")  # ascending, NaN (unobserved) last
     own = np.sort(own, axis=1)
-    counts = np.count_nonzero(own == own, axis=1)
-    n = int(counts.max(initial=0))
+    n = int(np.count_nonzero(own == own, axis=1).max(initial=0))
     own = own[:, :n]
     # every user's values in each b's order, NaN where either did not observe;
-    # b's own row too, which would widen c to n. take, unlike [:, order],
-    # returns them C-contiguous as (U, B, n), the rows `concordance` reads
+    # b's own row all NaN, which keeps c the largest overlap with another
+    # user and b's own entry 0. take, unlike [:, order], returns them
+    # C-contiguous as (U, B, n), the rows `concordance` reads
     values = matrix.values.take(order[:, :n], axis=1)
     values[:, own != own] = np.nan
-    values[own_cells] = np.nan
+    values[batch, np.arange(batch.size)] = np.nan
     cd, common = (a.reshape(shape) for a in concordance(values.reshape(shape[0] * shape[1], n)))
     # b's tied pairs count 0: each tie group of b's, as one row per user,
     # is counted alone and taken off b's column; groups gathered by size in
@@ -101,22 +103,17 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
         tied, _ = concordance(group.reshape(-1, m))
         np.subtract.at(cd.T, starts[pick] // n, tied.reshape(shape[0], -1).T)
         m *= 2
-    # b against itself: every pair of its own outside a tie group is concordant
-    common[own_cells] = counts
     pairs = common * (common - 1) / 2
-    own_ties = np.bincount(starts // max(n, 1), sizes * (sizes - 1) / 2, minlength=batch.size)
-    cd[own_cells] = pairs[own_cells] - own_ties
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
-def top_neighbors(sims: np.ndarray, active, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def top_neighbors(sims: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each column b of the (num_users, B) block `sims`: the user ids
     (row indices) and similarities of the at-most-k rows with the largest
-    strictly positive similarity, row active[b] excluded, sorted descending;
-    equal similarities break toward the smaller id, as the sort is stable.
-    One sort orders the whole block; k is an int >= 0."""
-    rows = np.arange(len(sims))[:, None]
-    sims = np.where(rows == np.asarray(active)[None, :], 0.0, sims)
+    strictly positive similarity, sorted descending; equal similarities
+    break toward the smaller id, as the sort is stable. A block from
+    `similarity_block` holds 0 at each active user's own entry, so no user
+    is its own neighbour. One sort orders the whole block; k is an int >= 0."""
     order = np.argsort(-sims, axis=0, kind="stable")[:k]
     top = np.take_along_axis(sims, order, axis=0)
     counts = (top > 0.0).sum(axis=0).tolist()

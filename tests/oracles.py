@@ -152,7 +152,7 @@ def preference_value(matrix: QoSMatrix, u: int, nbrs, i: int, j: int) -> Prefere
 def top_k(matrix: QoSMatrix, u: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """u's Top-k neighbours (ids, sims): `top_neighbors` over u's column of
     `similarity_block`, a batch of one."""
-    return top_neighbors(similarity_block(matrix, (u,)), [u], k)[0]
+    return top_neighbors(similarity_block(matrix, (u,)), k)[0]
 
 
 def preference_stack(

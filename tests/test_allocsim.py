@@ -315,6 +315,11 @@ def test_capacity_validation():
             allocate([host(10.0)], [vm(1.0), vm(1.0), vm(-5.0)], policy)
         with pytest.raises(ConfigError, match=r"^vm 0: requests must be > 0$"):
             allocate([host(10.0)], [vm(1.0, float("nan"))], policy)
+        # an int past float range used to end in a bare OverflowError
+        with pytest.raises(ConfigError, match=r"^vm 0: requests must be three numbers"):
+            allocate([host(10.0)], [vm(10**400)], policy)
+        with pytest.raises(ConfigError, match=r"^host 0: capacities must be three numbers"):
+            allocate([host(10.0, bw=10**400)], [vm(1.0)], policy)
         for bad in [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), ("1", 1.0, 1.0), None]:
             with pytest.raises(ConfigError, match=r"^vm 1: requests must be three numbers"):
                 allocate([host(10.0)], [vm(1.0), bad], policy)

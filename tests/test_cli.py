@@ -288,10 +288,13 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-CORRECT_OBSERVED_REJECTED = (
+# correct_observed's message when it was the one key rejected by name: its
+# two cases keep the test ids that message gave them
+OLD_CORRECT_OBSERVED_ID = (
     "correct_observed must be trimmed from the config: the observed-order correction is "
     "always applied"
 )
+CORRECT_OBSERVED_REJECTED = "unknown config key 'correct_observed': a config reads only"
 
 
 @pytest.mark.parametrize(
@@ -308,8 +311,14 @@ CORRECT_OBSERVED_REJECTED = (
         ({"active_users": "10"}, "active_users '10' is not an integer"),
         # the correction moves only observed services, so no score depends on
         # it: the key is rejected whatever its value
-        ({"correct_observed": True}, CORRECT_OBSERVED_REJECTED),
-        ({"correct_observed": False}, CORRECT_OBSERVED_REJECTED),
+        pytest.param(
+            {"correct_observed": True}, CORRECT_OBSERVED_REJECTED,
+            id=f"override9-{OLD_CORRECT_OBSERVED_ID}",
+        ),
+        pytest.param(
+            {"correct_observed": False}, CORRECT_OBSERVED_REJECTED,
+            id=f"override10-{OLD_CORRECT_OBSERVED_ID}",
+        ),
         ({"trial_seeds": None, "trials": True}, "trials True is not an integer"),
         ({"k_neighbors": True}, "k_neighbors True is not an integer"),
         ({"densities": [0.1, True]}, "densities must be numbers, got [0.1, True]"),
@@ -343,6 +352,10 @@ CORRECT_OBSERVED_REJECTED = (
         ({"scenario": {"cloudlets": "12"}}, "cloudlets must be a list, got '12'"),
         ({"scenario": {"user_factor_range": "0.8, 1.2"}},
          "user_factor_range must be a list, got '0.8, 1.2'"),
+        # a misspelt key used to be ignored: these ran with k = 10 and 100
+        # trials and exited 0
+        ({"k_neighbours": 3}, "unknown config key 'k_neighbours': a config reads only active_users"),
+        ({"trails": 5}, "unknown config key 'trails': a config reads only active_users"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):

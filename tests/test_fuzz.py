@@ -31,9 +31,10 @@ import numpy as np
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SEED = 20261020
-# what each field of a JSON input is set to in turn: edge values, a list
-# around the old value, its string, and deletion
-JSON_OPS = (0, -1, 5e-324, 1e308, 2**63, None, "x", "<list>", "<str>", "<delete>")
+# what each field of a JSON input is set to in turn: edge values (10**400 is
+# a JSON integer that no float holds), a list around the old value, its
+# string, and deletion
+JSON_OPS = (0, -1, 5e-324, 1e308, 2**63, 10**400, None, "x", "<list>", "<str>", "<delete>")
 # what each field of a dataset row is set to in turn
 CSV_FIELDS = ("0", "-1", "5e-324", "1e308", str(2**63), "", "nan", "inf", "x", "1.5", "1,2")
 ADDRESS_SPACE = 2 * 2**30

@@ -323,7 +323,7 @@ def test_uncovered_pairs_are_positive_zero_on_negative_values(rng):
         m = QoSMatrix(-random_sparse_matrix(rng, users, services, 0.35).values - 0.01)
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
-        nbrs = top_neighbors(similarity_block(m, batch), batch, trial % 6)
+        nbrs = top_neighbors(similarity_block(m, batch), trial % 6)
         members = [members_of(pair) for pair in nbrs]
         values, confidences, provenance = assert_slices_match_oracle(m, batch, members, cands)
         unknown = provenance == 0
@@ -376,7 +376,7 @@ def test_one_user_stack_memory_bounded():
     values = -rng.uniform(0.0, 1.0, (300, 400))
     values[rng.uniform(size=values.shape) > 0.3] = np.nan
     m = QoSMatrix(values)
-    nbrs = top_neighbors(similarity_block(m, [0]), [0], 10)
+    nbrs = top_neighbors(similarity_block(m, [0]), 10)
     cands = candidate_ids(m, range(400))
     tracemalloc.start()
     try:

@@ -47,8 +47,11 @@ def sim(matrix, u, v):
 
 def select(sims, active, k):
     """The Top-k members ((user, similarity), ...) of one column of
-    similarities, indexed by user id."""
-    return members_of(top_neighbors(np.asarray(sims)[:, None], [active], k)[0])
+    similarities, indexed by user id, with the active user's entry zeroed
+    as `similarity_block` leaves it."""
+    column = np.array(sims, dtype=float)
+    column[active] = 0.0
+    return members_of(top_neighbors(column[:, None], k)[0])
 
 
 def test_identical_ordering_gives_one():
@@ -214,7 +217,10 @@ def test_block_matches_pair_oracle_bit_for_bit(rng, monkeypatch, chunk_elems):
         for batch in batches:
             got = similarity_block(m, batch)
             assert got.shape == (users, len(batch))
-            assert got.tobytes() == oracle_similarity_block(m, batch).tobytes()
+            want = oracle_similarity_block(m, batch)
+            own = np.asarray(batch, dtype=np.intp)
+            want[own, np.arange(own.size)] = 0.0  # the block's own entries are 0
+            assert got.tobytes() == want.tobytes()
 
 
 def test_row_memory_bounded_for_fully_observed_user(rng):
@@ -251,8 +257,13 @@ def test_memory_bounded_for_skewed_ties():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20
-    # 1000 * 999 / 2 + 500 of user 0's 3000 * 2999 / 2 pairs are tied
-    assert column[0] == (4498500 - 500000) / 4498500
+    assert column[0] == 0.0
+    # user 1 against a pair-by-pair count over the ~1500 services it shares
+    # with user 0, ~134000 pairs of the 1000-service tie group among them
+    common = np.flatnonzero(m.observed_mask[0] & m.observed_mask[1])
+    signs = [np.sign(np.subtract.outer(row, row)).astype(np.int64) for row in values[:2, common]]
+    n = common.size
+    assert column[1] == int((signs[0] * signs[1]).sum()) // 2 / (n * (n - 1) // 2)
 
 
 def test_row_three_users():
@@ -316,7 +327,7 @@ def test_top_neighbors_match_oracle(rng):
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         block = similarity_block(m, batch)
         for k in (0, 1, 3, users + 2):
-            got = top_neighbors(block, batch, k)
+            got = top_neighbors(block, k)
             for b, ((ids, sims), u) in enumerate(zip(got, batch)):
                 column = similarity_block(m, (u,))[:, 0]
                 assert column.tobytes() == block[:, b].tobytes()
@@ -327,8 +338,9 @@ def test_top_neighbors_match_oracle(rng):
 
 
 def test_top_neighbors_excludes_active_and_breaks_ties_by_id():
-    sims = np.array([[1.0, 0.5], [0.5, 1.0], [0.5, 0.5], [-0.2, 0.0]])
-    got = top_neighbors(sims, [0, 1], 9)
+    # each active user's own entry is 0, as `similarity_block` leaves it
+    sims = np.array([[0.0, 0.5], [0.5, 0.0], [0.5, 0.5], [-0.2, 0.0]])
+    got = top_neighbors(sims, 9)
     assert [(ids.tolist(), s.tolist()) for ids, s in got] == [
         ([1, 2], [0.5, 0.5]),
         ([0, 2], [0.5, 0.5]),
