@@ -20,7 +20,8 @@ produce identical output since every cell owns its seed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, 
 from .errors import ConfigError
 from .matrix import (
     MAX_CELLS, MetricOrientation, QoSMatrix, as_float, as_int, as_list, load_matrix, read_json,
-    split_train_test,
+    read_keys, split_train_test,
 )
 from .metrics import ExperimentReport, tau_scores
 from .ranker import RankerKind, rank_orders
@@ -37,17 +38,44 @@ from .seeding import derive_rng
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
-# every key `config_from_dict` reads; any other key, misspelt or retired,
-# would be ignored silently and is rejected
-CONFIG_KEYS = (
-    "active_users", "dataset", "densities", "k_neighbors", "kinds", "orientation", "policy",
-    "scenario", "seed", "trial_seeds", "trials",
-)
+_int = partial(as_int, error=ConfigError)
 
 
 def _density_key(density: float) -> int:
     """Seed key of a density: the density in thousandths, rounded."""
     return int(round(density * 1000))
+
+
+def _optional(convert):
+    """`convert`, passing None, a field left out, through."""
+    return lambda value, key: None if value is None else convert(value, key)
+
+
+def _densities(value, key):
+    densities = as_list(value, key)
+    try:
+        return tuple(as_float(d, "density") for d in densities)
+    except ConfigError:
+        raise ConfigError(f"densities must be numbers, got {list(densities)}") from None
+
+
+# (JSON key, ExperimentConfig field, converter) of each config key. A converter
+# takes a value and its key and raises a ConfigError naming the key. A key left
+# out takes its field's default; `config_from_dict` reads the two paths.
+CONFIG_KEYS = (
+    ("scenario", "scenario", None),
+    ("dataset", "dataset", None),
+    ("densities", "densities", _densities),
+    ("kinds", "kinds", lambda value, key: tuple(map(RankerKind.parse, as_list(value, key)))),
+    ("k_neighbors", "k_neighbors", _int),
+    ("active_users", "active_users", _int),
+    ("seed", "seed", _int),
+    ("trials", "trials", _optional(_int)),
+    ("trial_seeds", "trial_seeds",
+     _optional(lambda value, key: tuple(_int(s, "trial seed") for s in as_list(value, key)))),
+    ("orientation", "orientation", _optional(lambda value, key: MetricOrientation.parse(value))),
+    ("policy", "policy", _optional(lambda value, key: AllocPolicy.parse(value))),
+)
 
 
 @dataclass(frozen=True)
@@ -56,34 +84,25 @@ class ExperimentConfig:
     kinds: tuple[RankerKind, ...]
     k_neighbors: int = 10
     active_users: int = 20
-    trial_seeds: tuple[int, ...] = tuple(range(100))
+    trial_seeds: tuple[int, ...] | None = None  # None: `trials` seeds counting up from `seed`
     seed: int = 0
     dataset: Path | None = None
     orientation: MetricOrientation | None = None  # dataset only; None is larger-is-better
     scenario: Scenario | None = None
     policy: AllocPolicy | None = None  # scenario only; overrides the scenario's policy
+    trials: InitVar[int | None] = None  # 100 if trial_seeds is None too
 
-    def __post_init__(self):
+    def __post_init__(self, trials):
         # every field is converted and checked here, named by its config JSON
         # key, so a config built in Python is checked as one read from JSON
-        def store(name, value):
+        values = {**vars(self), "trials": trials}
+        for key, name, convert in CONFIG_KEYS:
+            if convert:
+                values[name] = convert(values[name], key)
+        trials = values.pop("trials")
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
-        densities = as_list(self.densities, "densities")
-        try:
-            store("densities", tuple(as_float(d, "density") for d in densities))
-        except ConfigError:
-            raise ConfigError(f"densities must be numbers, got {list(densities)}") from None
-        store("kinds", tuple(RankerKind.parse(k) for k in as_list(self.kinds, "kinds")))
-        for name in ("k_neighbors", "active_users", "seed"):
-            store(name, as_int(getattr(self, name), name, ConfigError))
-        if not isinstance(self.trial_seeds, range):  # `trials` passes a range
-            seeds = as_list(self.trial_seeds, "trial_seeds")
-            store("trial_seeds", tuple(as_int(s, "trial seed", ConfigError) for s in seeds))
-        if self.orientation is not None:
-            store("orientation", MetricOrientation.parse(self.orientation))
-        if self.policy is not None:
-            store("policy", AllocPolicy.parse(self.policy))
         if not self.densities:
             raise ConfigError("at least one density is required")
         for d in self.densities:
@@ -108,19 +127,22 @@ class ExperimentConfig:
             raise ConfigError("k_neighbors must be >= 0")
         if self.active_users <= 0:
             raise ConfigError("active_users must be > 0")
-        seeds = self.trial_seeds
-        if not seeds:
+        if self.trial_seeds is None:
+            count = 100 if trials is None else trials
+        elif trials is None:
+            count = len(self.trial_seeds)
+        else:
+            raise ConfigError("config takes trials or trial_seeds, not both")
+        if count <= 0:
             raise ConfigError("at least one trial is required")
-        trials = len(seeds) if not isinstance(seeds, range) else (
-            -((seeds.start - seeds.stop) // seeds.step)  # len() overflows past sys.maxsize
-        )
-        shape = (len(self.densities), trials, self.active_users, len(self.kinds))
+        shape = (len(self.densities), count, self.active_users, len(self.kinds))
         if math.prod(shape) > MAX_CELLS:  # the cells of run_experiment's arrays
             raise ConfigError(
                 "{} densities x {} trials x {} active users x {} kinds is over the "
                 "{}-cell limit".format(*shape, MAX_CELLS)
             )
-        store("trial_seeds", tuple(self.trial_seeds))
+        if self.trial_seeds is None:  # sized before the tuple is built
+            object.__setattr__(self, "trial_seeds", tuple(range(self.seed, self.seed + count)))
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
         if len(set(self.trial_seeds)) < len(self.trial_seeds):
@@ -146,45 +168,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    """Read a decoded config by CONFIG_KEYS; its paths resolve against `base_dir`."""
     base_dir = base_dir or Path.cwd()
-    if not isinstance(raw, dict):
-        raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
-    unknown = [key for key in raw if key not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"unknown config key {unknown[0]!r}: a config reads only {', '.join(CONFIG_KEYS)}"
-        )
     try:
-        scenario = None
-        if "scenario" in raw:
-            ref = raw["scenario"]
-            scenario = (
-                scenario_from_dict(ref)
-                if isinstance(ref, dict)
-                else load_scenario(base_dir / ref)
+        values = read_keys(raw, CONFIG_KEYS, "config", ExperimentConfig)
+        if "dataset" in values:
+            values["dataset"] = base_dir / values["dataset"]
+        if "scenario" in values:
+            ref = values["scenario"]
+            values["scenario"] = (
+                scenario_from_dict(ref) if isinstance(ref, dict) else load_scenario(base_dir / ref)
             )
-        dataset = Path(base_dir / raw["dataset"]) if "dataset" in raw else None
-        seed = raw.get("seed", 0)
-        if "trial_seeds" in raw:
-            trial_seeds = raw["trial_seeds"]
-        else:
-            trials = as_int(raw.get("trials", 100), "trials", ConfigError)
-            seed = as_int(seed, "seed", ConfigError)
-            trial_seeds = range(seed, seed + trials)  # sized before any tuple is built
-        return ExperimentConfig(
-            densities=raw["densities"],
-            kinds=raw["kinds"],
-            k_neighbors=raw.get("k_neighbors", 10),
-            active_users=raw.get("active_users", 20),
-            trial_seeds=trial_seeds,
-            seed=seed,
-            dataset=dataset,
-            orientation=raw.get("orientation"),
-            scenario=scenario,
-            policy=raw.get("policy"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 def build_matrix(config: ExperimentConfig) -> QoSMatrix:

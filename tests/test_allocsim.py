@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -366,6 +367,28 @@ def test_scenario_built_in_python_is_checked(override, message):
     # as one loaded from JSON is, before synth_matrix sees it
     with pytest.raises(ConfigError, match=message):
         replace(committed_scenario(), **override)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ((), "unknown scenario key 'noise_amplitute': a scenario reads only cloudlets, "
+         "contention, hosts, noise_amplitude, num_users, policy, seed, user_factor_range, vms"),
+        (("hosts",), "unknown scenario key 'hosts.noise_amplitute': hosts reads only bw, count, "
+         "mips, ram"),
+        (("vms", 3), "unknown scenario key 'vms[3].noise_amplitute': vms[3] reads only bw, mips, "
+         "ram"),
+    ],
+)
+def test_scenario_unknown_key_rejected(path, message):
+    # a misspelt key used to be ignored: this one built the default matrix
+    raw = json.loads((CONFIG_DIR / "default_scenario.json").read_text())
+    obj = raw
+    for step in path:
+        obj = obj[step]
+    obj["noise_amplitute"] = 0.5
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(raw)
 
 
 def test_contention_key_is_ignored():

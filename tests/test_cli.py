@@ -356,6 +356,16 @@ CORRECT_OBSERVED_REJECTED = "unknown config key 'correct_observed': a config rea
         # trials and exited 0
         ({"k_neighbours": 3}, "unknown config key 'k_neighbours': a config reads only active_users"),
         ({"trails": 5}, "unknown config key 'trails': a config reads only active_users"),
+        # so were a misspelt or unknown key of an inline scenario, at each
+        # level, and trials next to trial_seeds, which overrode it
+        ({"scenario": {"noise_amplitute": 0.5}},
+         "unknown scenario key 'noise_amplitute': a scenario reads only cloudlets, contention"),
+        ({"scenario": {"hosts": {"count": 4, "mips": 3600.0, "ram": 16384.0, "bw": 4000.0,
+                                 "cores": 8}}},
+         "unknown scenario key 'hosts.cores': hosts reads only bw, count, mips, ram"),
+        ({"scenario": {"vms": [{"mips": 150.0, "ram": 512.0, "bw": 100.0, "disk": 1}] * 30}},
+         "unknown scenario key 'vms[0].disk': vms[0] reads only bw, mips, ram"),
+        ({"trials": 5}, "config takes trials or trial_seeds, not both"),
     ],
 )
 def test_bad_config_values_exit_one_without_output(workspace, capsys, override, message):
@@ -469,6 +479,12 @@ def test_simulate_bad_user_factor_range_exits_one(workspace, capsys, factor_rang
         # used to exit 2 as a data error: infinite QoS value in matrix
         ({"noise_amplitude": 1e308},
          "noise_amplitude 1e+308 and user_factor_range [0.8, 1.2] make a QoS value over"),
+        # used to be ignored: a misspelt noise_amplitude built the default matrix
+        ({"noise_amplitute": 0.5}, "unknown scenario key 'noise_amplitute'"),
+        ({"hosts": {"count": 4, "cores": 8, "mips": 3600.0, "ram": 16384.0, "bw": 4000.0}},
+         "unknown scenario key 'hosts.cores': hosts reads only bw, count, mips, ram"),
+        ({"vms": [{"mips": 150.0, "ram": 512.0, "bw": 100.0, "disk": 1}] * 30},
+         "unknown scenario key 'vms[0].disk': vms[0] reads only bw, mips, ram"),
     ],
 )
 def test_simulate_bad_scenario_values_exit_one(workspace, capsys, override, message):

@@ -191,18 +191,21 @@ def test_repeated_ranker_kind_rejected(kinds, repeated):
         config_from_dict(raw, base_dir=CONFIG_DIR)
 
 
-def test_explicit_trial_seeds_override_count():
-    config = config_from_dict(
-        {
-            "scenario": "default_scenario.json",
-            "densities": [0.5],
-            "kinds": ["cloudrank1"],
-            "trial_seeds": [7, 9],
-            "trials": 50,
-        },
-        base_dir=CONFIG_DIR,
-    )
-    assert config.trial_seeds == (7, 9)
+def test_trials_with_trial_seeds_rejected():
+    # trial_seeds used to override trials silently
+    raw = {
+        "scenario": "default_scenario.json",
+        "densities": [0.5],
+        "kinds": ["cloudrank1"],
+        "trial_seeds": [7, 9],
+        "trials": 50,
+    }
+    with pytest.raises(ConfigError, match="^config takes trials or trial_seeds, not both$"):
+        config_from_dict(raw, base_dir=CONFIG_DIR)
+    with pytest.raises(ConfigError, match="^config takes trials or trial_seeds, not both$"):
+        small_config(trials=2)
+    del raw["trials"]
+    assert config_from_dict(raw, base_dir=CONFIG_DIR).trial_seeds == (7, 9)
 
 
 def test_dataset_config(tmp_path):

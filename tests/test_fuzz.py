@@ -118,17 +118,15 @@ def base_inputs() -> dict[str, bytes]:
     users, the committed scenario, an 8 x 6 dataset with 30 observations and
     its config, by file name."""
     config = json.loads((CONFIG_DIR / "default_experiment.json").read_text())
-    # either trial key alone gives one trial, so deleting one stays quick
-    config.update(
-        scenario="scenario.json", densities=[0.2], trials=1, trial_seeds=[0], active_users=3
-    )
+    # the two configs give one trial by each of the two trial keys, which
+    # exclude each other; deleting it runs 100 trials, still under a second
+    config.update(scenario="scenario.json", densities=[0.2], trials=1, active_users=3)
     rng = np.random.default_rng(SEED)
     cells = sorted(rng.choice(48, size=30, replace=False).tolist())
     rows = [f"{c // 6},{c % 6},{rng.uniform(0.1, 2.0):.3f}" for c in cells]
     data_config = {
         "dataset": "data.csv", "orientation": "smaller-is-better", "densities": [0.5],
-        "kinds": ["cloudrank1", "cloudrank2", "random"], "active_users": 3, "trials": 1,
-        "trial_seeds": [0],
+        "kinds": ["cloudrank1", "cloudrank2", "random"], "active_users": 3, "trial_seeds": [0],
     }
     return {
         "experiment.json": json.dumps(config).encode(),
