@@ -29,9 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, DomainError
-from .matrix import (
-    MAX_CELLS, MAX_QOS, QoSMatrix, as_float, as_int, as_list, check_keys, read_json, read_keys,
-)
+from .matrix import MAX_CELLS, MAX_QOS, QoSMatrix, as_float, as_int, as_list, check_keys, read_json
 from .seeding import derive_rng
 
 
@@ -73,12 +71,6 @@ def _triples(rows: Sequence, what: str, noun: str) -> list[tuple[float, float, f
     return triples
 
 
-def _policy(value, key):
-    if isinstance(value, AllocPolicy):
-        return value
-    raise ConfigError(f"unknown allocation policy {value!r}")
-
-
 def allocate(
     hosts: Sequence[Sequence[float]], vms: Sequence[Sequence[float]], policy: AllocPolicy
 ) -> AllocationPlan:
@@ -94,7 +86,8 @@ def allocate(
     that fit nowhere are reported in `unplaced`; if nothing at all could be
     placed, AllocationError lists every offender.
     """
-    _policy(policy, "policy")
+    if not isinstance(policy, AllocPolicy):
+        raise ConfigError(f"unknown allocation policy {policy!r}")
     if not len(hosts) or not len(vms):
         raise DomainError("allocate requires at least one host and one VM")
     free = _triples(hosts, "host", "capacities")
@@ -129,39 +122,6 @@ def allocate(
     return AllocationPlan(vm_to_host=vm_to_host, unplaced=tuple(sorted(unplaced)))
 
 
-_int = partial(as_int, error=ConfigError)
-VM_KEYS = ("mips", "ram", "bw")  # the keys of a `vms` entry, in request order
-
-
-def _vm_specs(value, key):
-    if not as_list(value, key):
-        raise ConfigError("a scenario needs at least one VM")
-    _triples(value, "vm", "requests")  # raises as `allocate` would
-    mips, ram, bw = (f"{key}.{dim}" for dim in VM_KEYS)
-    return tuple((as_float(m, mips), as_float(r, ram), as_float(b, bw)) for m, r, b in value)
-
-
-# (JSON key, Scenario field, converter) of each scenario key, as in
-# experiment.CONFIG_KEYS. `scenario_from_dict` reads `policy` by name and each
-# `vms` entry as an object of VM_KEYS.
-SCENARIO_KEYS = (
-    ("hosts.count", "host_count", _int),
-    ("hosts.mips", "host_mips", as_float),
-    ("hosts.ram", "host_ram", as_float),
-    ("hosts.bw", "host_bw", as_float),
-    ("vms", "vm_specs", _vm_specs),
-    ("cloudlets", "cloudlet_lengths",
-     lambda value, key: tuple(as_float(x, "cloudlet length") for x in as_list(value, key))),
-    ("policy", "policy", _policy),
-    ("num_users", "num_users", _int),
-    ("seed", "seed", _int),
-    ("noise_amplitude", "noise_amplitude", as_float),
-    ("user_factor_range", "user_factor_range",
-     lambda value, key: tuple(as_float(x, key) for x in as_list(value, key))),
-    ("contention", None, None),  # retired, read and ignored: it turned on MIPS sharing
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to synthesize one QoS matrix; checked on construction."""
@@ -175,15 +135,32 @@ class Scenario:
     policy: AllocPolicy
     num_users: int
     seed: int
-    noise_amplitude: float = 0.02
-    user_factor_range: tuple[float, float] = (0.8, 1.2)
+    noise_amplitude: float
+    user_factor_range: tuple[float, float]
 
     def __post_init__(self):
-        # every field is converted and checked here, named by its scenario
-        # JSON key, so one built in Python is checked as one read from JSON
-        for key, name, convert in SCENARIO_KEYS:
-            if name:
-                object.__setattr__(self, name, convert(getattr(self, name), key))
+        # every value is type-checked and stored as a float here, named by its
+        # scenario JSON key, so one built in Python is checked as one read from JSON
+        store = partial(object.__setattr__, self)
+        as_int(self.host_count, "hosts.count", ConfigError)
+        for dim in ("mips", "ram", "bw"):
+            store(f"host_{dim}", as_float(getattr(self, f"host_{dim}"), f"hosts.{dim}"))
+        if not as_list(self.vm_specs, "vms"):
+            raise ConfigError("a scenario needs at least one VM")
+        _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
+        store("vm_specs", tuple(
+            (as_float(mips, "vms.mips"), as_float(ram, "vms.ram"), as_float(bw, "vms.bw"))
+            for mips, ram, bw in self.vm_specs
+        ))
+        lengths = as_list(self.cloudlet_lengths, "cloudlets")
+        store("cloudlet_lengths", tuple(as_float(x, "cloudlet length") for x in lengths))
+        if not isinstance(self.policy, AllocPolicy):
+            raise ConfigError(f"unknown allocation policy {self.policy!r}")
+        as_int(self.num_users, "num_users", ConfigError)
+        as_int(self.seed, "seed", ConfigError)
+        store("noise_amplitude", as_float(self.noise_amplitude, "noise_amplitude"))
+        factors = as_list(self.user_factor_range, "user_factor_range")
+        store("user_factor_range", tuple(as_float(x, "user_factor_range") for x in factors))
         if self.host_count <= 0 or self.num_users <= 0:
             raise ConfigError("host count and user count must be > 0")
         if not (self.host_mips > 0 and self.host_ram > 0 and self.host_bw > 0):
@@ -279,17 +256,31 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(read_json(Path(path), "scenario"))
 
 
+# the keys read; `contention`, retired, is ignored, as bench grid-default still gives it
+SCENARIO_KEYS = ("cloudlets", "contention", "hosts", "noise_amplitude", "num_users", "policy",
+                 "seed", "user_factor_range", "vms")
+VM_KEYS = ("mips", "ram", "bw")  # a `vms` entry's requests, in order
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Read a decoded scenario by SCENARIO_KEYS."""
+    """Parse a decoded scenario; a key it does not read is a ConfigError."""
     try:
-        values = read_keys(raw, SCENARIO_KEYS, "scenario", Scenario)
-        values["policy"] = AllocPolicy.parse(values["policy"])
-        if isinstance(values["vm_specs"], list):  # Scenario reports any other type
-            request, known = itemgetter(*VM_KEYS), set(VM_KEYS)
-            values["vm_specs"] = [
-                request(check_keys(vm, known, "scenario", "vms", i))
-                for i, vm in enumerate(values["vm_specs"])
-            ]
-        return Scenario(**values)
-    except KeyError as exc:
+        check_keys(raw, SCENARIO_KEYS, "scenario")
+        hosts = check_keys(raw["hosts"], ("count", "mips", "ram", "bw"), "scenario", "hosts")
+        vms = [check_keys(vm, VM_KEYS, "scenario", f"vms[{i}]")
+               for i, vm in enumerate(as_list(raw["vms"], "vms"))]
+        return Scenario(
+            host_count=hosts["count"],
+            host_mips=hosts["mips"],
+            host_ram=hosts["ram"],
+            host_bw=hosts["bw"],
+            vm_specs=tuple(map(itemgetter(*VM_KEYS), vms)),
+            cloudlet_lengths=raw["cloudlets"],
+            policy=AllocPolicy.parse(raw["policy"]),
+            num_users=raw["num_users"],
+            seed=raw["seed"],
+            noise_amplitude=raw.get("noise_amplitude", 0.02),
+            user_factor_range=raw.get("user_factor_range", [0.8, 1.2]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc

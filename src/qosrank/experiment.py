@@ -20,7 +20,7 @@ produce identical output since every cell owns its seed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -29,8 +29,8 @@ import numpy as np
 from .allocsim import AllocPolicy, Scenario, load_scenario, scenario_from_dict, synth_matrix
 from .errors import ConfigError
 from .matrix import (
-    MAX_CELLS, MetricOrientation, QoSMatrix, as_float, as_int, as_list, load_matrix, read_json,
-    read_keys, split_train_test,
+    MAX_CELLS, MetricOrientation, QoSMatrix, as_float, as_int, as_list, check_keys, load_matrix,
+    read_json, split_train_test,
 )
 from .metrics import ExperimentReport, tau_scores
 from .ranker import RankerKind, rank_orders
@@ -38,44 +38,11 @@ from .seeding import derive_rng
 
 _RANDOM_STREAM = 1  # stream tags keep per-purpose RNGs disjoint
 _SPLIT_STREAM = 2
-_int = partial(as_int, error=ConfigError)
 
 
 def _density_key(density: float) -> int:
     """Seed key of a density: the density in thousandths, rounded."""
     return int(round(density * 1000))
-
-
-def _optional(convert):
-    """`convert`, passing None, a field left out, through."""
-    return lambda value, key: None if value is None else convert(value, key)
-
-
-def _densities(value, key):
-    densities = as_list(value, key)
-    try:
-        return tuple(as_float(d, "density") for d in densities)
-    except ConfigError:
-        raise ConfigError(f"densities must be numbers, got {list(densities)}") from None
-
-
-# (JSON key, ExperimentConfig field, converter) of each config key. A converter
-# takes a value and its key and raises a ConfigError naming the key. A key left
-# out takes its field's default; `config_from_dict` reads the two paths.
-CONFIG_KEYS = (
-    ("scenario", "scenario", None),
-    ("dataset", "dataset", None),
-    ("densities", "densities", _densities),
-    ("kinds", "kinds", lambda value, key: tuple(map(RankerKind.parse, as_list(value, key)))),
-    ("k_neighbors", "k_neighbors", _int),
-    ("active_users", "active_users", _int),
-    ("seed", "seed", _int),
-    ("trials", "trials", _optional(_int)),
-    ("trial_seeds", "trial_seeds",
-     _optional(lambda value, key: tuple(_int(s, "trial seed") for s in as_list(value, key)))),
-    ("orientation", "orientation", _optional(lambda value, key: MetricOrientation.parse(value))),
-    ("policy", "policy", _optional(lambda value, key: AllocPolicy.parse(value))),
-)
 
 
 @dataclass(frozen=True)
@@ -84,25 +51,32 @@ class ExperimentConfig:
     kinds: tuple[RankerKind, ...]
     k_neighbors: int = 10
     active_users: int = 20
-    trial_seeds: tuple[int, ...] | None = None  # None: `trials` seeds counting up from `seed`
+    trial_seeds: tuple[int, ...] = tuple(range(100))
     seed: int = 0
     dataset: Path | None = None
     orientation: MetricOrientation | None = None  # dataset only; None is larger-is-better
     scenario: Scenario | None = None
     policy: AllocPolicy | None = None  # scenario only; overrides the scenario's policy
-    trials: InitVar[int | None] = None  # 100 if trial_seeds is None too
 
-    def __post_init__(self, trials):
+    def __post_init__(self):
         # every field is converted and checked here, named by its config JSON
         # key, so a config built in Python is checked as one read from JSON
-        values = {**vars(self), "trials": trials}
-        for key, name, convert in CONFIG_KEYS:
-            if convert:
-                values[name] = convert(values[name], key)
-        trials = values.pop("trials")
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
+        store = partial(object.__setattr__, self)
+        densities = as_list(self.densities, "densities")
+        try:
+            store("densities", tuple(as_float(d, "density") for d in densities))
+        except ConfigError:
+            raise ConfigError(f"densities must be numbers, got {list(densities)}") from None
+        store("kinds", tuple(RankerKind.parse(k) for k in as_list(self.kinds, "kinds")))
+        for name in ("k_neighbors", "active_users", "seed"):
+            store(name, as_int(getattr(self, name), name, ConfigError))
+        if not isinstance(self.trial_seeds, range):  # `trials` passes a range
+            seeds = as_list(self.trial_seeds, "trial_seeds")
+            store("trial_seeds", tuple(as_int(s, "trial seed", ConfigError) for s in seeds))
+        if self.orientation is not None:
+            store("orientation", MetricOrientation.parse(self.orientation))
+        if self.policy is not None:
+            store("policy", AllocPolicy.parse(self.policy))
         if not self.densities:
             raise ConfigError("at least one density is required")
         for d in self.densities:
@@ -127,22 +101,19 @@ class ExperimentConfig:
             raise ConfigError("k_neighbors must be >= 0")
         if self.active_users <= 0:
             raise ConfigError("active_users must be > 0")
-        if self.trial_seeds is None:
-            count = 100 if trials is None else trials
-        elif trials is None:
-            count = len(self.trial_seeds)
-        else:
-            raise ConfigError("config takes trials or trial_seeds, not both")
-        if count <= 0:
+        seeds = self.trial_seeds
+        if not seeds:
             raise ConfigError("at least one trial is required")
-        shape = (len(self.densities), count, self.active_users, len(self.kinds))
+        trials = len(seeds) if not isinstance(seeds, range) else (
+            -((seeds.start - seeds.stop) // seeds.step)  # len() overflows past sys.maxsize
+        )
+        shape = (len(self.densities), trials, self.active_users, len(self.kinds))
         if math.prod(shape) > MAX_CELLS:  # the cells of run_experiment's arrays
             raise ConfigError(
                 "{} densities x {} trials x {} active users x {} kinds is over the "
                 "{}-cell limit".format(*shape, MAX_CELLS)
             )
-        if self.trial_seeds is None:  # sized before the tuple is built
-            object.__setattr__(self, "trial_seeds", tuple(range(self.seed, self.seed + count)))
+        store("trial_seeds", tuple(self.trial_seeds))
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
         if len(set(self.trial_seeds)) < len(self.trial_seeds):
@@ -168,20 +139,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Read a decoded config by CONFIG_KEYS; its paths resolve against `base_dir`."""
+    """Read a decoded config, whose keys are ExperimentConfig's fields and `trials`."""
     base_dir = base_dir or Path.cwd()
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
+    known = [f.name for f in fields(ExperimentConfig)] + ["trials"]
+    values = dict(check_keys(raw, known, "config"))
     try:
-        values = read_keys(raw, CONFIG_KEYS, "config", ExperimentConfig)
-        if "dataset" in values:
-            values["dataset"] = base_dir / values["dataset"]
-        if "scenario" in values:
-            ref = values["scenario"]
+        if "scenario" in raw:
+            ref = raw["scenario"]
             values["scenario"] = (
                 scenario_from_dict(ref) if isinstance(ref, dict) else load_scenario(base_dir / ref)
             )
-    except (KeyError, TypeError) as exc:
+        if "dataset" in raw:
+            values["dataset"] = base_dir / raw["dataset"]
+        if "trial_seeds" in raw and "trials" in raw:
+            raise ConfigError("config takes trials or trial_seeds, not both")
+        if "trial_seeds" not in raw:
+            trials = as_int(values.pop("trials", 100), "trials", ConfigError)
+            seed = values["seed"] = as_int(raw.get("seed", 0), "seed", ConfigError)
+            values["trial_seeds"] = range(seed, seed + trials)  # sized before any tuple is built
+        # a key left out takes its field's default; a KeyError names a required one
+        densities, kinds = values.pop("densities"), values.pop("kinds")
+        return ExperimentConfig(densities, kinds, **values)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    return ExperimentConfig(**values)
 
 
 def build_matrix(config: ExperimentConfig) -> QoSMatrix:

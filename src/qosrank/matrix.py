@@ -10,8 +10,6 @@ share across parallel workers.
 from __future__ import annotations
 
 import csv
-import dataclasses
-import functools
 import itertools
 import json
 import logging
@@ -55,7 +53,6 @@ MAX_QOS = sys.float_info.max / (2 * MAX_CELLS)
 READ_CHARS = 1 << 16
 
 _INT64_MAX = np.iinfo(np.int64).max
-_FLOAT_MAX = sys.float_info.max
 _ROW = np.dtype([("user", np.int64), ("service", np.int64), ("value", np.float64)])
 
 
@@ -71,10 +68,8 @@ def as_int(value, what: str, error: type[QosRankError] = DomainError) -> int:
 
 def as_float(value, what: str) -> float:
     """`value` as a float; ConfigError naming it unless it is a finite int or float, not a bool."""
-    if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # most JSON numbers
-        return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= _FLOAT_MAX:  # False for NaN, infinities and huge ints
+        if abs(value) <= sys.float_info.max:  # False for NaN, infinities and huge ints
             return float(value)
     raise ConfigError(f"{what} {value!r} is not a finite number")
 
@@ -86,52 +81,15 @@ def as_list(value, what: str) -> list | tuple:
     raise ConfigError(f"{what} must be a list, got {value!r}")
 
 
-def check_keys(obj, known, what: str, where: str = "", index: int | None = None) -> dict:
-    """`obj` if it is a JSON object whose keys are all in the set `known`, else a
-    ConfigError. `where` names a nested object, such as "hosts", in a
-    `what`, and `index` its position in the list under `where`."""
-    if isinstance(obj, dict) and obj.keys() <= known:
-        return obj
-    owner = f"{where}[{index}]" if index is not None else where or f"a {what}"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{owner} must be a JSON object, got {type(obj).__name__}")
-    key = next(key for key in obj if key not in known)
-    name = f"{owner}.{key}" if where else key
-    raise ConfigError(
-        f"unknown {what} key {name!r}: {owner} reads only {', '.join(sorted(known))}"
-    )
-
-
-@functools.cache
-def _layout(table, cls) -> tuple[tuple, dict, frozenset]:
-    """`read_keys`' view of `table`: each row's (object, key, field), the
-    set of keys each object may hold ("" is the top level) and the fields
-    of `cls` that have no default."""
-    rows, known = [], {"": set()}
-    for key, name, _ in table:
-        parent, _, leaf = key.rpartition(".")
-        rows.append((parent, leaf, name))
-        known[""].add(parent or leaf)
-        known.setdefault(parent, set()).add(leaf)
-    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
-    return tuple(rows), {p: frozenset(keys) for p, keys in known.items()}, frozenset(required)
-
-
-def read_keys(raw, table, what: str, cls) -> dict:
-    """`cls`'s arguments by field, read from the JSON object `raw` by the rows
-    (JSON key, field, converter) of `table`: a key "a.b" from the object under
-    "a", and a key with no field read and ignored. A key no row names is a
-    ConfigError; a missing one whose field has no default, a KeyError."""
-    rows, known, required = _layout(table, cls)
-    check_keys(raw, known[""], what)
-    values = {}
-    for parent, leaf, name in rows:
-        obj = check_keys(raw[parent], known[parent], what, parent) if parent else raw
-        if name and leaf in obj:
-            values[name] = obj[leaf]
-        elif name in required:
-            raise KeyError(leaf)
-    return values
+def check_keys(obj, known, what: str, where: str = ""):
+    """`obj`; ConfigError naming its first key not in `known` if it is a JSON
+    object. `where` names a nested object of a `what`, such as "hosts"."""
+    unknown = [key for key in obj if key not in known] if isinstance(obj, dict) else []
+    if unknown:
+        name = f"{where}.{unknown[0]}" if where else unknown[0]
+        known = ", ".join(sorted(known))
+        raise ConfigError(f"unknown {what} key {name!r}: {where or 'a ' + what} reads only {known}")
+    return obj
 
 
 def read_json(path: Path, what: str):

@@ -202,8 +202,6 @@ def test_trials_with_trial_seeds_rejected():
     }
     with pytest.raises(ConfigError, match="^config takes trials or trial_seeds, not both$"):
         config_from_dict(raw, base_dir=CONFIG_DIR)
-    with pytest.raises(ConfigError, match="^config takes trials or trial_seeds, not both$"):
-        small_config(trials=2)
     del raw["trials"]
     assert config_from_dict(raw, base_dir=CONFIG_DIR).trial_seeds == (7, 9)
 
