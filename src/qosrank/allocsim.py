@@ -143,15 +143,13 @@ class Scenario:
         # scenario JSON key, so one built in Python is checked as one read from JSON
         store = partial(object.__setattr__, self)
         as_int(self.host_count, "hosts.count", ConfigError)
-        for dim in ("mips", "ram", "bw"):
+        for dim in RESOURCES:
             store(f"host_{dim}", as_float(getattr(self, f"host_{dim}"), f"hosts.{dim}"))
         if not as_list(self.vm_specs, "vms"):
             raise ConfigError("a scenario needs at least one VM")
         _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
-        store("vm_specs", tuple(
-            (as_float(mips, "vms.mips"), as_float(ram, "vms.ram"), as_float(bw, "vms.bw"))
-            for mips, ram, bw in self.vm_specs
-        ))
+        names = [f"vms.{dim}" for dim in RESOURCES]
+        store("vm_specs", tuple(tuple(map(as_float, vm, names)) for vm in self.vm_specs))
         lengths = as_list(self.cloudlet_lengths, "cloudlets")
         store("cloudlet_lengths", tuple(as_float(x, "cloudlet length") for x in lengths))
         if not isinstance(self.policy, AllocPolicy):
@@ -259,22 +257,22 @@ def load_scenario(path: str | Path) -> Scenario:
 # the keys read; `contention`, retired, is ignored, as bench grid-default still gives it
 SCENARIO_KEYS = ("cloudlets", "contention", "hosts", "noise_amplitude", "num_users", "policy",
                  "seed", "user_factor_range", "vms")
-VM_KEYS = ("mips", "ram", "bw")  # a `vms` entry's requests, in order
+RESOURCES = ("mips", "ram", "bw")  # a host's capacities and a VM's requests, in triple order
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Parse a decoded scenario; a key it does not read is a ConfigError."""
     try:
         check_keys(raw, SCENARIO_KEYS, "scenario")
-        hosts = check_keys(raw["hosts"], ("count", "mips", "ram", "bw"), "scenario", "hosts")
-        vms = [check_keys(vm, VM_KEYS, "scenario", f"vms[{i}]")
+        hosts = check_keys(raw["hosts"], ("count", *RESOURCES), "scenario", "hosts")
+        vms = [check_keys(vm, RESOURCES, "scenario", f"vms[{i}]")
                for i, vm in enumerate(as_list(raw["vms"], "vms"))]
         return Scenario(
             host_count=hosts["count"],
             host_mips=hosts["mips"],
             host_ram=hosts["ram"],
             host_bw=hosts["bw"],
-            vm_specs=tuple(map(itemgetter(*VM_KEYS), vms)),
+            vm_specs=tuple(map(itemgetter(*RESOURCES), vms)),
             cloudlet_lengths=raw["cloudlets"],
             policy=AllocPolicy.parse(raw["policy"]),
             num_users=raw["num_users"],
