@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -141,15 +140,19 @@ class Scenario:
     def __post_init__(self):
         # every value is type-checked and stored as a float here, named by its
         # scenario JSON key, so one built in Python is checked as one read from JSON
-        store = partial(object.__setattr__, self)
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
         as_int(self.host_count, "hosts.count", ConfigError)
         for dim in RESOURCES:
             store(f"host_{dim}", as_float(getattr(self, f"host_{dim}"), f"hosts.{dim}"))
         if not as_list(self.vm_specs, "vms"):
             raise ConfigError("a scenario needs at least one VM")
         _triples(self.vm_specs, "vm", "requests")  # raises as `allocate` would
-        names = [f"vms.{dim}" for dim in RESOURCES]
-        store("vm_specs", tuple(tuple(map(as_float, vm, names)) for vm in self.vm_specs))
+        store("vm_specs", tuple(
+            (as_float(mips, "vms.mips"), as_float(ram, "vms.ram"), as_float(bw, "vms.bw"))
+            for mips, ram, bw in self.vm_specs
+        ))
         lengths = as_list(self.cloudlet_lengths, "cloudlets")
         store("cloudlet_lengths", tuple(as_float(x, "cloudlet length") for x in lengths))
         if not isinstance(self.policy, AllocPolicy):
@@ -265,14 +268,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         check_keys(raw, SCENARIO_KEYS, "scenario")
         hosts = check_keys(raw["hosts"], ("count", *RESOURCES), "scenario", "hosts")
-        vms = [check_keys(vm, RESOURCES, "scenario", f"vms[{i}]")
-               for i, vm in enumerate(as_list(raw["vms"], "vms"))]
+        vms = as_list(raw["vms"], "vms")
+        vm_specs = tuple(map(itemgetter(*RESOURCES), vms))  # a KeyError names a missing key
+        for i, vm in enumerate(vms):
+            if len(vm) > len(RESOURCES):  # each entry holds the three, so one more is unknown
+                check_keys(vm, RESOURCES, "scenario", f"vms[{i}]")
         return Scenario(
             host_count=hosts["count"],
             host_mips=hosts["mips"],
             host_ram=hosts["ram"],
             host_bw=hosts["bw"],
-            vm_specs=tuple(map(itemgetter(*RESOURCES), vms)),
+            vm_specs=vm_specs,
             cloudlet_lengths=raw["cloudlets"],
             policy=AllocPolicy.parse(raw["policy"]),
             num_users=raw["num_users"],

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # every field is converted and checked here, named by its config JSON
         # key, so a config built in Python is checked as one read from JSON
-        store = partial(object.__setattr__, self)
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
         densities = as_list(self.densities, "densities")
         try:
             store("densities", tuple(as_float(d, "density") for d in densities))

@@ -84,11 +84,11 @@ def as_list(value, what: str) -> list | tuple:
 def check_keys(obj, known, what: str, where: str = ""):
     """`obj`; ConfigError naming its first key not in `known` if it is a JSON
     object. `where` names a nested object of a `what`, such as "hosts"."""
-    unknown = [key for key in obj if key not in known] if isinstance(obj, dict) else []
-    if unknown:
-        name = f"{where}.{unknown[0]}" if where else unknown[0]
-        known = ", ".join(sorted(known))
-        raise ConfigError(f"unknown {what} key {name!r}: {where or 'a ' + what} reads only {known}")
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in known:
+            name = f"{where}.{key}" if where else key
+            known = ", ".join(sorted(known))
+            raise ConfigError(f"unknown {what} key {name!r}: {where or 'a ' + what} reads only {known}")
     return obj
 
 
