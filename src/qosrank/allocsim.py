@@ -269,16 +269,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         check_keys(raw, SCENARIO_KEYS, "scenario")
         hosts = check_keys(raw["hosts"], ("count", *RESOURCES), "scenario", "hosts")
         vms = as_list(raw["vms"], "vms")
-        vm_specs = tuple(map(itemgetter(*RESOURCES), vms))  # a KeyError names a missing key
         for i, vm in enumerate(vms):
-            if len(vm) > len(RESOURCES):  # each entry holds the three, so one more is unknown
-                check_keys(vm, RESOURCES, "scenario", f"vms[{i}]")
+            check_keys(vm, RESOURCES, "scenario", f"vms[{i}]")
         return Scenario(
             host_count=hosts["count"],
-            host_mips=hosts["mips"],
-            host_ram=hosts["ram"],
-            host_bw=hosts["bw"],
-            vm_specs=vm_specs,
+            **{f"host_{dim}": hosts[dim] for dim in RESOURCES},
+            vm_specs=tuple(map(itemgetter(*RESOURCES), vms)),  # a KeyError names a missing key
             cloudlet_lengths=raw["cloudlets"],
             policy=AllocPolicy.parse(raw["policy"]),
             num_users=raw["num_users"],

@@ -147,11 +147,10 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
     known = [f.name for f in fields(ExperimentConfig)] + ["trials"]
     values = dict(check_keys(raw, known, "config"))
     try:
-        if "scenario" in raw:
-            ref = raw["scenario"]
-            values["scenario"] = (
-                scenario_from_dict(ref) if isinstance(ref, dict) else load_scenario(base_dir / ref)
-            )
+        if isinstance(raw.get("scenario"), dict):
+            values["scenario"] = scenario_from_dict(raw["scenario"])
+        elif "scenario" in raw:
+            values["scenario"] = load_scenario(base_dir / raw["scenario"])
         if "dataset" in raw:
             values["dataset"] = base_dir / raw["dataset"]
         if "trial_seeds" in raw and "trials" in raw:
