@@ -20,6 +20,7 @@ produce identical output since every cell owns its seed stream.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -91,11 +92,11 @@ class ExperimentConfig:
             )
         if not self.kinds:
             raise ConfigError("at least one ranker kind is required")
-        repeated = [k.value for i, k in enumerate(self.kinds) if k in self.kinds[:i]]
+        # a repeated kind would be scored twice; of three kinds, one repeats by the fourth entry
+        repeated = next((k.value for i, k in enumerate(self.kinds) if k in self.kinds[:i]), None)
         if repeated:
-            # a repeated kind would be scored twice, doubling its trial counts
             raise ConfigError(
-                f"ranker kind {repeated[0]!r} is listed more than once "
+                f"ranker kind {repeated!r} is listed more than once "
                 "(\"random\" is an alias of \"random-baseline\")"
             )
         if self.k_neighbors < 0:
@@ -117,9 +118,9 @@ class ExperimentConfig:
         store("trial_seeds", tuple(self.trial_seeds))
         if min(self.seed, *self.trial_seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seed, *self.trial_seeds)}")
-        if len(set(self.trial_seeds)) < len(self.trial_seeds):
-            # a repeated trial seed would score the same splits twice
-            seed = next(s for s in self.trial_seeds if self.trial_seeds.count(s) > 1)
+        # a repeated trial seed would score the same splits twice (Counter keeps list order)
+        seed = next((s for s, times in Counter(self.trial_seeds).items() if times > 1), None)
+        if seed is not None:
             raise ConfigError(f"trial seed {seed} is listed more than once")
         if (self.dataset is None) == (self.scenario is None):
             raise ConfigError("config needs exactly one of dataset or scenario")

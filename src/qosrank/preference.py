@@ -7,8 +7,8 @@ similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
 renormalized over the pair-specific neighbor subset. `preference_block`
 builds a batch's tables from the neighbours' rows alone, in place in one
-[confidences, values] block, with one stacked product per array for the
-users of each neighbour count. Which pairs are explicit, implicit or
+[confidences, values] block, with one stacked product per array for each
+run of users with one neighbour count. Which pairs are explicit, implicit or
 unknown is not stored: the confidences and the user's own observations
 tell them apart.
 """
@@ -24,21 +24,23 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     """Each user's table over the same n candidate ids `cands`, ascending
     and distinct, as one writable (2, len(users), n, n) block
     [confidences, values]. Values are antisymmetric, confidences symmetric;
-    diagonals are 0. users are valid ids and neighbors[b] is users[b]'s
-    (ids, similarities) pair of arrays with positive similarities, as
-    `top_neighbors` returns them.
+    diagonals are 0. users are valid ids and `neighbors` is their
+    (ids, sims, counts) as `top_neighbors` returns them.
 
     Only the union of the batch's neighbour rows is read, gathered once.
-    Users with the same neighbour count share one stacked product per array;
-    each slice is the same gemm call as the user's own 2-d product, so slice
-    b equals the table of users[b] built on its own, bit for bit. Agrees with
-    the per-pair reference in tests/oracles.py up to summation order.
+    Each run of users with one neighbour count shares one stacked product
+    per array, written in place; each slice is the same gemm call as the
+    user's own 2-d product, so slice b equals the table of users[b] built on
+    its own, bit for bit, in any user order. Agrees with the per-pair
+    reference in tests/oracles.py up to summation order.
     """
     users = np.asarray(users, dtype=np.intp)
+    ids, sims, counts = neighbors
+    # (B, K) in C order, so a run's operands lay out as one user's own
+    ids, sims = np.ascontiguousarray(ids.T), np.ascontiguousarray(sims.T)
+    listed = np.arange(ids.shape[1]) < counts[:, None]  # each user's neighbours
+    rows = np.flatnonzero(np.bincount(ids[listed], minlength=matrix.num_users))
     cols, n = np.asarray(cands, dtype=np.intp), len(cands)
-    read = np.zeros(matrix.num_users, dtype=bool)
-    read[np.concatenate([np.empty(0, np.intp)] + [ids for ids, _ in neighbors])] = True
-    rows = np.flatnonzero(read)
     mask = matrix.observed_mask.take(rows, axis=0).take(cols, axis=1)
     vals = np.where(mask, matrix.values.take(rows, axis=0).take(cols, axis=1), 0.0)
     covered = mask.astype(float)
@@ -48,19 +50,14 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     # both services. All three reduce to (S x K) @ (K x S) products.
     denom, block = np.empty((len(users), n, n)), np.empty((2, len(users), n, n))
     confidences, values = block
-    sizes = [ids.size for ids, _ in neighbors]
-    for size in set(sizes):
-        group = [b for b, s in enumerate(sizes) if s == size]
-        ids = rows.searchsorted(np.array([neighbors[b][0] for b in group]).reshape(len(group), size))
-        sims = np.array([neighbors[b][1] for b in group]).reshape(len(group), size, 1)
-        cov, whole = covered[ids], len(group) == len(users)
-        d, c, v = (denom, confidences, values) if whole else np.empty((3, len(group), n, n))
-        np.matmul((sims * cov).transpose(0, 2, 1), cov, out=d)
-        np.matmul((sims * vals[ids]).transpose(0, 2, 1), cov, out=c)  # c: cross sums, then confidences
-        np.subtract(c, c.transpose(0, 2, 1), out=v)
-        np.matmul((sims**2 * cov).transpose(0, 2, 1), cov, out=c)
-        if not whole:
-            denom[group], confidences[group], values[group] = d, c, v
+    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(users)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = rows.searchsorted(ids[lo:hi, : counts[lo]])
+        s, cov, c = sims[lo:hi, : counts[lo], None], covered[run], confidences[lo:hi]
+        np.matmul((s * cov).transpose(0, 2, 1), cov, out=denom[lo:hi])
+        np.matmul((s * vals[run]).transpose(0, 2, 1), cov, out=c)  # c: cross sums, then confidences
+        np.subtract(c, c.transpose(0, 2, 1), out=values[lo:hi])
+        np.matmul((s**2 * cov).transpose(0, 2, 1), cov, out=c)
 
     # Divide by the denominator, or by 1 where no neighbour covers the pair
     # (denominator 0). There every product term is +-0.0 and the sums start
@@ -75,9 +72,9 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     # pairs with those in order (`partner`); writes go by flat index.
     owner, pos = np.nonzero(matrix.observed_mask[users][:, cols])
     own_vals = matrix.values[users[owner], cols[pos]]
-    counts = np.bincount(owner, minlength=len(users))
-    reps = counts[owner]
-    start = (np.cumsum(counts) - counts)[owner]
+    observed = np.bincount(owner, minlength=len(users))
+    reps = observed[owner]
+    start = (np.cumsum(observed) - observed)[owner]
     partner = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - start, reps)
     flat = np.repeat((owner * n + pos) * n, reps) + pos[partner]
     values.reshape(-1)[flat] = np.repeat(own_vals, reps) - own_vals[partner]

@@ -136,10 +136,7 @@ def candidate_ids(matrix: QoSMatrix, candidates) -> tuple[int, ...]:
 
     Raises DomainError for an empty set or an id not an integer in [0, num_services).
     """
-    cands = tuple(candidates)
-    if not {*map(type, cands)} <= {int}:  # plain ints need no conversion
-        cands = [as_int(c, "candidate service") for c in cands]
-    cands = tuple(sorted(set(cands)))
+    cands = tuple(sorted({as_int(c, "candidate service") for c in candidates}))
     if not cands:
         raise DomainError("candidate set must be non-empty")
     if cands[0] < 0 or cands[-1] >= matrix.num_services:
@@ -195,16 +192,19 @@ def _greedy_batch(kinds, matrix, batch, k, ids) -> np.ndarray:
     """Uncorrected greedy order of each batch user for each CloudRank kind
     over the candidate id array `ids`, as a (users, kinds, n) array of ids,
     read off the kind-major [cloudrank2, cloudrank1] block of tables. The
-    batch's arrays are freed on return, before the next batch is built."""
+    tables are built in neighbour-count order (one stable sort), so each run
+    of one count shares one stacked product, written in place; the rows
+    return in batch order. The batch's arrays are freed before the next."""
     n = ids.size
     nbrs = top_neighbors(similarity_block(matrix, batch), k)
-    block = preference_block(matrix, batch, nbrs, ids)
+    by_count = np.argsort(nbrs[2], kind="stable")
+    block = preference_block(matrix, batch[by_count], [a[..., by_count] for a in nbrs], ids)
     slots = np.array([int(kind is RankerKind.CLOUDRANK1) for kind in kinds])
     if not slots.all():
         block[0] *= block[1]  # cloudrank2's table: confidences * values
     lo, hi = slots.min(), slots.max() + 1
     positions = greedy_orders(block[lo:hi].reshape(-1, n, n)).reshape(hi - lo, len(batch), n)
-    return ids[positions[slots - lo].transpose(1, 0, 2)]
+    return ids[positions[slots - lo].transpose(1, 0, 2)[np.argsort(by_count)]]
 
 
 def rank(

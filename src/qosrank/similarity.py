@@ -107,14 +107,15 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     return np.divide(cd, pairs, out=np.zeros_like(cd), where=pairs > 0)
 
 
-def top_neighbors(sims: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each column b of the (num_users, B) block `sims`: the user ids
-    (row indices) and similarities of the at-most-k rows with the largest
-    strictly positive similarity, sorted descending; equal similarities
-    break toward the smaller id, as the sort is stable. A block from
-    `similarity_block` holds 0 at each active user's own entry, so no user
-    is its own neighbour. One sort orders the whole block; k is an int >= 0."""
-    order = np.argsort(-sims, axis=0, kind="stable")[:k]
-    top = np.take_along_axis(sims, order, axis=0)
-    counts = (top > 0.0).sum(axis=0).tolist()
-    return [(order[:c, b], top[:c, b]) for b, c in enumerate(counts)]
+def top_neighbors(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (min(k, num_users), B) user ids (row indices) and similarities
+    of each column b of the (num_users, B) block `sims`, sorted descending,
+    and the (B,) counts of their strictly positive entries: column b's
+    neighbours are its first counts[b] ids and similarities. Equal
+    similarities break toward the smaller id, as the sort is stable. A block
+    from `similarity_block` holds 0 at each active user's own entry, so no
+    user is its own neighbour. One sort orders the whole block; k is an
+    int >= 0."""
+    ids = np.argsort(-sims, axis=0, kind="stable")[:k]
+    top = np.take_along_axis(sims, ids, axis=0)
+    return ids, top, np.count_nonzero(top > 0.0, axis=0)

@@ -7,9 +7,9 @@ time straight from the definitions; `checked_preference` asserts that the
 two agree on the same inputs. `oracle_preference_table` builds one user's
 table with the same products on 2-d arrays, so a stacked table can be
 checked against it bit for bit. A user's neighbours are an `(ids, sims)`
-pair of arrays, as `top_neighbors` returns them, and a table is the
-`(values, confidences, codes)` triple of one slice of `preference_stack`'s
-output.
+pair of arrays, one column of what `top_neighbors` returns, and a table is
+the `(values, confidences, codes)` triple of one slice of
+`preference_stack`'s output.
 
 `load_matrix` parses a CSV a column at a time in blocks; `oracle_load_matrix`
 parses it line by line and fills the grid one entry at a time.
@@ -97,6 +97,25 @@ def members_of(nbrs) -> tuple[tuple[int, float], ...]:
     return tuple(zip(ids.tolist(), sims.tolist()))
 
 
+def column_of(nbrs, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column b's (ids, sims) neighbours of the (ids, sims, counts) arrays
+    `top_neighbors` returns."""
+    ids, sims, counts = nbrs
+    return ids[: counts[b], b], sims[: counts[b], b]
+
+
+def stacked_neighbors(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-user (ids, sims) pairs as `top_neighbors`'s (K, B) ids and sims,
+    K the largest count, and (B,) counts. Entries past a column's count are
+    id -1 and similarity NaN, so a table that read them would show it."""
+    counts = np.array([len(ids) for ids, _ in pairs], dtype=np.intp)
+    shape = (int(counts.max(initial=0)), len(pairs))
+    ids, sims = np.full(shape, -1, dtype=np.intp), np.full(shape, np.nan)
+    for b, (v, s) in enumerate(pairs):
+        ids[: len(v), b], sims[: len(v), b] = v, s
+    return ids, sims, counts
+
+
 def pair_neighborhood(matrix: QoSMatrix, nbrs, i: int, j: int) -> PairNeighborhood:
     """Restrict neighbours (ids, sims) to those observing both i and j."""
     mask = matrix.observed_mask
@@ -152,7 +171,7 @@ def preference_value(matrix: QoSMatrix, u: int, nbrs, i: int, j: int) -> Prefere
 def top_k(matrix: QoSMatrix, u: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """u's Top-k neighbours (ids, sims): `top_neighbors` over u's column of
     `similarity_block`, a batch of one."""
-    return top_neighbors(similarity_block(matrix, (u,)), k)[0]
+    return column_of(top_neighbors(similarity_block(matrix, (u,)), k), 0)
 
 
 def preference_stack(
@@ -160,7 +179,8 @@ def preference_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (len(users), n, n) values, confidences and provenance codes
     of each user's table over the n candidates `cands`, as `candidate_ids`
-    returns them; read-only. The values and confidences are
+    returns them, from the users' (ids, sims, counts) `neighbors` as
+    `top_neighbors` returns them; read-only. The values and confidences are
     `preference_block`'s, the codes are UNKNOWN, IMPLICIT or EXPLICIT, and
     diagonals are 0."""
     users, n = np.asarray(users, dtype=np.intp), len(cands)
@@ -178,7 +198,8 @@ def preference_stack(
 def one_table(matrix: QoSMatrix, u: int, nbrs, candidates):
     """u's (values, confidences, codes) over `candidate_ids(candidates)`:
     `preference_stack` for a batch of one."""
-    stack = preference_stack(matrix, (u,), [nbrs], candidate_ids(matrix, candidates))
+    cands = candidate_ids(matrix, candidates)
+    stack = preference_stack(matrix, (u,), stacked_neighbors([nbrs]), cands)
     return tuple(arr[0] for arr in stack)
 
 

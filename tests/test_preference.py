@@ -16,7 +16,7 @@ from oracles import (
     UNKNOWN,
     PairNeighborhood,
     checked_preference,
-    members_of,
+    column_of,
     neighbors_of,
     one_table,
     oracle_preference_table,
@@ -27,6 +27,7 @@ from oracles import (
     preference_stack,
     preference_sum,
     preference_value,
+    stacked_neighbors,
     table_value,
     top_k,
 )
@@ -277,18 +278,21 @@ def test_confidence_scales_with_similarity():
 
 
 def test_stacked_tables_match_one_user_tables_bit_for_bit(rng):
-    # every slice of a batch's stack is the table its user gets alone
+    # every slice of a batch's stack is the table its user gets alone, from
+    # the same neighbours the user gets alone
     for trial in range(40):
         users, services = int(rng.integers(2, 10)), int(rng.integers(1, 12))
         m = random_sparse_matrix(rng, users, services, float(rng.uniform(0.2, 0.9)))
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
         k = trial % 5
-        nbrs = [top_k(m, u, k) for u in batch]
+        nbrs = top_neighbors(similarity_block(m, batch), k)
         stack = preference_stack(m, batch, nbrs, candidate_ids(m, cands))
         assert all(arr.shape == (len(batch),) + (len(set(cands.tolist())),) * 2 for arr in stack)
         assert not any(arr.flags.writeable for arr in stack)
-        for b, (u, nb) in enumerate(zip(batch, nbrs)):
+        for b, u in enumerate(batch):
+            nb = column_of(nbrs, b)
+            assert [a.tobytes() for a in nb] == [a.tobytes() for a in top_k(m, u, k)]
             alone = one_table(m, u, nb, cands)
             for got, one, ref in zip(stack, alone, oracle_preference_table(m, u, nb, cands)):
                 assert got[b].dtype == ref.dtype
@@ -302,13 +306,13 @@ def test_table_rejects_candidate_outside_matrix(bad):
         one_table(m, 0, nb(), [0, bad])
 
 
-def assert_slices_match_oracle(m, batch, members, cands):
-    """Each slice of the batch's stack is byte-equal to the user's table from
-    `oracle_preference_table`, which divides with masks."""
-    arrays = [neighbors_of(mem) for mem in members]
-    stack = preference_stack(m, batch, arrays, candidate_ids(m, cands))
-    for b, (u, nbrs) in enumerate(zip(batch, arrays)):
-        for got, ref in zip(stack, oracle_preference_table(m, u, nbrs, cands)):
+def assert_slices_match_oracle(m, batch, nbrs, cands):
+    """Each slice of the batch's stack from the (ids, sims, counts) arrays
+    `nbrs` is byte-equal to the user's table from `oracle_preference_table`,
+    which divides with masks."""
+    stack = preference_stack(m, batch, nbrs, candidate_ids(m, cands))
+    for b, u in enumerate(batch):
+        for got, ref in zip(stack, oracle_preference_table(m, u, column_of(nbrs, b), cands)):
             assert got[b].dtype == ref.dtype
             assert got[b].tobytes() == ref.tobytes()
     return stack
@@ -324,8 +328,7 @@ def test_uncovered_pairs_are_positive_zero_on_negative_values(rng):
         batch = rng.choice(users, size=int(rng.integers(1, users + 1)), replace=False).tolist()
         cands = rng.choice(services, size=int(rng.integers(1, services + 1)), replace=False)
         nbrs = top_neighbors(similarity_block(m, batch), trial % 6)
-        members = [members_of(pair) for pair in nbrs]
-        values, confidences, provenance = assert_slices_match_oracle(m, batch, members, cands)
+        values, confidences, provenance = assert_slices_match_oracle(m, batch, nbrs, cands)
         unknown = provenance == 0
         assert not np.signbit(values[unknown]).any()
         assert not np.signbit(confidences[unknown]).any()
@@ -333,9 +336,10 @@ def test_uncovered_pairs_are_positive_zero_on_negative_values(rng):
 
 
 def test_mixed_neighbour_counts_shared_neighbours_and_candidate_subset(rng):
-    # one batch whose users have 0..k neighbours (one stacked product per
-    # count), draw them from a small shared pool that includes the batch's
-    # own users, and rank a subset of the services
+    # one batch whose users have 0..k neighbours, interleaved (b % (k + 1)),
+    # so that each run of one count is its own stacked product; draw them
+    # from a small shared pool that includes the batch's own users, and rank
+    # a subset of the services
     k = 4
     for _ in range(30):
         users, services = int(rng.integers(k + 2, 12)), int(rng.integers(2, 15))
@@ -351,7 +355,8 @@ def test_mixed_neighbour_counts_shared_neighbours_and_candidate_subset(rng):
         assert len({len(mem) for mem in members}) > 1
         size = int(rng.integers(1, services + 1))
         cands = rng.choice(services, size=size, replace=False)
-        assert_slices_match_oracle(m, batch, members, cands)
+        nbrs = stacked_neighbors([neighbors_of(mem) for mem in members])
+        assert_slices_match_oracle(m, batch, nbrs, cands)
     # 999 candidates and 8..16 neighbours: one stacked product over every
     # user, padded to the batch's largest count with zero weights, changes
     # the last bits of such tables (with OpenBLAS 0.3.31 it did at n = 999
@@ -362,7 +367,8 @@ def test_mixed_neighbour_counts_shared_neighbours_and_candidate_subset(rng):
     for u, count in zip(batch, (8, 13, 16, 10)):
         ids = rng.permutation([v for v in range(20) if v != u])[:count].tolist()
         members.append(tuple((v, float(rng.uniform(0.05, 1.0))) for v in ids))
-    assert_slices_match_oracle(m, batch, members, range(999))
+    nbrs = stacked_neighbors([neighbors_of(mem) for mem in members])
+    assert_slices_match_oracle(m, batch, nbrs, range(999))
 
 
 def test_one_user_stack_memory_bounded():
@@ -384,5 +390,5 @@ def test_one_user_stack_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(nbrs[0][0]) == 10 and block.shape == (2, 1, 400, 400)
+    assert nbrs[2].tolist() == [10] and block.shape == (2, 1, 400, 400)
     assert peak <= 5 * 2**20

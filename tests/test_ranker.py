@@ -10,7 +10,7 @@ from qosrank import ranker
 from qosrank.errors import DomainError
 from qosrank.matrix import QoSMatrix, split_train_test
 from qosrank.ranker import RankerKind, Ranking, correct_orders, greedy_orders, rank, rank_orders
-from qosrank.similarity import similarity_block
+from qosrank.similarity import similarity_block, top_neighbors
 
 from conftest import random_sparse_matrix
 from oracles import (
@@ -448,6 +448,55 @@ def test_split_batch_memory_bounded(rng):
         tracemalloc.stop()
     assert ranked == 8
     assert peak < 5 * 2**20
+
+
+def mixed_count_matrix():
+    """16 users over 200 services whose Top-10 neighbour counts differ: users
+    2..15 rise with the service id (30% observed past service 3, so each has
+    10 or more positively similar users) but fall on services 0..3, except that user
+    2 rises on 0, 1 and users 2, 3, 4 rise on 2, 3. User 0 observes only
+    services 0 and 1, rising (1 neighbour), and user 1 only 2 and 3 (3)."""
+    rng = np.random.default_rng(27)
+    values = np.arange(200.0) + rng.normal(0.0, 20.0, (16, 200))
+    values[2:, 0:4] = [4.0, 3.0, 2.0, 1.0]
+    values[2, 0:2] = [3.0, 4.0]
+    values[2:5, 2:4] = [1.0, 2.0]
+    values[:, 4:][rng.uniform(size=(16, 196)) > 0.3] = np.nan
+    values[0:2] = np.nan
+    values[0, 0:2] = values[1, 2:4] = [1.0, 2.0]
+    return QoSMatrix(values)
+
+
+def test_mixed_count_batch_memory_bounded():
+    # one CloudRank2 batch of 4 users over 200 candidates (BATCH_ELEMS keeps
+    # them in one batch) with neighbour counts [1, 10, 10, 10]: the three
+    # (n, n) float64 arrays per user take 3.66 MB. Peaks measured at 7.44 MB
+    # when each count group's products went to three fresh (g, n, n) arrays
+    # and were scattered back, and 4.41 MB with every run of one count
+    # written in place
+    m, batch = mixed_count_matrix(), [0, 2, 3, 4]
+    assert top_neighbors(similarity_block(m, batch), 10)[2].tolist() == [1, 10, 10, 10]
+    tracemalloc.start()
+    try:
+        ranked = rank_orders((RankerKind.CLOUDRANK2,), m, batch, 10, range(200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranked.shape == (4, 1, 200)
+    assert peak < 6 * 2**20
+
+
+def test_interleaved_neighbour_counts_rank_as_alone(monkeypatch):
+    # one batch, users not in id order, whose neighbour counts interleave:
+    # the tables are built in count order and the rows come back in the
+    # batch's order, each byte-equal to its user ranked alone
+    m, batch = mixed_count_matrix(), [3, 0, 5, 1]
+    assert top_neighbors(similarity_block(m, batch), 10)[2].tolist() == [10, 1, 10, 3]
+    monkeypatch.setattr(ranker, "BATCH_ELEMS", 1 << 40)  # one batch
+    kinds = tuple(RankerKind)
+    got = rank_orders(kinds, m, batch, 10, range(200), seed=3)
+    for row, u in zip(got, batch):
+        assert row.tobytes() == rank_orders(kinds, m, [u], 10, range(200), seed=3)[0].tobytes()
 
 
 def test_one_query_memory_bounded():

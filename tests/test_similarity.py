@@ -9,7 +9,7 @@ from qosrank.matrix import QoSMatrix
 from qosrank.similarity import similarity_block, top_neighbors
 
 from conftest import random_sparse_matrix
-from oracles import members_of, oracle_select_neighbors, oracle_similarity_block
+from oracles import column_of, members_of, oracle_select_neighbors, oracle_similarity_block
 
 
 def brute_force_krcc(matrix, u, v):
@@ -51,7 +51,7 @@ def select(sims, active, k):
     as `similarity_block` leaves it."""
     column = np.array(sims, dtype=float)
     column[active] = 0.0
-    return members_of(top_neighbors(column[:, None], k)[0])
+    return members_of(column_of(top_neighbors(column[:, None], k), 0))
 
 
 def test_identical_ordering_gives_one():
@@ -328,20 +328,30 @@ def test_top_neighbors_match_oracle(rng):
         block = similarity_block(m, batch)
         for k in (0, 1, 3, users + 2):
             got = top_neighbors(block, k)
-            for b, ((ids, sims), u) in enumerate(zip(got, batch)):
+            ids, sims, counts = got
+            assert ids.shape == sims.shape == (min(k, users), len(batch))
+            assert counts.shape == (len(batch),)
+            for b, u in enumerate(batch):
                 column = similarity_block(m, (u,))[:, 0]
                 assert column.tobytes() == block[:, b].tobytes()
                 others = np.delete(np.arange(users), u)
                 want = oracle_select_neighbors(others, np.delete(column, u), k)
-                assert tuple(zip(ids.tolist(), sims.tolist())) == want
+                assert members_of(column_of(got, b)) == want
                 assert select(column, u, k) == want
+                # past the count: the rest of the column's sort, none positive
+                assert (sims[counts[b] :, b] <= 0).all()
+                assert sims[:, b].tobytes() == block[ids[:, b], b].tobytes()
 
 
 def test_top_neighbors_excludes_active_and_breaks_ties_by_id():
     # each active user's own entry is 0, as `similarity_block` leaves it
     sims = np.array([[0.0, 0.5], [0.5, 0.0], [0.5, 0.5], [-0.2, 0.0]])
     got = top_neighbors(sims, 9)
-    assert [(ids.tolist(), s.tolist()) for ids, s in got] == [
-        ([1, 2], [0.5, 0.5]),
-        ([0, 2], [0.5, 0.5]),
+    assert [members_of(column_of(got, b)) for b in range(2)] == [
+        ((1, 0.5), (2, 0.5)),
+        ((0, 0.5), (2, 0.5)),
     ]
+    ids, top, counts = got
+    assert ids.T.tolist() == [[1, 2, 0, 3], [0, 2, 1, 3]]
+    assert top.T.tolist() == [[0.5, 0.5, 0.0, -0.2], [0.5, 0.5, 0.0, 0.0]]
+    assert counts.tolist() == [2, 2]
