@@ -425,15 +425,18 @@ def split_train_test(
     non-active users are copied to train unchanged. Active users with no
     observations are skipped with a logged warning. Deterministic for fixed
     arguments; the order and repeats of `active_users` do not matter.
+    ConfigError for a bad density or seed, DomainError for a bad user id.
     """
+    if isinstance(density, bool) or not isinstance(density, (int, float)):
+        raise ConfigError(f"density {density!r} is not a number")
     if not 0.0 < density <= 1.0:
         raise ConfigError(f"density {density} outside (0, 1]")
-    if seed < 0:
+    if as_int(seed, "seed", ConfigError) < 0:
         raise ConfigError("seed must be non-negative")
     train = np.array(matrix.values)
     truth = np.full_like(train, np.nan)
     # each user once: a repeat would overwrite its truth with the NaN left in train
-    for user in sorted(set(active_users)):
+    for user in sorted({as_int(u, "user") for u in active_users}):
         matrix._check_user(user)
         observed = np.flatnonzero(matrix.observed_mask[user])
         if observed.size == 0:

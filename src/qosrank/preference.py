@@ -8,9 +8,9 @@ similarity-weighted mean of those neighbors' similarities), and unknown
 renormalized over the pair-specific neighbor subset. `preference_block`
 builds a batch's tables from the neighbours' rows alone, in place in one
 [confidences, values] block, with one stacked product per array for each
-run of users with one neighbour count. Which pairs are explicit, implicit or
-unknown is not stored: the confidences and the user's own observations
-tell them apart.
+run of users with one neighbour count; the explicit pairs go in through one
+bool mask. Which pairs are explicit, implicit or unknown is not stored: the
+confidences and the user's own observations tell them apart.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     per array, written in place; each slice is the same gemm call as the
     user's own 2-d product, so slice b equals the table of users[b] built on
     its own, bit for bit, in any user order. Agrees with the per-pair
-    reference in tests/oracles.py up to summation order.
+    reference in tests/oracles.py up to summation order. Each user holds
+    three (n, n) float64 arrays, the block's two and the denominators, and
+    one (n, n) bool mask of its explicit pairs, whatever it observed.
     """
     users = np.asarray(users, dtype=np.intp)
     ids, sims, counts = neighbors
@@ -63,21 +65,13 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     # (denominator 0). There every product term is +-0.0 and the sums start
     # from +0.0, so both sums are exactly +0.0 and stay so without a mask; a
     # covered pair's denominator gains exactly 0.0.
-    implicit = denom > 0
-    denom += ~implicit
+    denom += denom == 0
     block /= denom
 
-    # The explicit pairs are each user's own observed x observed positions:
-    # every observed entry repeats once per observed entry of its user and
-    # pairs with those in order (`partner`); writes go by flat index.
-    owner, pos = np.nonzero(matrix.observed_mask[users][:, cols])
-    own_vals = matrix.values[users[owner], cols[pos]]
-    observed = np.bincount(owner, minlength=len(users))
-    reps = observed[owner]
-    start = (np.cumsum(observed) - observed)[owner]
-    partner = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - start, reps)
-    flat = np.repeat((owner * n + pos) * n, reps) + pos[partner]
-    values.reshape(-1)[flat] = np.repeat(own_vals, reps) - own_vals[partner]
-    confidences.reshape(-1)[flat] = 1.0
+    # The explicit pairs are each user's own observed x observed positions.
+    seen, own = matrix.observed_mask[users][:, cols], matrix.values[users][:, cols]
+    explicit = seen[:, :, None] & seen[:, None, :]
+    np.subtract(own[:, :, None], own[:, None, :], out=values, where=explicit)
+    confidences[explicit] = 1.0
     block.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
     return block

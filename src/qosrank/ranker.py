@@ -53,8 +53,9 @@ class Ranking:
 TIE_TOLERANCE = 1e-9
 
 # Upper bound on the (user, CloudRank kind) rows x candidates^2 a batch ranks;
-# each user holds three (n, n) float64 arrays. A batch takes at least one
-# user, so a wide candidate set ranks one user at a time.
+# each user holds three (n, n) float64 arrays and one (n, n) bool mask, however
+# much it observed. A batch takes at least one user, so a wide candidate set
+# ranks one user at a time.
 BATCH_ELEMS = 1 << 18
 
 # Stacks of at most this many tables run greedy's 1-d loop once per table. A
@@ -162,9 +163,10 @@ def rank_orders(
     A batch holds at most BATCH_ELEMS greedy table elements, and at least one
     user. Every ranking equals the one the user gets alone. The random
     baseline shuffles the candidates seeded by (seed, u). Raises DomainError
-    for a neighbourhood size k that is not an integer >= 0, whatever the
-    kinds, and if a row is not a permutation of the candidates.
+    for a kind not a RankerKind or its name, a neighbourhood size k not an
+    integer >= 0 whatever the kinds, and a row not a permutation of the ids.
     """
+    kinds = tuple(RankerKind.parse(kind) for kind in kinds)
     k = as_int(k, "neighborhood size")
     if k < 0:
         raise DomainError(f"neighborhood size must be >= 0, got {k}")

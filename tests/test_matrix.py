@@ -239,6 +239,34 @@ def test_split_spec_rejects_bad_density():
         split_train_test(m, 0.5, -1, (0,))
 
 
+@pytest.mark.parametrize(
+    "density, seed, user, error, message",
+    [
+        (0.5, 1, True, DomainError, "user True is not an integer"),
+        (0.5, 1, 1.5, DomainError, "user 1.5 is not an integer"),
+        (0.5, 1, "1", DomainError, "user '1' is not an integer"),
+        (0.5, 1.5, 0, ConfigError, "seed 1.5 is not an integer"),
+        (0.5, "1", 0, ConfigError, "seed '1' is not an integer"),
+        ("0.5", 1, 0, ConfigError, "density '0.5' is not a number"),
+        (True, 1, 0, ConfigError, "density True is not a number"),
+        (None, 1, 0, ConfigError, "density None is not a number"),
+    ],
+)
+def test_split_rejects_bad_argument_types(density, seed, user, error, message):
+    # before: an IndexError for users True and 1.5, numpy's TypeError for
+    # seed 1.5, a TypeError from a comparison for the strings and None, and
+    # density True split as 1.0
+    m = QoSMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.nan]]))
+    with pytest.raises(error, match=re.escape(message)):
+        split_train_test(m, density, seed, (user,))
+
+
+def test_split_accepts_numpy_scalars():
+    m = QoSMatrix(np.array([[1.0, 2.0, 3.0], [4.0, np.nan, 6.0]]))
+    got = split_train_test(m, np.float64(0.5), np.int64(3), (np.int64(1), 0))
+    assert got == split_train_test(m, 0.5, 3, (0, 1))
+
+
 def test_split_ignores_order_and_repeats_of_active_users(rng):
     # a repeated user split twice would lose its truth to the NaN its first
     # pass left in train
