@@ -127,8 +127,12 @@ class QoSMatrix:
 
     def __init__(self, values: np.ndarray):
         """A matrix over a copy of `values`, so the caller's array stays its
-        own; BadValueError for a value of magnitude over MAX_QOS."""
-        values = np.array(values, dtype=float)
+        own; BadValueError for a value that is not a number or of magnitude
+        over MAX_QOS, DomainError for an array that is not 2-d."""
+        try:
+            values = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadValueError(f"QoSMatrix values are not numbers: {exc}") from exc
         top = -float(np.fmin.reduce(values, None, initial=0.0))  # fmin and fmax skip NaN
         top = max(top, float(np.fmax.reduce(values, None, initial=0.0)))
         if top > MAX_QOS:
@@ -147,7 +151,7 @@ class QoSMatrix:
 
     def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 2:
-            raise ValueError("QoSMatrix expects a 2-d array")
+            raise DomainError("QoSMatrix expects a 2-d array")
         values.setflags(write=False)
         self._values = values
         mask = ~np.isnan(values)
@@ -329,13 +333,14 @@ def _parse_rows(rows: list[str], line_of: Callable[[int], int]) -> np.ndarray:
     return np.array(records, _ROW)
 
 
-def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
+def load_matrix(path: str | Path, orientation: MetricOrientation | str) -> QoSMatrix:
     """Load a QoS matrix from CSV.
 
     Expected format: header `user_id,service_id,qos_value`, integer ids,
     decimal values of magnitude at most MAX_QOS, `#` starting comment lines;
-    blank lines and whitespace around fields are ignored. Smaller-is-better
-    values are negated here so the returned matrix is canonical.
+    blank lines and whitespace around fields are ignored. `orientation` is
+    a MetricOrientation or its name; smaller-is-better values are negated
+    here so the returned matrix is canonical.
 
     The file is read READ_CHARS characters at a time, never whole, and each
     read's complete lines are parsed as one block by numpy's C reader into
@@ -352,12 +357,13 @@ def load_matrix(path: str | Path, orientation: MetricOrientation) -> QoSMatrix:
     every read on the per-line path, about 84 ms with Python's int and float
     on every field).
 
-    Raises ParseError, BadValueError or DuplicateKeyError naming the line on
+    Raises ConfigError for any other orientation, before the file is read,
+    ParseError, BadValueError or DuplicateKeyError naming the line on
     malformed input, DataError if the file is unreadable or an id implies a
     grid of more than MAX_CELLS cells. The read only counts content rows;
     an error names its line by re-reading the file up to its row.
     """
-    path = Path(path)
+    path, orientation = Path(path), MetricOrientation.parse(orientation)
 
     def line_of(i: int) -> int:
         """File line (1-based) of content row i, the header being row 0."""

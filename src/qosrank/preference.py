@@ -6,11 +6,11 @@ implicit when inferred from neighbors who observed both (confidence is the
 similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
 renormalized over the pair-specific neighbor subset. `preference_block`
-builds a batch's tables from the neighbours' rows alone, in place in one
-[confidences, values] block, with one stacked product per array for each
-run of users with one neighbour count; the explicit pairs go in through one
-bool mask. Which pairs are explicit, implicit or unknown is not stored: the
-confidences and the user's own observations tell them apart.
+builds a batch's tables in place in one [confidences, values] block: each
+run of users with one neighbour count gathers its neighbours' candidate
+cells and shares one stacked product per array; the explicit pairs go in
+through one bool mask. Which pairs are explicit, implicit or unknown is not
+stored: the confidences and the user's own observations tell them apart.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     diagonals are 0. users are valid ids and `neighbors` is their
     (ids, sims, counts) as `top_neighbors` returns them.
 
-    Only the union of the batch's neighbour rows is read, gathered once.
-    Each run of users with one neighbour count shares one stacked product
+    Each run of R users with one neighbour count K gathers its (R, K, n)
+    neighbour cells straight from the matrix and shares one stacked product
     per array, written in place; each slice is the same gemm call as the
     user's own 2-d product, so slice b equals the table of users[b] built on
     its own, bit for bit, in any user order. Agrees with the per-pair
@@ -38,14 +38,8 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     """
     users = np.asarray(users, dtype=np.intp)
     ids, sims, counts = neighbors
-    # (B, K) in C order, so a run's operands lay out as one user's own
-    ids, sims = np.ascontiguousarray(ids.T), np.ascontiguousarray(sims.T)
-    listed = np.arange(ids.shape[1]) < counts[:, None]  # each user's neighbours
-    rows = np.flatnonzero(np.bincount(ids[listed], minlength=matrix.num_users))
+    ids, sims = ids.T, sims.T  # (B, K) views
     cols, n = np.asarray(cands, dtype=np.intp), len(cands)
-    mask = matrix.observed_mask.take(rows, axis=0).take(cols, axis=1)
-    vals = np.where(mask, matrix.values.take(rows, axis=0).take(cols, axis=1), 0.0)
-    covered = mask.astype(float)
 
     # For each pair (i, j): value = sum_v s_v (q_vi - q_vj) / sum_v s_v and
     # confidence = sum_v s_v^2 / sum_v s_v, restricted to neighbors covering
@@ -54,10 +48,12 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     confidences, values = block
     bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(users)]
     for lo, hi in zip(bounds, bounds[1:]):
-        run = rows.searchsorted(ids[lo:hi, : counts[lo]])
-        s, cov, c = sims[lo:hi, : counts[lo], None], covered[run], confidences[lo:hi]
+        run, s, c = ids[lo:hi, : counts[lo]], sims[lo:hi, : counts[lo], None], confidences[lo:hi]
+        vals = matrix.values.take(run, axis=0).take(cols, axis=2)  # (R, K, n), NaN unobserved
+        mask = ~np.isnan(vals)
+        cov, vals = mask.astype(float), np.where(mask, vals, 0.0)
         np.matmul((s * cov).transpose(0, 2, 1), cov, out=denom[lo:hi])
-        np.matmul((s * vals[run]).transpose(0, 2, 1), cov, out=c)  # c: cross sums, then confidences
+        np.matmul((s * vals).transpose(0, 2, 1), cov, out=c)  # c: cross sums, then confidences
         np.subtract(c, c.transpose(0, 2, 1), out=values[lo:hi])
         np.matmul((s**2 * cov).transpose(0, 2, 1), cov, out=c)
 

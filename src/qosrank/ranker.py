@@ -163,13 +163,16 @@ def rank_orders(
     A batch holds at most BATCH_ELEMS greedy table elements, and at least one
     user. Every ranking equals the one the user gets alone. The random
     baseline shuffles the candidates seeded by (seed, u). Raises DomainError
-    for a kind not a RankerKind or its name, a neighbourhood size k not an
-    integer >= 0 whatever the kinds, and a row not a permutation of the ids.
+    for a kind not a RankerKind or its name, a neighbourhood size k or a
+    seed not an integer >= 0 whatever the kinds, and a row not a permutation
+    of the ids.
     """
     kinds = tuple(RankerKind.parse(kind) for kind in kinds)
-    k = as_int(k, "neighborhood size")
+    k, seed = as_int(k, "neighborhood size"), as_int(seed, "seed")
     if k < 0:
         raise DomainError(f"neighborhood size must be >= 0, got {k}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     users = np.array([as_int(u, "user") for u in users], dtype=np.intp)
     for u in users.tolist():
         matrix._check_user(u)

@@ -50,6 +50,19 @@ def test_load_negates_smaller_is_better(tmp_path):
     assert m.values[0, 0] == -0.5
 
 
+def test_orientation_parsed_by_name(tmp_path):
+    # before: only the member was compared, so its name, None and "bogus"
+    # all loaded un-negated and raised nothing
+    path = write_csv(tmp_path, ["0,0,1.5", "0,1,2.5", "1,0,3.0"])
+    want = [[-1.5, -2.5], [-3.0, np.nan]]
+    for orientation in (MetricOrientation.SMALLER_IS_BETTER, "smaller-is-better"):
+        np.testing.assert_array_equal(load_matrix(path, orientation).values, want)
+    assert load_matrix(path, "larger-is-better").values[1, 0] == 3.0
+    for bad in (None, "bogus", "SMALLER_IS_BETTER"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown orientation {bad!r}")):
+            load_matrix(path, bad)
+
+
 def test_canonicalization_involution(tmp_path, rng):
     raw = rng.uniform(0.1, 5.0, 20)
     rows = [f"{i % 4},{i // 4},{float(raw[i])!r}" for i in range(20)]
@@ -115,6 +128,21 @@ def test_values_are_read_only():
     m = QoSMatrix(np.array([[1.0]]))
     with pytest.raises(ValueError):
         m.values[0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        (np.zeros(3), DomainError, "QoSMatrix expects a 2-d array"),
+        (np.zeros((2, 2, 2)), DomainError, "QoSMatrix expects a 2-d array"),
+        ([["a", 1.0]], BadValueError, "QoSMatrix values are not numbers"),
+        ([[{}, 1.0]], BadValueError, "QoSMatrix values are not numbers"),
+    ],
+)
+def test_matrix_rejects_bad_arrays_typed(values, error, message):
+    # before: a bare ValueError for each, and a TypeError for the dict
+    with pytest.raises(error, match=message):
+        QoSMatrix(values)
 
 
 def test_matrix_copies_caller_array():

@@ -324,6 +324,50 @@ def test_one_request_and_batched_orders_are_pinned(monkeypatch):
         assert digest == ONE_REQUEST_ORDERS_SHA256
 
 
+# SHA-256 of the int64 orders of every user of each cloudrank_path_cases
+# matrix for (cloudrank2,), (cloudrank1,) and both, in that order; pinned
+# with the union-row preference gather, under 1 and 2 BLAS threads.
+CLOUDRANK_PATH_SHA256 = "e6c264a1ab1139c05973dd95a3d30c9db9c2a050a8c9da8c56c99ecf2665ba50"
+
+
+def cloudrank_path_cases():
+    """30 seeded (matrix, k) cases, k cycling through 0, 1, 3 and 10: every
+    third matrix holds integers 0..3, so active rows tie; every fifth has
+    user 0 fully observed; densities run down to 0.15, so one batch mixes
+    neighbour counts."""
+    rng = np.random.default_rng(20261022)
+    for t in range(30):
+        users, services = int(rng.integers(5, 40)), int(rng.integers(3, 40))
+        values = rng.uniform(0.1, 2.0, (users, services))
+        if t % 3 == 0:
+            values = np.floor(values * 2)
+        values[rng.uniform(size=values.shape) > rng.uniform(0.15, 0.9)] = np.nan
+        if t % 5 == 0:
+            values[0] = rng.uniform(0.1, 2.0, services)
+        yield QoSMatrix(values), (0, 1, 3, 10)[t % 4]
+
+
+def test_cloudrank_path_orders_are_pinned():
+    # the golden run's allocsim grid has uniform neighbour counts and no
+    # ties; these cases run the tie-group loop, stacked runs of several
+    # counts and fully observed users through the whole CloudRank path
+    kind_sets = [
+        (RankerKind.CLOUDRANK2,),
+        (RankerKind.CLOUDRANK1,),
+        (RankerKind.CLOUDRANK1, RankerKind.CLOUDRANK2),
+    ]
+    digest, mixed, tied = hashlib.sha256(), False, False
+    for m, k in cloudrank_path_cases():
+        users, cands = range(m.num_users), range(m.num_services)
+        mixed |= len(set(top_neighbors(similarity_block(m, users), k)[2].tolist())) > 1
+        for row in m.values:
+            tied |= np.unique(row[row == row]).size < np.count_nonzero(row == row)
+        for kinds in kind_sets:
+            digest.update(rank_orders(kinds, m, users, k, cands).astype(np.int64).tobytes())
+    assert mixed and tied
+    assert digest.hexdigest() == CLOUDRANK_PATH_SHA256
+
+
 def test_rank_determinism(rng):
     m = random_sparse_matrix(rng, 6, 8, 0.5)
     for kind in RankerKind:
@@ -391,6 +435,9 @@ def test_candidate_outside_matrix_rejected(kind, bad):
          f"user {np.float64(0.0)!r}"),
         (lambda m: rank_orders((RankerKind.CLOUDRANK1,), m, [0.5], 2, range(3)), "user 0.5"),
         (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2.9, range(3)), "neighborhood size 2.9"),
+        (lambda m: rank(RankerKind.RANDOM_BASELINE, m, 0, 2, range(3), seed=1.5), "seed 1.5"),
+        (lambda m: rank(RankerKind.CLOUDRANK2, m, 0, 2, range(3), seed="3"), "seed '3'"),
+        (lambda m: rank_orders(tuple(RankerKind), m, [0], 2, range(3), seed=True), "seed True"),
         # similarity_block trusts its ids: the batch that feeds it is checked first
         (lambda m: rank_orders((RankerKind.CLOUDRANK2,), m, [1, 0.7], 2, range(3)), "user 0.7"),
         (lambda m: rank_orders((RankerKind.RANDOM_BASELINE,), m, [0.7], 2, range(3)), "user 0.7"),
@@ -415,11 +462,17 @@ def test_non_integral_ids_and_k_rejected(call, named):
          "neighborhood size must be >= 0, got -5"),
         (lambda m: rank_orders(tuple(RankerKind), m, [0, 1], -1, range(3)),
          "neighborhood size must be >= 0, got -1"),
+        (lambda m: rank_orders((RankerKind.CLOUDRANK2,), m, [0], 2, range(3), seed=-1),
+         "seed must be >= 0, got -1"),
+        (lambda m: rank(RankerKind.RANDOM_BASELINE, m, 0, 2, range(3), seed=-1),
+         "seed must be >= 0, got -1"),
     ],
 )
 def test_k_checked_for_every_kind(call, message):
     # before: the random baseline, which reads no neighbours, ranked with
-    # any k; only the CloudRank kinds checked it, once per batch
+    # any k; only the CloudRank kinds checked it, once per batch. A seed
+    # of -1 ended in numpy's ValueError, and the CloudRank kinds, which
+    # read no seed, ranked with it
     m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
     with pytest.raises(DomainError, match=re.escape(message)):
         call(m)
@@ -454,6 +507,8 @@ def test_numpy_integer_ids_and_k_accepted():
     m = QoSMatrix(np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8], [0.3, np.nan, 0.1]]))
     got = rank(RankerKind.CLOUDRANK2, m, np.int64(2), np.int32(2), np.arange(3))
     assert got == rank(RankerKind.CLOUDRANK2, m, 2, 2, [0, 1, 2])
+    got = rank_orders(tuple(RankerKind), m, [0, 2], 2, range(3), seed=np.uint8(7))
+    assert got.tobytes() == rank_orders(tuple(RankerKind), m, [0, 2], 2, range(3), seed=7).tobytes()
 
 def test_split_batch_memory_bounded(rng):
     # 8 active users over 400 candidates: BATCH_ELEMS keeps one user per
