@@ -7,9 +7,9 @@ similarity-weighted mean of those neighbors' similarities), and unknown
 (value 0, confidence 0) when nobody covers the pair. Weights are always
 renormalized over the pair-specific neighbor subset. `preference_block`
 builds a batch's tables in place in one [confidences, values] block: each
-run of users with one neighbour count gathers its neighbours' candidate
-cells and shares one stacked product per array; the explicit pairs go in
-through one bool mask. Which pairs are explicit, implicit or unknown is not
+run of users with one neighbour count gathers only its neighbours' cells
+at the candidates and shares one stacked product per array; the explicit
+pairs go in through one bool mask. Which pairs are explicit, implicit or unknown is not
 stored: the confidences and the user's own observations tell them apart.
 """
 
@@ -27,18 +27,17 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     diagonals are 0. users are valid ids and `neighbors` is their
     (ids, sims, counts) as `top_neighbors` returns them.
 
-    Each run of R users with one neighbour count K gathers its (R, K, n)
-    neighbour cells straight from the matrix and shares one stacked product
-    per array, written in place; each slice is the same gemm call as the
-    user's own 2-d product, so slice b equals the table of users[b] built on
-    its own, bit for bit, in any user order. Agrees with the per-pair
-    reference in tests/oracles.py up to summation order. Each user holds
-    three (n, n) float64 arrays, the block's two and the denominators, and
-    one (n, n) bool mask of its explicit pairs, whatever it observed.
+    Each run of R users with one neighbour count K gathers only its (R, K, n)
+    neighbour cells at the candidates, never a whole row, and shares one
+    stacked product per array, written in place; each slice is the same gemm
+    call as the user's own 2-d product, so slice b equals the table of
+    users[b] built on its own, bit for bit, in any user order. Agrees with
+    the per-pair reference in tests/oracles.py up to summation order. Each
+    user holds three (n, n) float64 arrays, the block's two and the
+    denominators, and one (n, n) bool mask of its explicit pairs.
     """
     users = np.asarray(users, dtype=np.intp)
-    ids, sims, counts = neighbors
-    ids, sims = ids.T, sims.T  # (B, K) views
+    ids, sims, counts = neighbors[0].T, neighbors[1].T, neighbors[2]  # ids, sims: (B, K) views
     cols, n = np.asarray(cands, dtype=np.intp), len(cands)
 
     # For each pair (i, j): value = sum_v s_v (q_vi - q_vj) / sum_v s_v and
@@ -49,7 +48,7 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(users)]
     for lo, hi in zip(bounds, bounds[1:]):
         run, s, c = ids[lo:hi, : counts[lo]], sims[lo:hi, : counts[lo], None], confidences[lo:hi]
-        vals = matrix.values.take(run, axis=0).take(cols, axis=2)  # (R, K, n), NaN unobserved
+        vals = matrix.values[run[..., None], cols]  # (R, K, n), NaN unobserved
         mask = ~np.isnan(vals)
         cov, vals = mask.astype(float), np.where(mask, vals, 0.0)
         np.matmul((s * cov).transpose(0, 2, 1), cov, out=denom[lo:hi])
@@ -65,7 +64,8 @@ def preference_block(matrix: QoSMatrix, users, neighbors, cands) -> np.ndarray:
     block /= denom
 
     # The explicit pairs are each user's own observed x observed positions.
-    seen, own = matrix.observed_mask[users][:, cols], matrix.values[users][:, cols]
+    own = matrix.values[users[:, None], cols]  # (B, n)
+    seen = ~np.isnan(own)
     explicit = seen[:, :, None] & seen[:, None, :]
     np.subtract(own[:, :, None], own[:, None, :], out=values, where=explicit)
     confidences[explicit] = 1.0

@@ -76,7 +76,7 @@ def similarity_block(matrix: QoSMatrix, users) -> np.ndarray:
     shape = (matrix.num_users, batch.size)
     own = matrix.values[batch]
     order = np.argsort(own, axis=1, kind="stable")  # ascending, NaN (unobserved) last
-    own = np.take_along_axis(own, order, axis=1)
+    own = np.sort(own, axis=1)
     n = int(np.count_nonzero(own == own, axis=1).max(initial=0))
     own = own[:, :n]
     # every user's values in each b's order, NaN where either did not observe;

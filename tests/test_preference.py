@@ -392,3 +392,29 @@ def test_one_user_stack_memory_bounded():
         tracemalloc.stop()
     assert nbrs[2].tolist() == [10] and block.shape == (2, 1, 400, 400)
     assert peak <= 5 * 2**20
+
+
+def test_wide_matrix_subset_memory_bounded():
+    # all 200 users of a 200 x 8000 matrix at 30% in one batch, 10
+    # neighbours each, over 16 candidates: each (R, K, n) array of the run
+    # takes 0.25 MB and each (B, n, n) array 0.4 MB, whatever the width.
+    # Peaks measured at 13.8 MB when the union of the neighbours' whole rows
+    # was gathered once, 123 MB when each run gathered its neighbours' whole
+    # rows, 13.9 MB when only the users' own rows were gathered whole, and
+    # 2.0 MB with only the candidates' cells gathered
+    rng = np.random.default_rng(20261022)
+    values = rng.uniform(0.1, 2.0, (200, 8000))
+    values[rng.uniform(size=values.shape) > 0.3] = np.nan
+    m = QoSMatrix(values)
+    sims = rng.uniform(0.05, 1.0, (200, 200))
+    np.fill_diagonal(sims, 0.0)  # no user is its own neighbour
+    nbrs = top_neighbors(sims, 10)
+    cands = candidate_ids(m, range(0, 8000, 500))
+    tracemalloc.start()
+    try:
+        block = preference_block(m, np.arange(200), nbrs, cands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbrs[2].tolist() == [10] * 200 and block.shape == (2, 200, 16, 16)
+    assert peak <= 4 * 2**20
